@@ -261,8 +261,9 @@ BENCHMARK(BM_Calibrate);
 //               allocations, but still re-sanitizes the 25-packet window
 //               every hop),
 //  * engine   — SensingEngine::ProcessBatch (workspace + each packet
-//               sanitized once on ingest + profile covariance stack cached
-//               across windows).
+//               sanitized once on ingest).
+// All three read the profile covariance stack the detector built at
+// calibration, so none of them pays the profile-side packet scan.
 // Scoring a varying stream is deliberate: re-scoring one fixed window keeps
 // every buffer and branch predictor hot and flatters whichever API runs
 // last. `speedup` compares the deployable engine path against the legacy

@@ -247,8 +247,10 @@ void LinkCalibrator::Configure(const Detector& detector,
       detector.num_antennas() >= 2;
   staged_.clear();
   if (stage_packets_) {
+    wifi::CsiPacket slot;
+    slot.csi.Resize(detector.num_antennas(), detector.num_subcarriers());
     // mulink-lint: allow(alloc): Configure, setup path
-    staged_.reserve(config_.staged_quiet_packets);
+    staged_.assign(config_.staged_quiet_packets, slot);
   }
 }
 
@@ -309,29 +311,31 @@ void LinkCalibrator::StageQuietPackets(
       std::min(config_.staged_packets_per_window, window.size());
   for (std::size_t i = 0; i < per; ++i) {
     const std::size_t idx = i * window.size() / per;
-    if (staged_write_ < staged_.size()) {
-      staged_[staged_write_] = window[idx];  // copy-assign reuses CSI buffer
-    } else {
-      // mulink-lint: allow(alloc): initial staging-ring fill; capacity reserved in Configure
-      staged_.push_back(window[idx]);
-    }
+    staged_[staged_write_] = window[idx];  // copy-assign reuses CSI buffer
     staged_write_ = (staged_write_ + 1) % config_.staged_quiet_packets;
     if (staged_count_ < config_.staged_quiet_packets) ++staged_count_;
   }
 }
 
-void LinkCalibrator::ApplySwap(Detector& detector) {
-  // Cold path by contract: runs between windows, a handful of times per
-  // deployment-day. The posterior buffers are the staged (shadow) copy; the
+void LinkCalibrator::ApplySwap(Detector& detector, DetectorScratch& scratch) {
+  // Runs between windows, a handful of times per deployment-day, on the
+  // serving path: the posterior buffers are the staged (shadow) copy; the
   // installs below overwrite the active profile in place, so the stream
-  // never drops a packet around a swap.
+  // never drops a packet around a swap, and everything reuses buffers that
+  // Configure or the link's scoring scratch already hold. The scratch's
+  // metrics sink is muted meanwhile: rescoring staged packets is not a
+  // scored window.
+  obs::Registry* const scoring_sink = scratch.metrics;
+  scratch.metrics = nullptr;
   detector.ApplyProfile(profile_posterior_.power(),
                         profile_posterior_.amplitude(),
                         profile_posterior_.variance());
-  if (refresh_angular_ &&
+  if (refresh_angular_ && staged_count_ > 0 &&
       staged_count_ >= std::min<std::size_t>(8, config_.staged_quiet_packets)) {
     detector.RefreshAngularProfile(
-        std::span<const wifi::CsiPacket>(staged_.data(), staged_count_));
+        std::span<const wifi::CsiPacket>(staged_.data(), staged_count_),
+        scratch);
+    MULINK_OBS_COUNT(metrics, kProfileStackRebuilds);
   }
   // Re-anchor the operating point against the NEW profile. Every score in
   // the posterior was measured against the profile just replaced — installing
@@ -346,9 +350,10 @@ void LinkCalibrator::ApplySwap(Detector& detector) {
     const std::span<const wifi::CsiPacket> staged(staged_.data(),
                                                   staged_count_);
     rebased = detector.UsesSanitizedInput()
-                  ? detector.ScoreSanitized(staged, swap_scratch_)
-                  : detector.Score(staged, swap_scratch_);
+                  ? detector.ScoreSanitized(staged, scratch)
+                  : detector.Score(staged, scratch);
   }
+  scratch.metrics = scoring_sink;
   // Clamp the rebased level to [1, 1.5]x the calibration-time quiet mean.
   // The floor: staged packets are in-sample for the profile just fit to
   // them, which biases their score low, and drift compensation only ever
@@ -425,6 +430,7 @@ void LinkCalibrator::ApplySwap(Detector& detector) {
 bool LinkCalibrator::ObserveDecision(double score, double posterior,
                                      std::span<const wifi::CsiPacket> window,
                                      Detector& detector,
+                                     DetectorScratch& scratch,
                                      const CalibrationWindowContext& context) {
   // The one per-decision entry point: the caller (streaming detector,
   // engine worker, serving shard) is the link's single driving thread, so
@@ -599,7 +605,7 @@ bool LinkCalibrator::ObserveDecision(double score, double posterior,
       case LadderState::kRecalibrating: {
         if (stage_packets_) StageQuietPackets(window);
         if (++recal_collected_ >= config_.recalibration_quiet_windows) {
-          ApplySwap(detector);
+          ApplySwap(detector, scratch);
           swapped = true;
         }
         break;

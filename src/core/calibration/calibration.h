@@ -318,12 +318,16 @@ class LinkCalibrator {
   // Observe one emitted decision (clean or degraded) and run the ladder.
   // `score`/`posterior` are the decision's statistic and P(occupied);
   // `window` is the scored window in the detector's expected sanitization
-  // state; `detector` is mutated in place when a swap fires. Returns true
-  // when a profile/threshold swap was applied this decision — the caller
-  // must then re-fit its HMM empty emission from quiet_log_mean/sigma().
+  // state; `detector` is mutated in place when a swap fires, and the swap
+  // borrows `scratch` — the link's scoring workspace, idle between windows
+  // — to rebuild the angular profile and rescore the staged packets (it
+  // never writes scratch.sanitized, so `window` may live there). Returns
+  // true when a profile/threshold swap was applied this decision — the
+  // caller must then re-fit its HMM empty emission from
+  // quiet_log_mean/sigma().
   bool ObserveDecision(double score, double posterior,
                        std::span<const wifi::CsiPacket> window,
-                       Detector& detector,
+                       Detector& detector, DetectorScratch& scratch,
                        const CalibrationWindowContext& context);
 
   LadderState state() const { return state_; }
@@ -369,7 +373,8 @@ class LinkCalibrator {
   // materialized): degrade, or freeze on the second degradation.
   void AbortRecalibration();
   // Install the staged profile, threshold and angular refresh in place.
-  void ApplySwap(Detector& detector) MULINK_REQUIRES(owner_role_);
+  void ApplySwap(Detector& detector, DetectorScratch& scratch)
+      MULINK_REQUIRES(owner_role_);
   void StageQuietPackets(std::span<const wifi::CsiPacket> window)
       MULINK_REQUIRES(owner_role_);
 
@@ -388,10 +393,6 @@ class LinkCalibrator {
   // nothing can reach the staged ring or the in-place swap from outside a
   // driving entry point (DESIGN.md §16).
   ThreadRole owner_role_;
-
-  // Scratch for scoring the staged packets under the new profile on swap
-  // (cold path; buffers warm up on the first swap).
-  DetectorScratch swap_scratch_ MULINK_GUARDED_BY(owner_role_);
 
   QuietScorePosterior score_posterior_;
   ProfilePosterior profile_posterior_;
@@ -435,7 +436,8 @@ class LinkCalibrator {
 
   // Staged quiet packets for the post-swap re-anchor and angular refresh —
   // the shadow half of the double-buffered swap (the live half is the
-  // detector profile ApplySwap overwrites in place).
+  // detector profile ApplySwap overwrites in place). Configure sizes every
+  // slot to the detector's shape; staging copy-assigns into them.
   std::vector<wifi::CsiPacket> staged_ MULINK_GUARDED_BY(owner_role_);
   std::size_t staged_write_ MULINK_GUARDED_BY(owner_role_) = 0;
   std::size_t staged_count_ MULINK_GUARDED_BY(owner_role_) = 0;

@@ -17,9 +17,9 @@ namespace mulink::core {
 
 namespace {
 
-// Process-unique profile versions: every (re)build of a detector's retained
-// calibration set gets a fresh value, so a DetectorScratch shared across
-// detector instances never reuses a stale covariance stack.
+// Process-unique profile epochs: every rewrite of a detector's amplitude
+// profile gets a fresh value, so a baseline cache stamped under one profile
+// (of this or any other detector) never passes for another's.
 std::uint64_t NextProfileVersion() {
   static std::atomic<std::uint64_t> counter{0};
   // Relaxed is sufficient (and what the analyzer's atomics rule demands be
@@ -131,18 +131,13 @@ Detector Detector::Calibrate(const std::vector<wifi::CsiPacket>& empty_session,
     // mulink-lint: allow(alloc): calibration path
     d.retained_calibration_.push_back(sanitized[idx]);
   }
-  d.profile_version_ = NextProfileVersion();
   d.profile_epoch_ = NextProfileVersion();
 
   // Static pseudospectrum and Eq. 17 path weights (combined scheme only
   // needs them, but they are cheap and useful introspection for all).
   if (num_ant >= 2) {
-    d.static_spectrum_ =
-        ComputeMusicSpectrum(d.retained_calibration_, array, band,
-                             config.music)
-            .Smoothed(config.spectrum_smoothing_deg);
-    d.path_weights_ =
-        ComputePathWeights(d.static_spectrum_, config.path_weighting);
+    DetectorScratch scratch;
+    d.RebuildAngularProfile(scratch);
   }
   return d;
 }
@@ -313,8 +308,10 @@ void Detector::ComputeWindowWeights(std::span<const wifi::CsiPacket> sanitized,
   } else {
     MeasureMultipathFactorsInto(sanitized, band_, scratch.mu,
                                 scratch.multipath);
-    ComputeSubcarrierWeightsInto(scratch.mu, config_.weighting_mode,
-                                 scratch.weights, scratch.median_scratch);
+    ComputeSubcarrierWeightsInto(
+        std::span<const std::vector<double>>(scratch.mu)
+            .first(sanitized.size()),
+        config_.weighting_mode, scratch.weights, scratch.median_scratch);
   }
 }
 
@@ -431,14 +428,9 @@ void Detector::UpdateProfile(const std::vector<wifi::CsiPacket>& empty_window,
                             retained_calibration_.size()] = sanitized[i];
       ++retained_rotation_;
     }
-    profile_version_ = NextProfileVersion();
     if (num_antennas_ >= 2) {
-      static_spectrum_ =
-          ComputeMusicSpectrum(retained_calibration_, array_, band_,
-                               config_.music)
-              .Smoothed(config_.spectrum_smoothing_deg);
-      path_weights_ = ComputePathWeights(static_spectrum_,
-                                         config_.path_weighting);
+      DetectorScratch scratch;
+      RebuildAngularProfile(scratch);
     }
   }
 }
@@ -468,8 +460,8 @@ void Detector::ApplyProfile(std::span<const double> power,
   profile_epoch_ = NextProfileVersion();
 }
 
-void Detector::RefreshAngularProfile(
-    std::span<const wifi::CsiPacket> staged) {
+void Detector::RefreshAngularProfile(std::span<const wifi::CsiPacket> staged,
+                                     DetectorScratch& scratch) {
   if (staged.empty() || retained_calibration_.empty() || num_antennas_ < 2) {
     return;
   }
@@ -510,13 +502,23 @@ void Detector::RefreshAngularProfile(
                           retained_calibration_.size()] = staged[i];
     ++retained_rotation_;
   }
-  profile_version_ = NextProfileVersion();
-  static_spectrum_ =
-      ComputeMusicSpectrum(retained_calibration_, array_, band_,
-                           config_.music)
-          .Smoothed(config_.spectrum_smoothing_deg);
-  path_weights_ =
-      ComputePathWeights(static_spectrum_, config_.path_weighting);
+  RebuildAngularProfile(scratch);
+}
+
+void Detector::RebuildAngularProfile(DetectorScratch& scratch) {
+  // The scratch's monitor-side covariance and spectrum are per-window
+  // temporaries, free between windows.
+  const std::span<const wifi::CsiPacket> retained(retained_calibration_);
+  SampleCovarianceInto(retained, {}, scratch.monitor_cov, scratch.music);
+  ComputeMusicSpectrumInto(scratch.monitor_cov, array_, band_, config_.music,
+                           scratch.monitor_spectrum, scratch.music);
+  SmoothSpectrumInto(scratch.monitor_spectrum, config_.spectrum_smoothing_deg,
+                     static_spectrum_, scratch.music.smoothing_kernel);
+  ComputePathWeightsInto(static_spectrum_, config_.path_weighting,
+                         path_weights_);
+  if (config_.scheme == DetectionScheme::kSubcarrierAndPathWeighting) {
+    BuildSubcarrierCovarianceStack(retained, profile_stack_);
+  }
 }
 
 double Detector::ScoreBaseline(std::span<const wifi::CsiPacket> window,
@@ -705,22 +707,11 @@ double Detector::ScoreCombined(std::span<const wifi::CsiPacket> sanitized,
       SampleCovarianceInto(std::span<const wifi::CsiPacket>(sanitized),
                            weights.weights, monitor_cov, scratch.music);
     }
-    // The profile side scores a *fixed* packet set against per-window
-    // weights, so its per-subcarrier covariance stack is cached in the
-    // workspace and only re-combined here; the full packet scan happens once
-    // per profile version (first window, or after UpdateProfile rotates the
-    // set).
-    if (scratch.profile_version != profile_version_) {
-      MULINK_OBS_COUNT(scratch.metrics, kProfileStackRebuilds);
-      BuildSubcarrierCovarianceStack(
-          std::span<const wifi::CsiPacket>(retained_calibration_),
-          scratch.profile_stack);
-      scratch.profile_version = profile_version_;
-    } else {
-      MULINK_OBS_COUNT(scratch.metrics, kProfileStackHits);
-    }
-    CombineSubcarrierCovariances(scratch.profile_stack, weights.weights,
-                                 profile_cov);
+    // The profile side is a *fixed* packet set scored against per-window
+    // weights: its per-subcarrier covariance stack is built with the
+    // profile, so each window only re-combines it.
+    MULINK_OBS_COUNT(scratch.metrics, kProfileStackHits);
+    CombineSubcarrierCovariances(profile_stack_, weights.weights, profile_cov);
     if (config_.noise_floor_subtraction) {
       // Spatially-white components (AWGN, receiver-local interference) add
       // lambda_min * I to the covariance; removing it keeps the angular

@@ -95,13 +95,14 @@ struct DetectorConfig {
 };
 
 // Every buffer the scoring hot path needs, owned by the caller so repeated
-// Score calls perform zero heap allocations after the first window. One
-// scratch serves one detector shape at a time; sharing it across detectors
-// is safe (buffers re-grow) but defeats the warm-up.
+// Score calls perform zero heap allocations after the first window. The
+// scratch holds per-window temporaries only — nothing that belongs to a
+// profile — so one scratch serves any number of detectors, interleaved in
+// any order, and detectors of one shape share its warm buffers.
 struct DetectorScratch {
   // Observability shard the scoring path reports into: per-stage timings
   // (sanitize, subcarrier weighting, MUSIC/path weighting, score) plus the
-  // windows-scored and profile-stack cache counters. Null (the default) is
+  // windows-scored and profile-stack-hit counters. Null (the default) is
   // the no-op sink — scoring reads no clocks and bumps no counters.
   // Recording never changes a score.
   obs::Registry* metrics = nullptr;
@@ -114,14 +115,6 @@ struct DetectorScratch {
   std::vector<double> powers;  // per-window temporal powers of one subcarrier
   linalg::CMatrix monitor_cov;
   linalg::CMatrix profile_cov;
-  // Per-subcarrier covariance stack of the detector's retained calibration
-  // packets, rebuilt whenever `profile_version` falls behind the detector's
-  // profile (first use, UpdateProfile, or a different Detector instance).
-  // Amortizes the profile-side covariance scan across windows: a warm
-  // scratch combines the stack with the window's subcarrier weights in
-  // O(subcarriers * antennas^2) instead of re-scanning every packet.
-  SubcarrierCovarianceStack profile_stack;
-  std::uint64_t profile_version = 0;
   MusicWorkspace music;
   Pseudospectrum monitor_spectrum;
   Pseudospectrum profile_spectrum;
@@ -283,10 +276,13 @@ class Detector {
 
   // Rotate staged sanitized quiet packets into the retained calibration set
   // (oldest first, reusing each slot's CSI buffer) and recompute the static
-  // pseudospectrum and Eq. 17 path weights, so the combined scheme's
-  // angular profile follows the recalibrated environment. Cold path; no-op
-  // for single-antenna links or an empty `staged`.
-  void RefreshAngularProfile(std::span<const wifi::CsiPacket> staged);
+  // pseudospectrum, the Eq. 17 path weights and the profile covariance
+  // stack in place, so the combined scheme's angular profile follows the
+  // recalibrated environment. `scratch` lends the MUSIC workspace (the
+  // link's scoring scratch, idle between windows); with it warm the refresh
+  // allocates nothing. No-op for single-antenna links or an empty `staged`.
+  void RefreshAngularProfile(std::span<const wifi::CsiPacket> staged,
+                             DetectorScratch& scratch);
 
   // Calibrated shape (rows / columns of every CSI matrix this detector
   // accepts).
@@ -296,6 +292,12 @@ class Detector {
   // Introspection for the characterization benches.
   const Pseudospectrum& static_spectrum() const { return static_spectrum_; }
   const PathWeights& path_weights() const { return path_weights_; }
+  std::span<const wifi::CsiPacket> retained_calibration() const {
+    return retained_calibration_;
+  }
+  const SubcarrierCovarianceStack& profile_stack() const {
+    return profile_stack_;
+  }
   const std::vector<std::vector<double>>& profile_power() const {
     return profile_power_;
   }
@@ -307,6 +309,12 @@ class Detector {
 
   // All antennas usable (the non-degraded case; bit m = antenna m).
   std::uint32_t FullAntennaMask() const;
+
+  // Re-derive everything built from retained_calibration_ — the smoothed
+  // static MUSIC pseudospectrum, the Eq. 17 path weights and, for the
+  // combined scheme, the profile covariance stack — into the existing
+  // buffers, with `scratch` as the MUSIC workspace. Needs >= 2 antennas.
+  void RebuildAngularProfile(DetectorScratch& scratch);
 
   double ScoreBaseline(std::span<const wifi::CsiPacket> window,
                        std::uint32_t live_mask) const;
@@ -353,17 +361,17 @@ class Detector {
 
   std::vector<wifi::CsiPacket> retained_calibration_;
   std::size_t retained_rotation_ = 0;
-  // Process-unique version of retained_calibration_'s contents; compared
-  // against DetectorScratch::profile_version to invalidate its cached
-  // covariance stack. Unique across Detector instances so one scratch can
-  // be shared between detectors without cross-talk.
-  std::uint64_t profile_version_ = 0;
   // Epoch of profile_amplitude_/profile_scale_amplitude_ (the baseline
-  // statistic's inputs); drawn from the same process-unique counter as
-  // profile_version_ so sharing a scratch across detectors stays safe.
+  // statistic's inputs), drawn from a process-unique counter so a cache
+  // stamped by one detector never matches another's.
   std::uint64_t profile_epoch_ = 0;
   Pseudospectrum static_spectrum_;
   PathWeights path_weights_;
+  // Combined scheme only: per-subcarrier covariance blocks of
+  // retained_calibration_, rebuilt wherever that set is rewritten, so each
+  // window just re-combines them with its Eq. 15 weights. Read-only while
+  // scoring (shared fleet profiles share it); copies copy it (~4 KB).
+  SubcarrierCovarianceStack profile_stack_;
 
   double threshold_ = 0.0;
   bool threshold_set_ = false;

@@ -274,7 +274,8 @@ struct SensingEngine::LinkState {
       // directly — bit-identical to StreamingDetector's per-window copy.
       // Calibration requires an owned detector (enforced in the ctor).
       calibrator.ObserveDecision(decision.score, decision.posterior,
-                                 window_span, *owned_detector, context);
+                                 window_span, *owned_detector, *scratch,
+                                 context);
       if (hmm.has_value()) {
         // Every-window emission refit from the live quiet posterior —
         // same rationale and ordering as StreamingDetector (bit-identical

@@ -11,9 +11,9 @@
 // Fleet mode (src/serve): links that share a channel configuration can be
 // registered against one immutable shared Detector (AddLink shared_ptr
 // overload) and score through one engine-owned shared scratch
-// (UseSharedScratch), so per-link memory shrinks to the packet ring and the
-// profile-side covariance stack stays warm across consecutive links of the
-// same config. Shared-detector links cannot run adaptive calibration (the
+// (UseSharedScratch), so per-link memory shrinks to the packet ring and
+// every link of a profile reads that detector's one profile covariance
+// stack. Shared-detector links cannot run adaptive calibration (the
 // ladder mutates the detector in place); register an owned copy for that.
 //
 // Decision semantics are bit-identical to feeding the same packets one at a
@@ -84,9 +84,9 @@ class SensingEngine {
 
   // Route every link's scoring through one engine-owned scratch workspace
   // instead of per-link scratch. Serving shards use this: resident links
-  // share one warm workspace, and links that share a detector reuse its
-  // profile covariance stack across consecutive decisions. Must be called
-  // before the first AddLink.
+  // share one warm workspace whatever profiles they score against (the
+  // scratch holds no profile state; each detector carries its own profile
+  // covariance stack). Must be called before the first AddLink.
   void UseSharedScratch();
 
   // Ingest a batch of packets for one link. Every completed window (aligned
@@ -124,7 +124,7 @@ class SensingEngine {
 
   // Observability. Each link records into its own Registry shard (ingest
   // and decision counters, per-stage latency histograms, profile-stack
-  // cache stats); AggregateMetrics merges the shards in link order, so the
+  // hits and swap-time rebuilds); AggregateMetrics merges the shards in link order, so the
   // totals are deterministic for a fixed ingest sequence. Enabled by
   // default; disabling detaches every link's shard (runtime no-op sink)
   // without clearing what was recorded. Decisions are bit-identical with

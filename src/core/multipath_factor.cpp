@@ -118,8 +118,10 @@ void MeasureMultipathFactorsInto(std::span<const wifi::CsiPacket> packets,
                                  const wifi::BandPlan& band,
                                  std::vector<std::vector<double>>& out,
                                  MultipathScratch& scratch) {
-  // mulink-lint: allow(alloc): warm per-packet output rows
-  out.resize(packets.size());
+  if (out.size() < packets.size()) {
+    // mulink-lint: allow(alloc): warm per-packet output rows; grow-only
+    out.resize(packets.size());
+  }
   for (std::size_t i = 0; i < packets.size(); ++i) {
     MeasureMultipathFactorsInto(packets[i], band, out[i], scratch);
   }

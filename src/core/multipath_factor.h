@@ -53,7 +53,10 @@ void MeasureMultipathFactorsInto(const wifi::CsiPacket& packet,
 std::vector<std::vector<double>> MeasureMultipathFactors(
     const std::vector<wifi::CsiPacket>& packets, const wifi::BandPlan& band);
 
-// Scratch variant over a window; `out` is resized to packets.size().
+// Scratch variant over a window: rows [0, packets.size()) of `out` receive
+// the factors. `out` only grows, so a shorter window (the ladder's staged
+// rescoring on a shared scratch) keeps the rows a full window reuses; read
+// the first packets.size() rows.
 void MeasureMultipathFactorsInto(std::span<const wifi::CsiPacket> packets,
                                  const wifi::BandPlan& band,
                                  std::vector<std::vector<double>>& out,

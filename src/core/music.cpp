@@ -54,13 +54,23 @@ Pseudospectrum Pseudospectrum::Normalized() const {
 }
 
 Pseudospectrum Pseudospectrum::Smoothed(double sigma_deg) const {
+  Pseudospectrum out;
+  std::vector<double> kernel;
+  SmoothSpectrumInto(*this, sigma_deg, out, kernel);
+  return out;
+}
+
+void SmoothSpectrumInto(const Pseudospectrum& in, double sigma_deg,
+                        Pseudospectrum& out, std::vector<double>& kernel) {
   MULINK_REQUIRE(sigma_deg > 0.0, "Smoothed: sigma must be > 0");
-  MULINK_REQUIRE(theta_deg.size() >= 2, "Smoothed: need >= 2 grid points");
-  const double step = theta_deg[1] - theta_deg[0];
+  MULINK_REQUIRE(in.theta_deg.size() >= 2, "Smoothed: need >= 2 grid points");
+  MULINK_REQUIRE(&in != &out, "Smoothed: output must not alias the input");
+  const double step = in.theta_deg[1] - in.theta_deg[0];
   const double sigma_pts = sigma_deg / step;
   const int radius = std::max(1, static_cast<int>(std::ceil(3.0 * sigma_pts)));
 
-  std::vector<double> kernel(static_cast<std::size_t>(2 * radius + 1));
+  // mulink-lint: allow(alloc): warm kernel taps; fixed by the grid and sigma
+  kernel.resize(static_cast<std::size_t>(2 * radius + 1));
   double kernel_sum = 0.0;
   for (int i = -radius; i <= radius; ++i) {
     const double v = std::exp(-0.5 * (i / sigma_pts) * (i / sigma_pts));
@@ -69,18 +79,19 @@ Pseudospectrum Pseudospectrum::Smoothed(double sigma_deg) const {
   }
   for (auto& v : kernel) v /= kernel_sum;
 
-  Pseudospectrum out = *this;
-  const int n = static_cast<int>(power.size());
+  out.theta_deg = in.theta_deg;  // copy-assign reuses out's capacity
+  // mulink-lint: allow(alloc): warm spectrum output
+  out.power.resize(in.power.size());
+  const int n = static_cast<int>(in.power.size());
   for (int i = 0; i < n; ++i) {
     double acc = 0.0;
     for (int j = -radius; j <= radius; ++j) {
       const int idx = std::clamp(i + j, 0, n - 1);  // replicate edges
       acc += kernel[static_cast<std::size_t>(j + radius)] *
-             power[static_cast<std::size_t>(idx)];
+             in.power[static_cast<std::size_t>(idx)];
     }
     out.power[static_cast<std::size_t>(i)] = acc;
   }
-  return out;
 }
 
 linalg::CMatrix SampleCovariance(const std::vector<wifi::CsiPacket>& packets,
@@ -202,7 +213,9 @@ void BuildSubcarrierCovarianceStack(std::span<const wifi::CsiPacket> packets,
   out.num_antennas = num_ant;
   out.num_subcarriers = num_sc;
   out.num_packets = packets.size();
-  // mulink-lint: allow(alloc): covariance stack rebuild, cached per profile version
+  // Reuses out.data's capacity, so a profile refresh that rebuilds a
+  // detector's stack at the same shape allocates nothing.
+  // mulink-lint: allow(alloc): grows only on the first build of a shape
   out.data.assign(num_sc * num_ant * num_ant, Complex(0.0, 0.0));
   for (const auto& packet : packets) {
     MULINK_REQUIRE(packet.NumAntennas() == num_ant &&

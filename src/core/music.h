@@ -47,6 +47,13 @@ struct Pseudospectrum {
   Pseudospectrum Smoothed(double sigma_deg) const;
 };
 
+// Scratch variant of Pseudospectrum::Smoothed: writes the smoothed copy of
+// `in` into `out` (which must not alias `in`), keeping the Gaussian taps in
+// `kernel`. Allocation-free once `out` and `kernel` are warm; bit-identical
+// to in.Smoothed(sigma_deg).
+void SmoothSpectrumInto(const Pseudospectrum& in, double sigma_deg,
+                        Pseudospectrum& out, std::vector<double>& kernel);
+
 // Reusable scratch for the covariance/spectrum hot path. Besides plain
 // buffers it caches the steering-vector table for a fixed
 // (array, band, MusicConfig) grid — the table is invalidated and rebuilt
@@ -87,6 +94,9 @@ struct MusicWorkspace {
   double table_freq_hz = 0.0;
   double table_spacing_m = 0.0;
   double table_axis_rad = 0.0;
+
+  // Gaussian taps for SmoothSpectrumInto.
+  std::vector<double> smoothing_kernel;
 };
 
 // Sample covariance across antennas, accumulated over all packets and
@@ -134,8 +144,9 @@ struct SubcarrierCovarianceStack {
   }
 };
 
-// Build the stack from `packets`; deterministic, so rebuilding from the same
-// packets reproduces the stack bit-for-bit.
+// Build the stack from `packets` into `out`, reusing its capacity;
+// deterministic, so rebuilding from the same packets reproduces the stack
+// bit-for-bit.
 void BuildSubcarrierCovarianceStack(std::span<const wifi::CsiPacket> packets,
                                     SubcarrierCovarianceStack& out);
 

@@ -10,6 +10,14 @@ namespace mulink::core {
 
 PathWeights ComputePathWeights(const Pseudospectrum& static_spectrum,
                                const PathWeightingConfig& config) {
+  PathWeights w;
+  ComputePathWeightsInto(static_spectrum, config, w);
+  return w;
+}
+
+void ComputePathWeightsInto(const Pseudospectrum& static_spectrum,
+                            const PathWeightingConfig& config,
+                            PathWeights& out) {
   MULINK_REQUIRE(!static_spectrum.power.empty(),
                  "ComputePathWeights: empty static spectrum");
   MULINK_REQUIRE(config.theta_max_deg > config.theta_min_deg,
@@ -23,19 +31,17 @@ PathWeights ComputePathWeights(const Pseudospectrum& static_spectrum,
                  "ComputePathWeights: static spectrum has no power");
   const double floor = max_power * config.spectrum_floor_ratio;
 
-  PathWeights w;
-  w.theta_deg = static_spectrum.theta_deg;
-  // mulink-lint: allow(alloc): calibration path
-  w.weights.resize(static_spectrum.power.size());
-  for (std::size_t i = 0; i < w.weights.size(); ++i) {
+  out.theta_deg = static_spectrum.theta_deg;  // copy-assign reuses capacity
+  // mulink-lint: allow(alloc): calibration path; reuses capacity on refresh
+  out.weights.resize(static_spectrum.power.size());
+  for (std::size_t i = 0; i < out.weights.size(); ++i) {
     const double theta = static_spectrum.theta_deg[i];
     if (theta < config.theta_min_deg || theta > config.theta_max_deg) {
-      w.weights[i] = 0.0;
+      out.weights[i] = 0.0;
     } else {
-      w.weights[i] = 1.0 / std::max(static_spectrum.power[i], floor);
+      out.weights[i] = 1.0 / std::max(static_spectrum.power[i], floor);
     }
   }
-  return w;
 }
 
 std::vector<double> ApplyPathWeights(const PathWeights& weights,

@@ -31,6 +31,12 @@ struct PathWeights {
 PathWeights ComputePathWeights(const Pseudospectrum& static_spectrum,
                                const PathWeightingConfig& config = {});
 
+// Scratch variant writing into `out`: allocation-free once `out` holds a
+// grid of the same size (the profile-refresh path rewrites it in place).
+void ComputePathWeightsInto(const Pseudospectrum& static_spectrum,
+                            const PathWeightingConfig& config,
+                            PathWeights& out);
+
 // Element-wise weighted pseudospectrum (grids must match).
 std::vector<double> ApplyPathWeights(const PathWeights& weights,
                                      const Pseudospectrum& spectrum);

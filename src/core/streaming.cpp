@@ -249,7 +249,7 @@ std::optional<PresenceDecision> StreamingDetector::Push(
             ? std::span<const wifi::CsiPacket>(scratch_.sanitized)
             : window_span;
     calibrator_.ObserveDecision(decision.score, decision.posterior,
-                                learn_window, detector_, context);
+                                learn_window, detector_, scratch_, context);
     if (hmm_.has_value()) {
       // Pin the HMM's empty emission to the live quiet posterior every
       // window, not just after a profile swap: the posterior absorbs slow

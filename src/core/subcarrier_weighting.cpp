@@ -96,7 +96,7 @@ void FinishSubcarrierWeights(std::size_t num_packets, WeightingMode mode,
 }  // namespace
 
 void ComputeSubcarrierWeightsInto(
-    const std::vector<std::vector<double>>& mu_per_packet, WeightingMode mode,
+    std::span<const std::vector<double>> mu_per_packet, WeightingMode mode,
     SubcarrierWeights& out, std::vector<double>& median_scratch) {
   MULINK_REQUIRE(!mu_per_packet.empty(),
                  "ComputeSubcarrierWeights: need >= 1 packet");

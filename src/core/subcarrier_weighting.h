@@ -43,7 +43,7 @@ SubcarrierWeights ComputeSubcarrierWeights(
 // Scratch variant: reuses `out`'s vectors and `median_scratch` so the
 // monitoring loop computes weights without heap traffic.
 void ComputeSubcarrierWeightsInto(
-    const std::vector<std::vector<double>>& mu_per_packet, WeightingMode mode,
+    std::span<const std::vector<double>> mu_per_packet, WeightingMode mode,
     SubcarrierWeights& out, std::vector<double>& median_scratch);
 
 // Prepared-factors variant: each window packet's mu row (`mu_rows[m]`, a

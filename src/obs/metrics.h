@@ -68,8 +68,9 @@ enum class Counter : std::uint8_t {
   kDegradedDecisions,    // decisions on the dead-chain fallback statistic
   kDecisionsSuppressed,  // completed windows with no usable antennas
   kHmmUpdates,           // posterior filter updates
-  kProfileStackRebuilds, // profile covariance stack rebuilt (cache miss)
-  kProfileStackHits,     // profile covariance stack reused (cache hit)
+  kProfileStackRebuilds, // detector profile stack rebuilt while serving
+                         // (a ladder swap's angular-profile refresh)
+  kProfileStackHits,     // combined-scheme windows scored off the stack
   kBatches,              // SensingEngine::ProcessBatch calls
   kCalibrations,         // Detector::Calibrate calls observed
   kSessionsCaptured,     // simulator sessions captured (campaign)

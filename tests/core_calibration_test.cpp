@@ -220,6 +220,7 @@ struct LadderHarness {
   core::Detector detector;
   std::vector<double> empty_scores;
   core::LinkCalibrator calibrator;
+  core::DetectorScratch scratch;
   std::size_t next_window = 0;
   double threshold = 0.0;
   double quiet_level = 0.0;
@@ -245,7 +246,7 @@ struct LadderHarness {
   bool Feed(double score, double posterior,
             core::CalibrationWindowContext context = {}) {
     return calibrator.ObserveDecision(score, posterior, NextWindow(), detector,
-                                      context);
+                                      scratch, context);
   }
 
   bool Quiet(double score) { return Feed(score, 0.0); }

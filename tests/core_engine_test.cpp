@@ -12,9 +12,11 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "core/calibration/calibration.h"
 #include "core/detector.h"
 #include "core/engine.h"
 #include "core/music.h"
+#include "core/sanitize.h"
 #include "core/streaming.h"
 #include "experiments/scenario.h"
 #include "obs/metrics.h"
@@ -212,8 +214,8 @@ TEST(EngineEquivalence, RepeatedBatchesAfterResetAreIdentical) {
   }
 }
 
-// The warm profile-covariance cache must be invalidated when the detector's
-// profile changes: a scratch warmed before UpdateProfile must score exactly
+// The profile covariance stack lives on the detector and UpdateProfile
+// rebuilds it: a scratch warmed before UpdateProfile must score exactly
 // like a fresh one afterwards.
 TEST(EngineEquivalence, ProfileCacheInvalidatedByUpdateProfile) {
   auto& f = Fixture();
@@ -233,8 +235,8 @@ TEST(EngineEquivalence, ProfileCacheInvalidatedByUpdateProfile) {
   EXPECT_EQ(with_warm, with_fresh);
 }
 
-// One scratch shared across two different detector instances must not reuse
-// the first detector's cached profile stack for the second.
+// One scratch shared across two detectors with different profiles scores
+// each exactly like a fresh scratch: the scratch holds no profile state.
 TEST(EngineEquivalence, ScratchSharedAcrossDetectorsIsSafe) {
   auto& f = Fixture();
   const auto d0 =
@@ -436,8 +438,9 @@ TEST(SensingEngine, MetricsOnOffDecisionsBitIdentical) {
 }
 
 // The per-link registry mirrors what the engine actually did: exact packet
-// and decision counts, windows scored, and the profile cache hit pattern
-// (first window rebuilds, later windows hit the warm stack).
+// and decision counts, windows scored, and the profile stack counters
+// (every combined window reads the detector's stack; scoring never
+// rebuilds it).
 TEST(SensingEngine, MetricsCountersMatchBatchActivity) {
   auto& f = Fixture();
   auto detector =
@@ -461,9 +464,9 @@ TEST(SensingEngine, MetricsCountersMatchBatchActivity) {
     EXPECT_EQ(m.Get(obs::Counter::kWindowsScored), result.decisions.size());
     EXPECT_EQ(m.Get(obs::Counter::kHmmUpdates), result.decisions.size());
     ASSERT_GT(result.decisions.size(), 1u);
-    EXPECT_EQ(m.Get(obs::Counter::kProfileStackRebuilds), 1u);
+    EXPECT_EQ(m.Get(obs::Counter::kProfileStackRebuilds), 0u);
     EXPECT_EQ(m.Get(obs::Counter::kProfileStackHits),
-              result.decisions.size() - 1);
+              result.decisions.size());
     EXPECT_EQ(m.StageLatency(obs::Stage::kScore).count,
               result.decisions.size());
     EXPECT_TRUE(m.GaugeSet(obs::Gauge::kLastScore));
@@ -548,7 +551,7 @@ TEST(EngineEquivalence, SharedDetectorSharedScratchMatchesOwned) {
   }
 
   // Interleave the links so the shared scratch is handed between them
-  // mid-stream (profile-stack cache crossing link boundaries).
+  // mid-stream.
   const std::span<const wifi::CsiPacket> session(f.occupied_session);
   for (std::size_t pos = 0; pos + 10 <= session.size(); pos += 10) {
     for (std::size_t l = 0; l < kLinks; ++l) {
@@ -565,6 +568,134 @@ TEST(EngineEquivalence, SharedDetectorSharedScratchMatchesOwned) {
       }
     }
   }
+}
+
+// One fleet engine on one shared scratch, serving links of three different
+// shared combined-scheme profiles interleaved packet by packet, decides
+// exactly like a lone engine per profile — and records no profile stack
+// rebuild while scoring (a per-decision rebuild would show up here).
+TEST(SensingEngine, SharedScratchServesInterleavedProfilesWithoutRebuilds) {
+  auto& f = Fixture();
+  core::StreamingConfig config;
+  config.window_packets = 25;
+  config.hop_packets = 5;
+
+  core::SensingEngine fleet;
+  fleet.UseSharedScratch();
+  std::vector<core::SensingEngine> lone(3);
+  for (std::size_t p = 0; p < lone.size(); ++p) {
+    core::DetectorConfig detector_config;
+    detector_config.scheme = core::DetectionScheme::kSubcarrierAndPathWeighting;
+    const std::vector<wifi::CsiPacket> session(
+        f.calibration.begin() + static_cast<std::ptrdiff_t>(50 * p),
+        f.calibration.begin() + static_cast<std::ptrdiff_t>(50 * p + 200));
+    auto detector = core::Detector::Calibrate(session, f.sim.band(),
+                                              f.sim.array(), detector_config);
+    const auto empty_scores = EmptyScores(f, detector);
+    detector.SetThreshold(1.0);
+    const auto shared =
+        std::make_shared<const core::Detector>(std::move(detector));
+    fleet.AddLink(shared, empty_scores, config);
+    lone[p].AddLink(shared, empty_scores, config);
+  }
+
+  std::size_t decisions = 0;
+  for (const auto& packet : f.occupied_session) {
+    for (std::size_t p = 0; p < lone.size(); ++p) {
+      const auto expected = lone[p].ProcessPacket(0, packet);
+      const auto got = fleet.ProcessPacket(p, packet);
+      ASSERT_EQ(expected.has_value(), got.has_value());
+      if (!got.has_value()) continue;
+      ++decisions;
+      EXPECT_EQ(expected->score, got->score);
+      EXPECT_EQ(expected->posterior, got->posterior);
+      EXPECT_EQ(expected->occupied, got->occupied);
+    }
+  }
+  ASSERT_GT(decisions, 0u);
+  if constexpr (obs::kEnabled) {
+    const obs::Registry totals = fleet.AggregateMetrics();
+    EXPECT_EQ(totals.Get(obs::Counter::kProfileStackRebuilds), 0u);
+    EXPECT_EQ(totals.Get(obs::Counter::kProfileStackHits), decisions);
+  }
+}
+
+// Every rewrite of the retained calibration set — UpdateProfile,
+// RefreshAngularProfile, and the ladder's ApplySwap — rebuilds the
+// detector's profile stack from the rewritten set, and a scratch warmed
+// before it scores exactly like a fresh one after. A copied detector owns
+// its stack: mutating the original leaves the copy's scores unchanged.
+TEST(EngineEquivalence, ProfileStackFollowsEveryProfileRewrite) {
+  auto& f = Fixture();
+  auto detector =
+      f.Calibrated(core::DetectionScheme::kSubcarrierAndPathWeighting);
+  const auto empty_scores = EmptyScores(f, detector);
+  detector.SetThreshold(1.0);
+  const std::span<const wifi::CsiPacket> occupied(f.occupied_session);
+  const auto probe = occupied.subspan(25, 25);
+  core::DetectorScratch warm;
+  (void)detector.Score(occupied.subspan(0, 25), warm);
+
+  const auto expect_consistent = [&](const core::Detector& d,
+                                     const char* when) {
+    core::SubcarrierCovarianceStack expected;
+    core::BuildSubcarrierCovarianceStack(d.retained_calibration(), expected);
+    EXPECT_EQ(d.profile_stack().num_packets, expected.num_packets) << when;
+    EXPECT_TRUE(d.profile_stack().data == expected.data) << when;
+    core::DetectorScratch fresh;
+    EXPECT_EQ(d.Score(probe, warm), d.Score(probe, fresh)) << when;
+  };
+  expect_consistent(detector, "after Calibrate");
+
+  const core::Detector copy(detector);
+  const double copy_score = copy.Score(probe, warm);
+
+  const std::vector<wifi::CsiPacket> update_window(
+      f.empty_session.begin(), f.empty_session.begin() + 25);
+  detector.UpdateProfile(update_window, 0.2);
+  expect_consistent(detector, "after UpdateProfile");
+
+  const auto staged = core::SanitizePhase(
+      std::vector<wifi::CsiPacket>(f.empty_session.begin() + 25,
+                                   f.empty_session.begin() + 41),
+      f.sim.band());
+  detector.RefreshAngularProfile(staged, warm);
+  expect_consistent(detector, "after RefreshAngularProfile");
+
+  // Ladder swap: an AGC burst enters Recalibrating, quiet windows stage
+  // packets, and ApplySwap refreshes the angular profile on the borrowed
+  // scoring scratch without counting a scored window.
+  core::CalibrationConfig calibration;
+  calibration.enabled = true;
+  calibration.recalibration_quiet_windows = 3;
+  core::LinkCalibrator calibrator;
+  calibrator.Configure(detector, empty_scores, calibration);
+  obs::Registry registry;
+  calibrator.metrics = &registry;
+  warm.metrics = &registry;
+  const auto quiet = core::SanitizePhase(
+      std::vector<wifi::CsiPacket>(f.empty_session.begin() + 50,
+                                   f.empty_session.begin() + 150),
+      f.sim.band());
+  const double quiet_score = calibrator.score_posterior().Mean();
+  for (std::size_t w = 0; w < 4 && calibrator.profile_swaps() == 0; ++w) {
+    const std::span<const wifi::CsiPacket> window(quiet.data() + 25 * w, 25);
+    core::CalibrationWindowContext context;
+    if (w == 0) context.agc_frames = calibration.agc_frames_min;
+    (void)calibrator.ObserveDecision(quiet_score, 0.0, window, detector, warm,
+                                     context);
+  }
+  ASSERT_EQ(calibrator.profile_swaps(), 1u);
+  EXPECT_EQ(warm.metrics, &registry);
+  if constexpr (obs::kEnabled) {
+    EXPECT_EQ(registry.Get(obs::Counter::kProfileStackRebuilds), 1u);
+    EXPECT_EQ(registry.Get(obs::Counter::kWindowsScored), 0u);
+  }
+  warm.metrics = nullptr;
+  expect_consistent(detector, "after ApplySwap");
+
+  expect_consistent(copy, "copy after the original was mutated");
+  EXPECT_EQ(copy.Score(probe, warm), copy_score);
 }
 
 // The baseline ingest cache must stay coherent under the recalibration
