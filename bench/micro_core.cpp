@@ -9,12 +9,9 @@
 // BENCH_engine.json before the Google-benchmark run starts.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <optional>
 #include <span>
 #include <string>
@@ -26,47 +23,16 @@
 #include "core/music.h"
 #include "core/sanitize.h"
 #include "core/subcarrier_weighting.h"
+#include "counting_new.h"
 #include "experiments/scenario.h"
 #include "obs/metrics.h"
-
-// ---- Counting global allocator -------------------------------------------
-// Every heap allocation in the process bumps this counter; benchmarks diff
-// it around their hot loop to report allocations per window.
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-// The replacement operator new above is malloc-backed, so releasing with
-// std::free is correct; GCC's heuristic cannot see the pairing.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 using namespace mulink;
 namespace ex = mulink::experiments;
 
 namespace {
 
-std::uint64_t AllocCount() {
-  return g_alloc_count.load(std::memory_order_relaxed);
-}
+std::uint64_t AllocCount() { return counting_new::Allocations(); }
 
 struct Fixture {
   ex::LinkCase link = ex::MakeClassroomLink();

@@ -16,14 +16,11 @@
 //
 // --smoke shrinks every fleet so CI can run the full code path in seconds.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <new>
 #include <optional>
 #include <span>
 #include <string>
@@ -32,40 +29,10 @@
 
 #include "common/rng.h"
 #include "core/detector.h"
+#include "counting_new.h"
 #include "experiments/format.h"
 #include "experiments/scenario.h"
 #include "serve/serve.h"
-
-// ---- Counting global allocator -------------------------------------------
-// Every heap allocation in the process bumps this counter; the fleet rows
-// diff it around the measured submit/drain phase to prove the hot path is
-// allocation-free once the fleet is warm.
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-// The replacement operator new above is malloc-backed, so releasing with
-// std::free is correct; GCC's heuristic cannot see the pairing.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 namespace {
 
@@ -210,7 +177,7 @@ FleetRowResult RunResidentFleet(const ProfileKit& kit, std::size_t links,
   for (const auto& s : stats_before) decisions_before += s.decisions;
 
   const std::uint64_t allocs_before =
-      g_alloc_count.load(std::memory_order_relaxed);
+      counting_new::Allocations();
   const auto begin = Clock::now();
   for (std::size_t p = 0; p < measure_passes; ++p) {
     for (std::size_t l = 0; l < links; ++l) {
@@ -220,7 +187,7 @@ FleetRowResult RunResidentFleet(const ProfileKit& kit, std::size_t links,
   core.Drain();
   const auto end = Clock::now();
   const std::uint64_t allocs_after =
-      g_alloc_count.load(std::memory_order_relaxed);
+      counting_new::Allocations();
   core.Stop();
 
   FleetRowResult row;

@@ -347,11 +347,9 @@ void LinkCalibrator::ApplySwap(Detector& detector, DetectorScratch& scratch) {
   // and re-apply the calibrated threshold margin relative to it.
   double rebased = 0.0;
   if (staged_count_ >= 2) {
-    const std::span<const wifi::CsiPacket> staged(staged_.data(),
-                                                  staged_count_);
-    rebased = detector.UsesSanitizedInput()
-                  ? detector.ScoreSanitized(staged, scratch)
-                  : detector.Score(staged, scratch);
+    rebased = detector.ScoreSanitized(
+        std::span<const wifi::CsiPacket>(staged_.data(), staged_count_),
+        scratch);
   }
   scratch.metrics = scoring_sink;
   // Clamp the rebased level to [1, 1.5]x the calibration-time quiet mean.

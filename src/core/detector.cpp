@@ -153,17 +153,12 @@ double Detector::Score(std::span<const wifi::CsiPacket> window,
   MULINK_REQUIRE(window[0].NumAntennas() == num_antennas_ &&
                      window[0].NumSubcarriers() == num_subcarriers_,
                  "Detector::Score: window dimensions mismatch calibration");
-  MULINK_OBS_COUNT(scratch.metrics, kWindowsScored);
-  if (config_.scheme == DetectionScheme::kBaseline) {
-    MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kScore);
-    return ScoreBaseline(window, FullAntennaMask());
-  }
+  if (!UsesSanitizedInput()) return ScoreSanitized(window, scratch);
   {
     MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kIngestSanitize);
     SanitizePhaseInto(window, band_, scratch.sanitized, scratch.sanitize);
   }
-  return DispatchSanitized(std::span<const wifi::CsiPacket>(scratch.sanitized),
-                           scratch, nullptr);
+  return ScoreSanitized(scratch.sanitized, scratch);
 }
 
 double Detector::ScoreSanitized(std::span<const wifi::CsiPacket> window,
@@ -174,10 +169,6 @@ double Detector::ScoreSanitized(std::span<const wifi::CsiPacket> window,
           window[0].NumSubcarriers() == num_subcarriers_,
       "Detector::ScoreSanitized: window dimensions mismatch calibration");
   MULINK_OBS_COUNT(scratch.metrics, kWindowsScored);
-  if (config_.scheme == DetectionScheme::kBaseline) {
-    MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kScore);
-    return ScoreBaseline(window, FullAntennaMask());
-  }
   return DispatchSanitized(window, scratch, nullptr);
 }
 
@@ -203,10 +194,6 @@ double Detector::ScoreSanitizedPrepared(
                  "Detector::ScoreSanitizedPrepared: factors/window size "
                  "mismatch");
   MULINK_OBS_COUNT(scratch.metrics, kWindowsScored);
-  if (config_.scheme == DetectionScheme::kBaseline) {
-    MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kScore);
-    return ScoreBaseline(window, FullAntennaMask());
-  }
   return DispatchSanitized(window, scratch, &factors);
 }
 
@@ -223,20 +210,14 @@ double Detector::ScoreDegraded(std::span<const wifi::CsiPacket> window,
                      window[0].NumSubcarriers() == num_subcarriers_,
                  "Detector::ScoreDegraded: window dimensions mismatch "
                  "calibration");
-  MULINK_REQUIRE((live_mask & FullAntennaMask()) != 0,
-                 "Detector::ScoreDegraded: no live antennas");
-  MULINK_OBS_COUNT(scratch.metrics, kWindowsScored);
-  if (config_.scheme == DetectionScheme::kBaseline) {
-    MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kScore);
-    return ScoreBaseline(window, live_mask);
+  if (!UsesSanitizedInput()) {
+    return ScoreSanitizedDegraded(window, scratch, live_mask);
   }
   {
     MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kIngestSanitize);
     SanitizePhaseInto(window, band_, scratch.sanitized, scratch.sanitize);
   }
-  return DispatchSanitizedDegraded(
-      std::span<const wifi::CsiPacket>(scratch.sanitized), scratch,
-      live_mask);
+  return ScoreSanitizedDegraded(scratch.sanitized, scratch, live_mask);
 }
 
 double Detector::ScoreSanitizedDegraded(
@@ -251,10 +232,6 @@ double Detector::ScoreSanitizedDegraded(
   MULINK_REQUIRE((live_mask & FullAntennaMask()) != 0,
                  "Detector::ScoreSanitizedDegraded: no live antennas");
   MULINK_OBS_COUNT(scratch.metrics, kWindowsScored);
-  if (config_.scheme == DetectionScheme::kBaseline) {
-    MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kScore);
-    return ScoreBaseline(window, live_mask);
-  }
   return DispatchSanitizedDegraded(window, scratch, live_mask);
 }
 
@@ -262,8 +239,10 @@ double Detector::DispatchSanitizedDegraded(
     std::span<const wifi::CsiPacket> sanitized, DetectorScratch& scratch,
     std::uint32_t live_mask) const {
   switch (config_.scheme) {
-    case DetectionScheme::kBaseline:
-      break;  // handled by the callers above
+    case DetectionScheme::kBaseline: {  // the window is raw (see header)
+      MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kScore);
+      return ScoreBaseline(sanitized, live_mask);
+    }
     case DetectionScheme::kSubcarrierWeighting:
       return ScoreSubcarrierWeighting(sanitized, scratch, live_mask, nullptr);
     case DetectionScheme::kSubcarrierAndPathWeighting:
@@ -282,8 +261,10 @@ double Detector::DispatchSanitized(std::span<const wifi::CsiPacket> sanitized,
                                    const PreparedWindowFactors* prepared)
     const {
   switch (config_.scheme) {
-    case DetectionScheme::kBaseline:
-      break;  // handled by the callers above
+    case DetectionScheme::kBaseline: {  // the window is raw (see header)
+      MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kScore);
+      return ScoreBaseline(sanitized, FullAntennaMask());
+    }
     case DetectionScheme::kSubcarrierWeighting:
       return ScoreSubcarrierWeighting(sanitized, scratch, FullAntennaMask(),
                                       prepared);

@@ -108,6 +108,9 @@ struct DetectorScratch {
   obs::Registry* metrics = nullptr;
   SanitizeScratch sanitize;
   std::vector<wifi::CsiPacket> sanitized;
+  // SensingEngine's ingest packet and rebuilt window (grow-only; see there).
+  wifi::CsiPacket ingest_packet;
+  std::vector<wifi::CsiPacket> window;
   MultipathScratch multipath;
   std::vector<std::vector<double>> mu;
   SubcarrierWeights weights;
@@ -147,6 +150,7 @@ class Detector {
   // and score overlapping windows through this entry point, instead of
   // re-sanitizing the whole window every hop. Bit-identical to Score on the
   // raw window, because sanitization is a deterministic per-packet map.
+  // The baseline never sanitizes: for it, this is exactly Score.
   MULINK_HOT double ScoreSanitized(std::span<const wifi::CsiPacket> window,
                                    DetectorScratch& scratch) const;
 
@@ -208,7 +212,8 @@ class Detector {
                        DetectorScratch& scratch,
                        std::uint32_t live_mask) const;
 
-  // Degraded scoring of an already-sanitized window (engine ingest path).
+  // Degraded scoring of an already-sanitized window (engine ingest path;
+  // exactly ScoreDegraded for the baseline).
   MULINK_HOT double ScoreSanitizedDegraded(
       std::span<const wifi::CsiPacket> window, DetectorScratch& scratch,
       std::uint32_t live_mask) const;

@@ -1,5 +1,6 @@
 #include "core/engine.h"
 
+#include <algorithm>
 #include <bit>
 #include <optional>
 #include <utility>
@@ -47,46 +48,22 @@ struct SensingEngine::LinkState {
     }
     calibrator.Configure(*view, std::span<const double>(empty_scores),
                          config.calibration);
+    // One flat block for the ring: at fleet scale the window read is the
+    // dominant cold-memory cost of a decision, and one sequential run
+    // streams far better than scattered heap blocks.
+    num_antennas = view->num_antennas();
+    num_subcarriers = view->num_subcarriers();
+    slot_stride = (2 * num_antennas + 1) * num_subcarriers;
     // mulink-lint: allow(alloc): ctor, setup path
-    ring.reserve(config.window_packets);
+    slabs.resize(config.window_packets * slot_stride, 0.0);
     // mulink-lint: allow(alloc): ctor, setup path
-    window.reserve(config.window_packets);
-    if (pre_sanitize) {
-      // mulink-lint: allow(alloc): ctor, setup path
-      mu_ring.resize(config.window_packets);
-      // mulink-lint: allow(alloc): ctor, setup path
-      mu_median_ring.resize(config.window_packets, 0.0);
-      // mulink-lint: allow(alloc): ctor, setup path
-      mu_window.resize(config.window_packets, nullptr);
-      // mulink-lint: allow(alloc): ctor, setup path
-      median_window.resize(config.window_packets, 0.0);
-      if (view->config().scheme ==
-          DetectionScheme::kSubcarrierAndPathWeighting) {
-        // Split-complex slab cache (see SampleCovarianceSlabsInto): each
-        // ring slot keeps its packet pre-deinterleaved so full-mask
-        // combined windows skip both the window copy and the per-window
-        // re-split of every packet. One contiguous block for the whole
-        // ring: at fleet scale the window read is the dominant cold-memory
-        // cost of a decision, and a single sequential run (with one wrap)
-        // streams far better than window_packets scattered heap blocks.
-        soa_stride = 2 * view->num_antennas() * view->num_subcarriers();
-        // mulink-lint: allow(alloc): ctor, setup path
-        soa_slabs.resize(config.window_packets * soa_stride, 0.0);
-        // mulink-lint: allow(alloc): ctor, setup path
-        soa_window.resize(config.window_packets, nullptr);
-      }
-    } else {
-      // Amplitude-only baseline: the per-packet distance is a deterministic
-      // map of the raw packet, so it rides the ring like the mu factors do
-      // for sanitized schemes. Epoch stamps invalidate cached values when a
-      // recalibration swaps the amplitude profile under the ring.
-      // mulink-lint: allow(alloc): ctor, setup path
-      baseline_ring.resize(config.window_packets, 0.0);
-      // mulink-lint: allow(alloc): ctor, setup path
-      baseline_epoch_ring.resize(config.window_packets, ~std::uint64_t{0});
-      // mulink-lint: allow(alloc): ctor, setup path
-      baseline_window.resize(config.window_packets, 0.0);
-    }
+    slot_meta.resize(config.window_packets);
+    // mulink-lint: allow(alloc): ctor, setup path
+    csi_window.resize(config.window_packets, nullptr);
+    // mulink-lint: allow(alloc): ctor, setup path
+    mu_window.resize(config.window_packets, nullptr);
+    // mulink-lint: allow(alloc): ctor, setup path
+    stat_window.resize(config.window_packets, 0.0);
   }
 
   const Detector& det() const { return *view; }
@@ -105,50 +82,42 @@ struct SensingEngine::LinkState {
     calibrator.metrics = sink;
     const auto report = ingest.Admit(packet);
     if (!report.has_value()) return std::nullopt;  // quarantined
+    MULINK_REQUIRE(packet.NumAntennas() == num_antennas &&
+                       packet.NumSubcarriers() == num_subcarriers,
+                   "SensingEngine: packet shape mismatches the detector");
     if (report->resync) {
       // Gap too wide to straddle: flush the ring, keep the temporal state.
       write_pos = 0;
       count = 0;
       packets_since_decision = 0;
     }
-    if (write_pos >= ring.size()) {
-      // mulink-lint: allow(alloc): initial ring fill only; capacity reserved in ctor
-      ring.emplace_back();  // initial fill only; capacity is reserved
-    }
-    wifi::CsiPacket& slot = ring[write_pos];
+    SlotMeta& meta = slot_meta[write_pos];
+    meta = {packet.timestamp_s, packet.rssi_db, packet.sequence, 0.0,
+            detector.profile_epoch()};
+    const wifi::CsiPacket* stored = &packet;
+    double* const slab = Slab(write_pos);
     if (pre_sanitize) {
-      // Writes into the slot, reusing its CSI buffer once warm. Per-packet
-      // sanitize latency is sampled on the shard's deterministic tick, like
-      // the guard-classify stage.
+      // Per-packet sanitize latency is sampled on the shard's deterministic
+      // tick, like the guard-classify stage.
       obs::Registry* const timed = MULINK_OBS_SAMPLED(sink);
       MULINK_OBS_STAGE_TIMER(timer, timed, kIngestSanitize);
-      SanitizePhaseInto(packet, detector.band(), slot, scratch->sanitize);
-      // Multipath factors and their median are per-packet maps of the
-      // sanitized slot, so they ride the ring too: each hop's decision
-      // reuses window-hop rows instead of re-deriving all window_packets
-      // of them (ScoreSanitizedPrepared is bit-identical to the
-      // recompute-per-window path on the same packets).
-      MeasureMultipathFactorsInto(slot, detector.band(), mu_ring[write_pos],
+      SanitizePhaseInto(packet, detector.band(), scratch->ingest_packet,
+                        scratch->sanitize);
+      stored = &scratch->ingest_packet;
+      const std::span<double> mu(MuRow(slab), num_subcarriers);
+      MeasureMultipathFactorsInto(*stored, detector.band(), mu,
                                   scratch->multipath);
-      mu_median_ring[write_pos] =
-          dsp::Median(mu_ring[write_pos], scratch->median_scratch);
-      if (!soa_slabs.empty()) {
-        // Split the sanitized slot into the slot's slab (antenna-major re
-        // rows then im rows — exactly kernels::Deinterleave's bytes), so
-        // the covariance planes assemble by memcpy at decision time.
-        double* const slab = soa_slabs.data() + write_pos * soa_stride;
-        const std::size_t num_sub = detector.num_subcarriers();
-        const std::size_t num_ant = detector.num_antennas();
-        for (std::size_t m = 0; m < num_ant; ++m) {
-          kernels::Deinterleave(slot.csi.raw() + m * num_sub, num_sub,
-                                slab + m * num_sub,
-                                slab + (num_ant + m) * num_sub);
-        }
-      }
+      meta.stat = dsp::Median(mu, scratch->median_scratch);
     } else {
-      slot = packet;  // copy-assign reuses the slot's CSI buffer
-      baseline_ring[write_pos] = detector.BaselinePacketScore(slot);
-      baseline_epoch_ring[write_pos] = detector.profile_epoch();
+      meta.stat = detector.BaselinePacketScore(packet);
+    }
+    // Keep the CSI split antenna-major (re rows then im rows, exactly
+    // kernels::Deinterleave's bytes): the covariance planes assemble from
+    // it by memcpy, and RebuildWindow re-interleaves it exactly.
+    for (std::size_t m = 0; m < num_antennas; ++m) {
+      kernels::Deinterleave(stored->csi.raw() + m * num_subcarriers,
+                            num_subcarriers, slab + m * num_subcarriers,
+                            slab + (num_antennas + m) * num_subcarriers);
     }
     write_pos = (write_pos + 1) % config.window_packets;
     if (count < config.window_packets) ++count;
@@ -178,54 +147,35 @@ struct SensingEngine::LinkState {
       return std::nullopt;
     }
 
-    // Baseline fast path: full-mask windows fold the ingest-cached packet
-    // distances directly (bit-identical to ScoreBaseline), and the window
-    // vector is only assembled when the calibrator needs to learn from it.
+    // Fast paths, bit-identical to scoring the packets: full-mask baseline
+    // windows fold the cached distances, full-mask combined windows read the
+    // slabs (the Deinterleave bytes the covariance kernel would compute).
+    // Other windows — degraded, amplitude-scheme, or calibrator-observed —
+    // are rebuilt; else the span stays empty so nothing stale can leak in.
     const bool baseline_fast =
         !pre_sanitize && live_mask == full_mask &&
         BaselineCacheFresh(detector.profile_epoch());
-    // Combined-scheme fast path: full-mask windows score straight from the
-    // ingest-cached SoA slabs (bit-identical — the slab bytes ARE the
-    // Deinterleave output the covariance kernel would otherwise compute),
-    // so the window vector is only assembled for degraded windows or when
-    // the calibrator needs packets to learn from.
-    const bool slab_fast = !soa_slabs.empty() && live_mask == full_mask;
-    const bool need_window =
-        (!baseline_fast && !slab_fast) || calibrator.enabled();
-    if (need_window) {
-      // mulink-lint: allow(alloc): capacity reserved in ctor; resize never reallocates
-      window.resize(config.window_packets);
-    }
-    for (std::size_t i = 0; i < config.window_packets; ++i) {
-      const std::size_t slot_idx = (write_pos + i) % config.window_packets;
-      if (need_window) window[i] = ring[slot_idx];
-      if (pre_sanitize) {
-        mu_window[i] = mu_ring[slot_idx].data();
-        median_window[i] = mu_median_ring[slot_idx];
-        if (slab_fast) {
-          soa_window[i] = soa_slabs.data() + slot_idx * soa_stride;
-        }
-      } else if (baseline_fast) {
-        baseline_window[i] = baseline_ring[slot_idx];
-      }
-    }
-    // Stale window contents from an earlier hop must not leak into the
-    // fast paths, so the span is empty whenever the window was not
-    // (re)assembled this hop.
+    const bool slab_fast = pre_sanitize && live_mask == full_mask &&
+                           detector.config().scheme ==
+                               DetectionScheme::kSubcarrierAndPathWeighting;
     const std::span<const wifi::CsiPacket> window_span =
-        need_window ? std::span<const wifi::CsiPacket>(window)
-                    : std::span<const wifi::CsiPacket>();
+        (!baseline_fast && !slab_fast) || calibrator.enabled()
+            ? RebuildWindow()
+            : std::span<const wifi::CsiPacket>();
+    for (std::size_t i = 0; i < config.window_packets; ++i) {
+      const std::size_t slot = (write_pos + i) % config.window_packets;
+      csi_window[i] = Slab(slot);
+      mu_window[i] = MuRow(Slab(slot));
+      stat_window[i] = slot_meta[slot].stat;
+    }
 
     if (live_mask != full_mask && detector.has_threshold()) {
       // Degraded mode: surviving antennas only, fallback threshold, HMM
       // frozen (its emission model belongs to the primary statistic). The
-      // ring holds sanitized packets when pre_sanitize is on, so the
-      // degraded score matches StreamingDetector's bit for bit.
+      // window is in the detector's input state (sanitized iff pre_sanitize),
+      // so the degraded score matches StreamingDetector's bit for bit.
       decision.score =
-          pre_sanitize
-              ? detector.ScoreSanitizedDegraded(window_span, *scratch,
-                                                live_mask)
-              : detector.ScoreDegraded(window_span, *scratch, live_mask);
+          detector.ScoreSanitizedDegraded(window_span, *scratch, live_mask);
       decision.occupied = decision.score >= detector.fallback_threshold();
       decision.posterior = decision.occupied ? 1.0 : 0.0;
       decision.degraded = true;
@@ -234,17 +184,13 @@ struct SensingEngine::LinkState {
       MULINK_OBS_COUNT(sink, kDegradedDecisions);
     } else {
       if (pre_sanitize) {
-        Detector::PreparedWindowFactors factors;
-        factors.mu_rows = std::span<const double* const>(mu_window);
-        factors.medians = std::span<const double>(median_window);
-        if (slab_fast) {
-          factors.csi_slabs = std::span<const double* const>(soa_window);
-        }
+        const Detector::PreparedWindowFactors factors{mu_window, stat_window,
+                                                      csi_window};
         decision.score =
             detector.ScoreSanitizedPrepared(window_span, factors, *scratch);
       } else if (baseline_fast) {
         decision.score = detector.ScoreBaselinePrepared(
-            std::span<const double>(baseline_window), *scratch);
+            std::span<const double>(stat_window), *scratch);
       } else {
         decision.score = detector.Score(window_span, *scratch);
       }
@@ -268,10 +214,10 @@ struct SensingEngine::LinkState {
       context.degraded = decision.degraded;
       context.repaired_frames = ingest.repaired_since_decision;
       context.agc_frames = ingest.agc_frames_since_decision;
-      // The ring already holds packets in the detector's expected
-      // sanitization state (sanitized on ingest iff the scheme consumes
-      // sanitized windows), so the posteriors learn from window_span
-      // directly — bit-identical to StreamingDetector's per-window copy.
+      // The window holds packets in the detector's expected sanitization
+      // state (sanitized on ingest iff the scheme consumes sanitized
+      // windows), so the posteriors learn from window_span directly —
+      // bit-identical to StreamingDetector's per-window copy.
       // Calibration requires an owned detector (enforced in the ctor).
       calibrator.ObserveDecision(decision.score, decision.posterior,
                                  window_span, *owned_detector, *scratch,
@@ -295,15 +241,45 @@ struct SensingEngine::LinkState {
     return decision;
   }
 
+  double* Slab(std::size_t slot) { return slabs.data() + slot * slot_stride; }
+  double* MuRow(double* slab) const {
+    return slab + 2 * num_antennas * num_subcarriers;
+  }
+
+  // The window, oldest first, re-interleaved from the slabs into the
+  // scratch (an exact copy of the stored packets). Reshaping keeps links of
+  // other shapes that share the buffer from leaking into it.
+  std::span<const wifi::CsiPacket> RebuildWindow() {
+    std::vector<wifi::CsiPacket>& window = scratch->window;
+    if (window.size() < config.window_packets) {
+      // mulink-lint: allow(alloc): grow-only; a shared scratch is pre-warmed
+      window.resize(config.window_packets);
+    }
+    const std::size_t cells = num_antennas * num_subcarriers;
+    for (std::size_t i = 0; i < config.window_packets; ++i) {
+      const std::size_t slot = (write_pos + i) % config.window_packets;
+      wifi::CsiPacket& out = window[i];
+      if (out.csi.rows() != num_antennas || out.csi.cols() != num_subcarriers) {
+        out.csi.Resize(num_antennas, num_subcarriers);
+      }
+      const double* const re = Slab(slot);
+      for (std::size_t j = 0; j < cells; ++j) {
+        out.csi.raw()[j] = Complex(re[j], re[cells + j]);
+      }
+      out.timestamp_s = slot_meta[slot].timestamp_s;
+      out.rssi_db = slot_meta[slot].rssi_db;
+      out.sequence = slot_meta[slot].sequence;
+    }
+    return {window.data(), config.window_packets};
+  }
+
   // True when every cached baseline distance in the (full) ring was
   // computed against the detector's current amplitude profile. A ladder
   // swap (ApplyProfile/UpdateProfile) bumps the epoch, which falls back to
   // full window rescoring until the ring refills with fresh stamps.
   bool BaselineCacheFresh(std::uint64_t epoch) const {
-    for (std::size_t i = 0; i < config.window_packets; ++i) {
-      if (baseline_epoch_ring[i] != epoch) return false;
-    }
-    return true;
+    return std::all_of(slot_meta.begin(), slot_meta.end(),
+                       [epoch](const SlotMeta& m) { return m.epoch == epoch; });
   }
 
   void Reset() {
@@ -335,30 +311,25 @@ struct SensingEngine::LinkState {
   LinkCalibrator calibrator;
   std::optional<PresenceHmm> hmm;
   std::optional<PresenceHmm::Filter> filter;  // references hmm; do not move
-  std::vector<wifi::CsiPacket> ring;
-  std::vector<wifi::CsiPacket> window;
-  // Ingest-time multipath factors riding the packet ring (pre_sanitize
-  // links only): mu_ring[slot] / mu_median_ring[slot] belong to ring[slot];
-  // mu_window / median_window are their window-ordered views for
-  // ScoreSanitizedPrepared.
-  std::vector<std::vector<double>> mu_ring;
-  std::vector<double> mu_median_ring;
+  // The window ring: slot_stride doubles per slot — the stored packet's CSI
+  // split antenna-major (num_antennas re rows, then im rows) and its mu row
+  // — plus the metadata RebuildWindow restores and one cached scalar.
+  // Sanitized schemes store the sanitized packet, the baseline the raw one.
+  // csi_window / mu_window / stat_window are the window-ordered views.
+  struct SlotMeta {
+    double timestamp_s, rssi_db;
+    std::uint64_t sequence;
+    double stat;          // the mu row's median, or the baseline distance
+    std::uint64_t epoch;  // profile epoch the baseline distance belongs to
+  };
+  std::size_t num_antennas = 0;
+  std::size_t num_subcarriers = 0;
+  std::size_t slot_stride = 0;
+  std::vector<double> slabs;
+  std::vector<SlotMeta> slot_meta;
+  std::vector<const double*> csi_window;
   std::vector<const double*> mu_window;
-  std::vector<double> median_window;
-  // Ingest-time split-complex slabs riding the ring (combined-scheme links
-  // only): the slab at soa_slabs[slot * soa_stride] holds ring[slot]'s CSI
-  // deinterleaved antenna-major (re rows then im rows), and soa_window is
-  // the window-ordered pointer view handed to ScoreSanitizedPrepared via
-  // PreparedWindowFactors. One flat block so the per-decision window read
-  // is a sequential stream.
-  std::vector<double> soa_slabs;
-  std::size_t soa_stride = 0;
-  std::vector<const double*> soa_window;
-  // Ingest-time baseline distances riding the ring (baseline links only),
-  // stamped with the profile epoch they were computed under.
-  std::vector<double> baseline_ring;
-  std::vector<std::uint64_t> baseline_epoch_ring;
-  std::vector<double> baseline_window;
+  std::vector<double> stat_window;
   std::size_t write_pos = 0;
   std::size_t count = 0;
   std::size_t packets_since_decision = 0;
@@ -402,6 +373,7 @@ std::size_t SensingEngine::AddLink(std::shared_ptr<const Detector> detector,
 }
 
 std::size_t SensingEngine::InstallLink(std::unique_ptr<LinkState> state) {
+  if (shared_scratch_ != nullptr) WarmSharedScratch(*state);
   ++active_links_;
   if (!free_slots_.empty()) {
     const std::size_t slot = free_slots_.back();
@@ -412,6 +384,36 @@ std::size_t SensingEngine::InstallLink(std::unique_ptr<LinkState> state) {
   // mulink-lint: allow(alloc): AddLink, setup path
   links_.push_back(std::move(state));
   return links_.size() - 1;
+}
+
+void SensingEngine::WarmSharedScratch(const LinkState& link) {
+  const Detector& detector = link.det();
+  DetectorScratch& scratch = *shared_scratch_;
+  const std::size_t cells =
+      detector.num_antennas() * detector.num_subcarriers();
+  bool grew = scratch.window.size() < link.config.window_packets;
+  // mulink-lint: allow(alloc): AddLink, setup path
+  if (grew) scratch.window.resize(link.config.window_packets);
+  for (auto& packet : scratch.window) {
+    if (packet.csi.rows() * packet.csi.cols() >= cells) continue;
+    packet.csi.Resize(detector.num_antennas(), detector.num_subcarriers());
+    grew = true;
+  }
+  if (!link.calibrator.enabled() || (swap_warmed_ && !grew)) return;
+  // Rehearse a ladder swap on a throwaway copy: the MUSIC refresh over the
+  // retained set, then rescoring up to a window (or a staging ring) of
+  // quiet packets. The sink is muted — this is not a scored window.
+  scratch.metrics = nullptr;
+  Detector probe(detector);
+  const std::size_t rescored = std::max(
+      link.config.window_packets, link.config.calibration.staged_quiet_packets);
+  const auto retained = detector.retained_calibration();
+  const auto staged = retained.first(std::min(retained.size(), rescored));
+  if (staged.size() >= 2) {
+    probe.RefreshAngularProfile(staged, scratch);
+    (void)probe.ScoreSanitized(staged, scratch);
+  }
+  swap_warmed_ = true;
 }
 
 void SensingEngine::RemoveLink(std::size_t link) {

@@ -3,18 +3,18 @@
 //
 // One SensingEngine owns one LinkState per monitored link. A LinkState keeps
 // everything the link needs between batches — the calibrated Detector
-// (static profile, Eq. 15/17 weights, threshold), the packet ring buffer,
-// the HMM temporal state and every scratch buffer of the scoring pipeline —
-// so ProcessBatch ingests a span of CSI packets and emits presence decisions
-// with zero heap allocations once the buffers are warm.
+// (static profile, Eq. 15/17 weights, threshold), the window ring of CSI
+// slabs (packets are rebuilt from it in the scratch when needed), the HMM
+// state and every scratch buffer of the scoring pipeline — so, once warm,
+// ProcessBatch turns CSI packets into decisions without heap allocations.
 //
 // Fleet mode (src/serve): links that share a channel configuration can be
 // registered against one immutable shared Detector (AddLink shared_ptr
 // overload) and score through one engine-owned shared scratch
-// (UseSharedScratch), so per-link memory shrinks to the packet ring and
-// every link of a profile reads that detector's one profile covariance
-// stack. Shared-detector links cannot run adaptive calibration (the
-// ladder mutates the detector in place); register an owned copy for that.
+// (UseSharedScratch), so per-link memory shrinks to the slab ring (~46 KB
+// at 3x30, window 25) and every link of a profile reads that detector's one
+// covariance stack. Shared-detector links cannot run adaptive calibration
+// (the ladder mutates the detector in place); register an owned copy.
 //
 // Decision semantics are bit-identical to feeding the same packets one at a
 // time through StreamingDetector::Push (see core_engine_test).
@@ -86,7 +86,8 @@ class SensingEngine {
   // instead of per-link scratch. Serving shards use this: resident links
   // share one warm workspace whatever profiles they score against (the
   // scratch holds no profile state; each detector carries its own profile
-  // covariance stack). Must be called before the first AddLink.
+  // covariance stack), which AddLink warms for the largest shape, window
+  // and ladder swap registered so far. Must precede the first AddLink.
   void UseSharedScratch();
 
   // Ingest a batch of packets for one link. Every completed window (aligned
@@ -148,6 +149,7 @@ class SensingEngine {
   struct LinkState;
 
   std::size_t InstallLink(std::unique_ptr<LinkState> state);
+  void WarmSharedScratch(const LinkState& link);
 
   LinkState& Link(std::size_t link);
   const LinkState& Link(std::size_t link) const;
@@ -158,6 +160,8 @@ class SensingEngine {
   // Engine-owned workspace shared by every link when UseSharedScratch() was
   // called (null otherwise; links then own their scratch).
   std::unique_ptr<DetectorScratch> shared_scratch_;
+  // Whether a ladder swap was rehearsed on the shared scratch (AddLink).
+  bool swap_warmed_ = false;
   bool metrics_enabled_ = true;
 };
 

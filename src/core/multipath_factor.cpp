@@ -73,7 +73,7 @@ std::vector<double> MeasureMultipathFactors(const std::vector<Complex>& cfr,
 
 std::vector<double> MeasureMultipathFactors(const wifi::CsiPacket& packet,
                                             const wifi::BandPlan& band) {
-  std::vector<double> avg;
+  std::vector<double> avg(packet.NumSubcarriers());
   MultipathScratch scratch;
   MeasureMultipathFactorsInto(packet, band, avg, scratch);
   return avg;
@@ -81,15 +81,14 @@ std::vector<double> MeasureMultipathFactors(const wifi::CsiPacket& packet,
 
 void MeasureMultipathFactorsInto(const wifi::CsiPacket& packet,
                                  const wifi::BandPlan& band,
-                                 std::vector<double>& out,
+                                 std::span<double> out,
                                  MultipathScratch& scratch) {
   MULINK_REQUIRE(packet.NumAntennas() >= 1,
                  "MeasureMultipathFactors: packet has no antennas");
   const std::size_t num_sc = packet.NumSubcarriers();
-  MULINK_REQUIRE(num_sc == band.NumSubcarriers(),
-                 "MeasureMultipathFactors: packet/band size mismatch");
-  // mulink-lint: allow(alloc): warm output; no realloc once sized
-  out.assign(num_sc, 0.0);
+  MULINK_REQUIRE(num_sc == band.NumSubcarriers() && out.size() == num_sc,
+                 "MeasureMultipathFactors: packet/band/output size mismatch");
+  for (double& v : out) v = 0.0;
   EnsureLosFractions(band, scratch);
   const Complex* csi = packet.csi.raw();
   for (std::size_t m = 0; m < packet.NumAntennas(); ++m) {
@@ -123,6 +122,8 @@ void MeasureMultipathFactorsInto(std::span<const wifi::CsiPacket> packets,
     out.resize(packets.size());
   }
   for (std::size_t i = 0; i < packets.size(); ++i) {
+    // mulink-lint: allow(alloc): warm rows; no realloc once sized
+    out[i].resize(packets[i].NumSubcarriers());
     MeasureMultipathFactorsInto(packets[i], band, out[i], scratch);
   }
 }

@@ -41,11 +41,11 @@ std::vector<double> MeasureMultipathFactors(const std::vector<Complex>& cfr,
 std::vector<double> MeasureMultipathFactors(const wifi::CsiPacket& packet,
                                             const wifi::BandPlan& band);
 
-// Scratch variant: writes the antenna-averaged factors into `out` (resized
-// to the subcarrier count) without allocating once warmed up.
+// Scratch variant: writes the antenna-averaged factors into `out`, which
+// must hold exactly the subcarrier count, without allocating.
 void MeasureMultipathFactorsInto(const wifi::CsiPacket& packet,
                                  const wifi::BandPlan& band,
-                                 std::vector<double>& out,
+                                 std::span<double> out,
                                  MultipathScratch& scratch);
 
 // Multipath factors for every packet of a session: result[m][k] is packet

@@ -115,8 +115,16 @@ void SanitizePhaseInto(const wifi::CsiPacket& packet,
                        const wifi::BandPlan& band, wifi::CsiPacket& out,
                        SanitizeScratch& scratch) {
   const PhaseFit fit = FitLinearPhase(packet, band, scratch);
-  out = packet;  // copy-assign reuses out's CSI capacity
   const std::size_t num_sc = packet.NumSubcarriers();
+  // RotateRows below writes every CSI entry: copy only the metadata, and
+  // reshape (reusing out's capacity) only on a shape change.
+  if (out.NumAntennas() != packet.NumAntennas() ||
+      out.NumSubcarriers() != num_sc) {
+    out.csi.Resize(packet.NumAntennas(), num_sc);
+  }
+  out.timestamp_s = packet.timestamp_s;
+  out.rssi_db = packet.rssi_db;
+  out.sequence = packet.sequence;
   // Per-subcarrier rotation e^{-j correction}, with the sin/cos pair from
   // the vectorized kernel and the rotation applied row-wise across all
   // antennas (they share the correction — inter-antenna phase is preserved).

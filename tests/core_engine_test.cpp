@@ -744,6 +744,113 @@ TEST(EngineEquivalence, BaselineIngestCacheSurvivesRecalibration) {
   }
 }
 
+// One fleet engine on one shared scratch serves every kind of link its
+// rebuilt-window buffer is handed between — windows of 25 and 50 packets,
+// the three sanitized schemes plus a baseline link, a 2-antenna link beside
+// 3-antenna ones — interleaved packet by packet. The stream drifts (so the
+// ladders recalibrate and swap profiles, learning from windows rebuilt out
+// of the slab ring) and then loses an RX chain (so degraded windows are
+// rebuilt too). Every decision is bit-identical to a lone StreamingDetector
+// per link, which keeps its own packet window.
+TEST(EngineEquivalence, SlabRebuiltWindowsMatchStreamingAcrossShapes) {
+  auto& f = Fixture();
+  nic::FaultInjectionConfig faults;
+  faults.enabled = true;
+  faults.seed = 29;
+  faults.drift_ramp_db_per_1k = 3.0;
+  faults.agc_schedule_every_packets = 500;
+  faults.dead_antenna = 1;
+  faults.dead_from_packet = 1500;
+  auto sim_config = ex::DefaultSimConfig();
+  sim_config.faults = faults;
+
+  struct Spec {
+    core::DetectionScheme scheme;
+    std::size_t antennas;
+    std::size_t window;
+  };
+  const Spec specs[] = {
+      {core::DetectionScheme::kSubcarrierAndPathWeighting, 3, 25},
+      {core::DetectionScheme::kSubcarrierWeighting, 3, 50},
+      {core::DetectionScheme::kVarianceMobile, 3, 25},
+      {core::DetectionScheme::kBaseline, 3, 50},
+      {core::DetectionScheme::kSubcarrierAndPathWeighting, 2, 50},
+  };
+  std::vector<std::vector<wifi::CsiPacket>> streams;
+  // Reserved: a StreamingDetector's HMM filter refers to its own model, so
+  // the detectors must not move once constructed.
+  std::vector<core::StreamingDetector> lone;
+  lone.reserve(std::size(specs));
+  core::SensingEngine fleet;
+  fleet.UseSharedScratch();
+  for (const Spec& spec : specs) {
+    auto sim = ex::MakeSimulator(f.link, ex::DefaultSimConfig(), spec.antennas);
+    Rng rng(400 + spec.antennas);
+    const auto calibration = sim.CaptureSession(300, std::nullopt, rng);
+    const auto empty = sim.CaptureSession(200, std::nullopt, rng);
+    core::DetectorConfig detector_config;
+    detector_config.scheme = spec.scheme;
+    detector_config.music.num_sources = spec.antennas - 1;
+    auto detector = core::Detector::Calibrate(calibration, sim.band(),
+                                              sim.array(), detector_config);
+    std::vector<std::vector<wifi::CsiPacket>> empty_windows;
+    std::vector<double> empty_scores;
+    for (std::size_t start = 0; start + spec.window <= empty.size();
+         start += spec.window / 2) {
+      empty_windows.emplace_back(
+          empty.begin() + static_cast<std::ptrdiff_t>(start),
+          empty.begin() + static_cast<std::ptrdiff_t>(start + spec.window));
+      empty_scores.push_back(detector.Score(empty_windows.back()));
+    }
+    detector.CalibrateThreshold(empty_windows);
+
+    core::StreamingConfig config;
+    config.window_packets = spec.window;
+    config.hop_packets = 5;
+    config.guard_enabled = true;
+    config.calibration.enabled = true;
+    config.calibration.quiet_posterior_max = 0.2;
+    config.calibration.drift_ewma_alpha = 0.5;
+    config.calibration.drift_confirm_windows = 2;
+    config.calibration.recalibration_quiet_windows = 3;
+    config.calibration.max_consecutive_swaps = 8;
+
+    auto drifting = ex::MakeSimulator(f.link, sim_config, spec.antennas);
+    Rng stream_rng(77);
+    streams.push_back(drifting.CaptureSession(2000, std::nullopt, stream_rng));
+    lone.emplace_back(detector, empty_scores, config);
+    fleet.AddLink(std::move(detector), empty_scores, config);
+  }
+
+  std::vector<std::size_t> decisions(lone.size(), 0);
+  std::vector<std::size_t> degraded(lone.size(), 0);
+  for (std::size_t i = 0; i < streams[0].size(); ++i) {
+    for (std::size_t l = 0; l < lone.size(); ++l) {
+      const auto expected = lone[l].Push(streams[l][i]);
+      const auto got = fleet.ProcessPacket(l, streams[l][i]);
+      ASSERT_EQ(expected.has_value(), got.has_value()) << l << " @" << i;
+      if (!got.has_value()) continue;
+      ++decisions[l];
+      degraded[l] += got->degraded ? 1 : 0;
+      ASSERT_EQ(expected->timestamp_s, got->timestamp_s) << l << " @" << i;
+      ASSERT_EQ(expected->score, got->score) << l << " @" << i;
+      ASSERT_EQ(expected->posterior, got->posterior) << l << " @" << i;
+      ASSERT_EQ(expected->occupied, got->occupied) << l << " @" << i;
+      ASSERT_EQ(expected->degraded, got->degraded) << l << " @" << i;
+    }
+  }
+  for (std::size_t l = 0; l < lone.size(); ++l) {
+    const auto& want = lone[l].calibrator();
+    const auto& have = fleet.Calibrator(l);
+    EXPECT_GT(decisions[l], 0u) << l;
+    EXPECT_GT(degraded[l], 0u) << l;
+    EXPECT_GT(want.profile_swaps(), 0u) << l;
+    EXPECT_EQ(want.profile_swaps(), have.profile_swaps()) << l;
+    EXPECT_EQ(want.adaptive_threshold(), have.adaptive_threshold()) << l;
+    EXPECT_EQ(want.quiet_log_mean(), have.quiet_log_mean()) << l;
+  }
+}
+
 // Serving-tier eviction: RemoveLink frees the slot for the next AddLink,
 // leaves every other link untouched, and the recycled slot behaves like a
 // brand-new link.

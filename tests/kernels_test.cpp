@@ -466,7 +466,8 @@ TEST_F(EngineParityTest, PreparedFactorsScoreMatchesRecompute) {
     // row + median per packet.
     MultipathScratch mp;
     std::vector<double> median_scratch;
-    std::vector<std::vector<double>> mu(sanitized.size());
+    std::vector<std::vector<double>> mu(
+        sanitized.size(), std::vector<double>(detector.num_subcarriers()));
     std::vector<double> medians(sanitized.size());
     std::vector<const double*> rows(sanitized.size());
     for (std::size_t i = 0; i < sanitized.size(); ++i) {
