@@ -250,10 +250,11 @@ struct EngineRow {
   double engine_metrics_allocs = 0.0;
 };
 
-// Replays StreamingDetector's ring discipline over a batch so the legacy and
-// scratch columns pay the same window-assembly cost the engine pays
-// internally. Fill state persists across passes: after the first pass every
-// pass emits batch.size() / hop decisions.
+// Replays the engine's window/hop cadence over a batch with a plain ring of
+// raw packets, assembling each window in arrival order, so the legacy and
+// scratch columns pay a window-assembly cost too. Fill state persists
+// across passes: after the first pass every pass emits batch.size() / hop
+// decisions.
 struct StreamEmulator {
   std::size_t window_packets;
   std::size_t hop;

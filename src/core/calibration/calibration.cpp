@@ -430,9 +430,10 @@ bool LinkCalibrator::ObserveDecision(double score, double posterior,
                                      Detector& detector,
                                      DetectorScratch& scratch,
                                      const CalibrationWindowContext& context) {
-  // The one per-decision entry point: the caller (streaming detector,
-  // engine worker, serving shard) is the link's single driving thread, so
-  // this call IS the owner role for the double-buffer swap state.
+  // The one per-decision entry point: the caller (the engine link, driven
+  // by one engine or serving-shard thread) is the link's single driving
+  // thread, so this call IS the owner role for the double-buffer swap
+  // state.
   ScopedRole owner(owner_role_);
   if (!config_.enabled || state_ == LadderState::kFrozen) return false;
 

@@ -2,7 +2,7 @@
 //
 // The paper's 92%/4.5% operating point assumes a fresh static profile s(0),
 // but deployments drift for weeks: thermal gain ramps, furniture moves, AGC
-// retrains. The profile-drift watchdog in core/streaming only raises a flag;
+// retrains. The profile-drift watchdog in core/engine only raises a flag;
 // this subsystem acts on it. Following the empirical-fading Bayesian
 // calibration of Schmidhammer et al. (arXiv:2205.05331) with link-level fade
 // statistics in the spirit of Yiğitler et al. (arXiv:1405.7237), each link
@@ -64,7 +64,7 @@ using LadderState = nic::CalibrationLadder;
 
 struct CalibrationConfig {
   // Master switch. Off: the LinkCalibrator is inert and the legacy
-  // flag-only watchdog in GuardedIngest keeps sole ownership of
+  // flag-only watchdog in SensingEngine's LinkState keeps sole ownership of
   // LinkHealth::profile_drift.
   bool enabled = false;
 
@@ -300,9 +300,8 @@ struct CalibrationWindowContext {
 
 // Per-link calibration state: both posteriors, the staged quiet-packet ring
 // for the angular refresh, and the recalibration ladder. Owned by
-// StreamingDetector and SensingEngine's LinkState exactly like
-// GuardedIngest, and driven with identical inputs on both paths, so batch
-// and streaming adaptation stay bit-identical.
+// SensingEngine's LinkState and driven once per decision with the window
+// the decision scored.
 class LinkCalibrator {
  public:
   LinkCalibrator() = default;
@@ -363,7 +362,7 @@ class LinkCalibrator {
   void Reset(const Detector& detector);
 
   // Observability shard of the owning link (null = no-op sink), re-pointed
-  // by the owner every push exactly like GuardedIngest::metrics.
+  // by the owning link every push.
   obs::Registry* metrics = nullptr;
 
  private:

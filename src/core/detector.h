@@ -293,6 +293,8 @@ class Detector {
   // accepts).
   std::size_t num_antennas() const { return num_antennas_; }
   std::size_t num_subcarriers() const { return num_subcarriers_; }
+  // All antennas usable (the non-degraded case; bit m = antenna m).
+  std::uint32_t FullAntennaMask() const;
 
   // Introspection for the characterization benches.
   const Pseudospectrum& static_spectrum() const { return static_spectrum_; }
@@ -311,9 +313,6 @@ class Detector {
  private:
   Detector(const wifi::BandPlan& band, const wifi::UniformLinearArray& array,
            const DetectorConfig& config);
-
-  // All antennas usable (the non-degraded case; bit m = antenna m).
-  std::uint32_t FullAntennaMask() const;
 
   // Re-derive everything built from retained_calibration_ — the smoothed
   // static MUSIC pseudospectrum, the Eq. 17 path weights and, for the

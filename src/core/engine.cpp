@@ -21,7 +21,6 @@ struct SensingEngine::LinkState {
         view(owned_detector ? owned_detector.get() : shared_detector.get()),
         config(cfg),
         pre_sanitize(view->UsesSanitizedInput()),
-        ingest(config),
         scratch(engine_scratch != nullptr
                     ? engine_scratch
                     // mulink-lint: allow(alloc): ctor, setup path
@@ -35,24 +34,37 @@ struct SensingEngine::LinkState {
     MULINK_REQUIRE(owned_detector != nullptr || !config.calibration.enabled,
                    "SensingEngine: adaptive calibration mutates the detector "
                    "in place; shared-detector links must disable it");
+    num_antennas = view->num_antennas();
+    num_subcarriers = view->num_subcarriers();
+    if (config.guard_enabled) {
+      // Lock the guard onto the detector's shape up front: a mis-shaped
+      // first frame is then quarantined instead of becoming the shape.
+      nic::FrameGuardConfig guard_config = config.guard;
+      if (guard_config.expected_antennas == 0) {
+        guard_config.expected_antennas = num_antennas;
+      }
+      if (guard_config.expected_subcarriers == 0) {
+        guard_config.expected_subcarriers = num_subcarriers;
+      }
+      // mulink-lint: allow(alloc): ctor, setup path
+      guard.emplace(guard_config);
+    }
     if (config.use_hmm) {
       hmm = PresenceHmm::FitFromEmptyScores(empty_scores, config.hmm);
       filter.emplace(*hmm);  // mulink-lint: allow(alloc): ctor, setup path
     }
     // Seed the drift watchdog's EWMA at the expected quiet score so the
     // first windows after construction or Reset cannot spuriously trip the
-    // flag (mirrors StreamingDetector).
+    // flag.
     if (!empty_scores.empty()) {
-      ingest.quiet_score_seed = dsp::Mean(empty_scores);
-      ingest.empty_score_ewma = ingest.quiet_score_seed;
+      quiet_score_seed = dsp::Mean(empty_scores);
+      empty_score_ewma = quiet_score_seed;
     }
     calibrator.Configure(*view, std::span<const double>(empty_scores),
                          config.calibration);
     // One flat block for the ring: at fleet scale the window read is the
     // dominant cold-memory cost of a decision, and one sequential run
     // streams far better than scattered heap blocks.
-    num_antennas = view->num_antennas();
-    num_subcarriers = view->num_subcarriers();
     slot_stride = (2 * num_antennas + 1) * num_subcarriers;
     // mulink-lint: allow(alloc): ctor, setup path
     slabs.resize(config.window_packets * slot_stride, 0.0);
@@ -68,19 +80,17 @@ struct SensingEngine::LinkState {
 
   const Detector& det() const { return *view; }
 
-  // Mirror of StreamingDetector::Push — same ring discipline, same HMM
-  // update — so batch and streaming decisions are bit-identical. The one
-  // deliberate difference: per-packet maps are computed ONCE on ingest
-  // (phase sanitize + multipath factors for sanitized schemes, the
-  // amplitude distance for the baseline), so overlapping windows reuse
-  // window-hop rows instead of re-deriving all window_packets of them.
+  // Guard, ring, hop, score, HMM, watchdog and ladder for one packet. The
+  // per-packet maps are computed ONCE on ingest (phase sanitize + multipath
+  // factors for sanitized schemes, the amplitude distance for the
+  // baseline), so overlapping windows reuse window-hop rows instead of
+  // re-deriving all window_packets of them.
   std::optional<PresenceDecision> Push(const wifi::CsiPacket& packet) {
     const Detector& detector = det();
     obs::Registry* const sink = metrics_on ? &metrics : nullptr;
-    ingest.metrics = sink;
     scratch->metrics = sink;
     calibrator.metrics = sink;
-    const auto report = ingest.Admit(packet);
+    const auto report = Admit(packet, sink);
     if (!report.has_value()) return std::nullopt;  // quarantined
     MULINK_REQUIRE(packet.NumAntennas() == num_antennas &&
                        packet.NumSubcarriers() == num_subcarriers,
@@ -134,15 +144,16 @@ struct SensingEngine::LinkState {
     // packet of every window shape below.
     decision.timestamp_s = packet.timestamp_s;
 
-    const std::uint32_t live_mask = ingest.LiveMask(detector.num_antennas());
-    const std::uint32_t full_mask =
-        GuardedIngest::FullMask(detector.num_antennas());
+    const std::uint32_t full_mask = detector.FullAntennaMask();
+    const std::uint32_t live_mask =
+        guard.has_value() ? full_mask & ~guard->dead_antenna_mask()
+                          : full_mask;
     MULINK_OBS_GAUGE(sink, kLiveAntennas,
                      static_cast<double>(std::popcount(live_mask)));
     if (live_mask == 0 ||
         (live_mask != full_mask && !config.degraded_fallback)) {
       // Every chain dead, or fallback disabled while one is: pause
-      // decisions until the chain revives.
+      // decisions until the chain revives (the belief holds).
       MULINK_OBS_COUNT(sink, kDecisionsSuppressed);
       return std::nullopt;
     }
@@ -172,15 +183,15 @@ struct SensingEngine::LinkState {
     if (live_mask != full_mask && detector.has_threshold()) {
       // Degraded mode: surviving antennas only, fallback threshold, HMM
       // frozen (its emission model belongs to the primary statistic). The
-      // window is in the detector's input state (sanitized iff pre_sanitize),
-      // so the degraded score matches StreamingDetector's bit for bit.
+      // window is in the detector's input state (sanitized iff
+      // pre_sanitize), so the score equals ScoreDegraded of the raw window.
       decision.score =
           detector.ScoreSanitizedDegraded(window_span, *scratch, live_mask);
       decision.occupied = decision.score >= detector.fallback_threshold();
       decision.posterior = decision.occupied ? 1.0 : 0.0;
       decision.degraded = true;
-      ingest.degraded = true;
-      ++ingest.degraded_decisions;
+      degraded = true;
+      ++degraded_decisions;
       MULINK_OBS_COUNT(sink, kDegradedDecisions);
     } else {
       if (pre_sanitize) {
@@ -206,39 +217,125 @@ struct SensingEngine::LinkState {
         decision.occupied = decision.score >= detector.threshold();
         decision.posterior = decision.occupied ? 1.0 : 0.0;
       }
-      ingest.degraded = false;
-      ingest.ObserveDecision(decision, detector, config);
+      degraded = false;
+      ObserveWatchdog(decision, sink);
     }
     if (calibrator.enabled()) {
       CalibrationWindowContext context;
       context.degraded = decision.degraded;
-      context.repaired_frames = ingest.repaired_since_decision;
-      context.agc_frames = ingest.agc_frames_since_decision;
+      context.repaired_frames = repaired_since_decision;
+      context.agc_frames = agc_frames_since_decision;
       // The window holds packets in the detector's expected sanitization
       // state (sanitized on ingest iff the scheme consumes sanitized
-      // windows), so the posteriors learn from window_span directly —
-      // bit-identical to StreamingDetector's per-window copy.
+      // windows), so the posteriors learn from window_span directly.
       // Calibration requires an owned detector (enforced in the ctor).
       calibrator.ObserveDecision(decision.score, decision.posterior,
                                  window_span, *owned_detector, *scratch,
                                  context);
       if (hmm.has_value()) {
-        // Every-window emission refit from the live quiet posterior —
-        // same rationale and ordering as StreamingDetector (bit-identical
-        // flip points between the two paths).
+        // Pin the HMM's empty emission to the live quiet posterior every
+        // window, not just after a profile swap: the posterior absorbs slow
+        // drift online, so the filter's flip point moves with the link and
+        // the corridor between drift onset and the next swap stops charging
+        // false positives. On quiet windows this is a real update; otherwise
+        // the posterior (and hence the refit) is a no-op. The filter's
+        // temporal state rides through untouched, and step changes still go
+        // through the ladder — the posterior refuses to learn from windows
+        // the filter calls occupied, so a jump stalls this refit until the
+        // swap re-anchors the posterior.
         hmm->RefitEmptyEmission(calibrator.quiet_log_mean(),
                                 calibrator.quiet_log_sigma());
       }
-      ingest.profile_drift = calibrator.drift_flagged();
+      // The ladder owns the drift flag when enabled — unlike the flag-only
+      // watchdog it can clear it again by recalibrating in place.
+      profile_drift = calibrator.drift_flagged();
     }
-    ingest.repaired_since_decision = 0;
-    ingest.agc_frames_since_decision = 0;
+    repaired_since_decision = 0;
+    agc_frames_since_decision = 0;
     occupied = decision.occupied;
     posterior = decision.posterior;
     MULINK_OBS_COUNT(sink, kDecisions);
     MULINK_OBS_GAUGE(sink, kLastScore, decision.score);
     MULINK_OBS_GAUGE(sink, kPosterior, decision.posterior);
     return decision;
+  }
+
+  // Inspect one arriving frame. nullopt means the frame is quarantined and
+  // must not reach the ring; otherwise the report's `resync` flag tells
+  // Push to flush the ring first. Verdict counters are exact; the per-frame
+  // inspection latency is sampled 1-in-kIngestSampleEvery on a
+  // deterministic tick, so totals merge bit-identically across shards.
+  std::optional<nic::FrameReport> Admit(const wifi::CsiPacket& packet,
+                                        obs::Registry* sink) {
+    MULINK_OBS_COUNT(sink, kPacketsIngested);
+    if (!guard.has_value()) {
+      MULINK_OBS_COUNT(sink, kPacketsAccepted);
+      return nic::FrameReport{};
+    }
+    obs::Registry* const timed = MULINK_OBS_SAMPLED(sink);
+    nic::FrameReport report;
+    {
+      MULINK_OBS_STAGE_TIMER(timer, timed, kGuardClassify);
+      report = guard->Inspect(packet);
+    }
+    if (report.resync) MULINK_OBS_COUNT(sink, kRingResyncs);
+    switch (report.verdict) {
+      case nic::FrameVerdict::kQuarantine:
+        MULINK_OBS_COUNT(sink, kPacketsQuarantined);
+        return std::nullopt;
+      case nic::FrameVerdict::kRepair:
+        // Taint bookkeeping for the calibration ladder: a repaired frame in
+        // the hop disqualifies its window as quiet evidence, and a burst of
+        // RSSI-outlier repairs is the AGC fast re-baseline trigger.
+        ++repaired_since_decision;
+        if (report.Has(nic::FrameFault::kRssiOutlier)) {
+          ++agc_frames_since_decision;
+        }
+        MULINK_OBS_COUNT(sink, kPacketsRepaired);
+        break;
+      default:
+        break;
+    }
+    MULINK_OBS_COUNT(sink, kPacketsAccepted);
+    return report;
+  }
+
+  // Legacy drift watchdog, fed by guarded links' clean decisions only
+  // (degraded windows score a different statistic on a different scale).
+  void ObserveWatchdog(const PresenceDecision& decision, obs::Registry* sink) {
+    if (!guard.has_value()) return;
+    if (decision.posterior > config.watchdog_empty_posterior) return;
+    if (empty_windows_seen == 0 && quiet_score_seed <= 0.0) {
+      // No calibration scores to seed from: legacy cold start, the first
+      // believed-empty window sets the EWMA outright.
+      empty_score_ewma = decision.score;
+    } else {
+      // Seeded (at construction and after Reset the EWMA already sits at
+      // the expected quiet score), so early windows blend instead of
+      // jumping — a reset cannot spuriously trip profile_drift.
+      empty_score_ewma +=
+          config.watchdog_ewma_alpha * (decision.score - empty_score_ewma);
+    }
+    ++empty_windows_seen;
+    MULINK_OBS_GAUGE(sink, kEmptyScoreEwma, empty_score_ewma);
+    const Detector& detector = det();
+    if (detector.has_threshold() &&
+        empty_windows_seen >= config.watchdog_min_windows &&
+        empty_score_ewma >
+            config.watchdog_score_fraction * detector.threshold()) {
+      profile_drift = true;
+    }
+  }
+
+  nic::LinkHealth Health() const {
+    nic::LinkHealth health;
+    if (guard.has_value()) health = guard->health();
+    health.degraded = degraded;
+    health.degraded_decisions = degraded_decisions;
+    health.profile_drift = profile_drift;
+    health.empty_score_ewma = empty_score_ewma;
+    calibrator.FillHealth(health);
+    return health;
   }
 
   double* Slab(std::size_t slot) { return slabs.data() + slot * slot_stride; }
@@ -289,7 +386,16 @@ struct SensingEngine::LinkState {
     occupied = false;
     posterior = 0.0;
     if (filter.has_value()) filter->Reset();
-    ingest.Reset();
+    // Guard counters included, so a reset link decides bit-identically to
+    // a fresh one fed the same tail; the cold-start seed survives.
+    if (guard.has_value()) guard->Reset();
+    degraded = false;
+    degraded_decisions = 0;
+    empty_windows_seen = 0;
+    empty_score_ewma = quiet_score_seed;
+    profile_drift = false;
+    repaired_since_decision = 0;
+    agc_frames_since_decision = 0;
     calibrator.Reset(det());
     metrics.Reset();
     result.decisions.clear();
@@ -307,7 +413,20 @@ struct SensingEngine::LinkState {
   // Sanitize on ingest only when the scheme consumes sanitized windows (the
   // amplitude-only baseline must see raw packets).
   bool pre_sanitize = false;
-  GuardedIngest ingest;
+  std::optional<nic::FrameGuard> guard;  // set iff config.guard_enabled
+  // Degraded-mode and legacy watchdog state (LinkHealth's sensing fields).
+  bool degraded = false;  // last decision used the fallback statistic
+  std::size_t degraded_decisions = 0;
+  std::size_t empty_windows_seen = 0;
+  double empty_score_ewma = 0.0;
+  bool profile_drift = false;
+  // Mean calibration empty score (0 when none were given): seeds
+  // empty_score_ewma at construction and on Reset.
+  double quiet_score_seed = 0.0;
+  // Repaired frames — and the subset carrying the RSSI-outlier (AGC) fault
+  // — admitted since the last decision; the calibration ladder's taint.
+  std::size_t repaired_since_decision = 0;
+  std::size_t agc_frames_since_decision = 0;
   LinkCalibrator calibrator;
   std::optional<PresenceHmm> hmm;
   std::optional<PresenceHmm::Filter> filter;  // references hmm; do not move
@@ -482,13 +601,6 @@ std::optional<PresenceDecision> SensingEngine::ProcessPacket(
   return state.Push(packet);
 }
 
-double SensingEngine::ScoreWindow(std::size_t link,
-                                  std::span<const wifi::CsiPacket> window) {
-  LinkState& state = Link(link);
-  state.scratch->metrics = metrics_enabled_ ? &state.metrics : nullptr;
-  return state.det().Score(window, *state.scratch);
-}
-
 bool SensingEngine::occupied(std::size_t link) const {
   return Link(link).occupied;
 }
@@ -498,9 +610,7 @@ double SensingEngine::posterior(std::size_t link) const {
 }
 
 nic::LinkHealth SensingEngine::Health(std::size_t link) const {
-  nic::LinkHealth health = Link(link).ingest.Health();
-  Link(link).calibrator.FillHealth(health);
-  return health;
+  return Link(link).Health();
 }
 
 const LinkCalibrator& SensingEngine::Calibrator(std::size_t link) const {

@@ -1,12 +1,14 @@
 // Batch-oriented sensing engine: the workspace-owning composition root of
 // the ingest-to-decision hot path.
 //
-// One SensingEngine owns one LinkState per monitored link. A LinkState keeps
-// everything the link needs between batches — the calibrated Detector
-// (static profile, Eq. 15/17 weights, threshold), the window ring of CSI
-// slabs (packets are rebuilt from it in the scratch when needed), the HMM
-// state and every scratch buffer of the scoring pipeline — so, once warm,
-// ProcessBatch turns CSI packets into decisions without heap allocations.
+// One SensingEngine owns one LinkState per monitored link; it is the only
+// per-link pipeline. A LinkState keeps everything the link needs between
+// batches — the calibrated Detector (static profile, Eq. 15/17 weights,
+// threshold), the frame guard, the window ring of CSI slabs (packets are
+// rebuilt from it in the scratch when needed), the HMM state, the
+// degraded-mode and drift-watchdog state, the calibration ladder and every
+// scratch buffer of the scoring pipeline — so, once warm, ProcessBatch
+// turns CSI packets into decisions without heap allocations.
 //
 // Fleet mode (src/serve): links that share a channel configuration can be
 // registered against one immutable shared Detector (AddLink shared_ptr
@@ -16,8 +18,10 @@
 // covariance stack. Shared-detector links cannot run adaptive calibration
 // (the ladder mutates the detector in place); register an owned copy.
 //
-// Decision semantics are bit-identical to feeding the same packets one at a
-// time through StreamingDetector::Push (see core_engine_test).
+// A link's decisions do not depend on how its stream is chopped into
+// ProcessBatch/ProcessPacket calls, and every decision's score is bit-
+// identical to the offline Detector::Score (ScoreDegraded while a chain is
+// dead) of the raw window the link buffered (see core_engine_test).
 #pragma once
 
 #include <cstddef>
@@ -27,11 +31,87 @@
 #include <vector>
 
 #include "common/annotations.h"
+#include "core/calibration/calibration.h"
 #include "core/detector.h"
 #include "core/hmm.h"
-#include "core/streaming.h"
+#include "nic/frame_guard.h"
+#include "obs/metrics.h"
 
 namespace mulink::core {
+
+// Per-link parameters of the engine's ingest-to-decision pipeline.
+struct StreamingConfig {
+  // Window length scored per decision and the hop between decisions
+  // (hop == window -> non-overlapping decisions, the paper's cadence).
+  std::size_t window_packets = 25;
+  std::size_t hop_packets = 25;
+
+  // Smooth scores with the two-state presence HMM (Sec. V-B1's suggestion);
+  // when off, decisions fall back to the detector's raw threshold.
+  bool use_hmm = true;
+  HmmConfig hmm;
+  // Posterior above which the room is declared occupied (HMM mode).
+  double decision_probability = 0.5;
+  // Decision fusion (HMM mode): also declare occupied when the raw score
+  // crosses the detector's active threshold, even if the posterior stayed
+  // below decision_probability. With adaptive calibration the HMM's empty
+  // emission legitimately tracks the drifting quiet level, which makes
+  // weak presence — scores between the quiet fit's flip point and the
+  // calibrated threshold — read as vacant; the re-anchored threshold is
+  // the absolute operating point that still catches it. Off by default:
+  // without calibration a stale threshold under drift charges every
+  // vacant window above it as a false positive.
+  bool hmm_threshold_fusion = false;
+
+  // Frame validation (nic::FrameGuard) in front of the ring. Quarantined
+  // frames never reach a window; repairable frames are ingested with their
+  // faults counted; a sequence gap wider than the guard's resync limit
+  // flushes the ring (the buffered packets and the new one no longer form a
+  // contiguous window). A frame shape left at 0 in `guard` is taken from
+  // the link's detector, so a mis-shaped frame is quarantined as
+  // kShapeMismatch instead of locking the guard onto its shape. Off by
+  // default — guarded ingest of a clean stream is bit-identical to
+  // unguarded ingest.
+  bool guard_enabled = false;
+  nic::FrameGuardConfig guard;
+
+  // When the guard confirms a dead RX chain, keep deciding on the surviving
+  // antennas via Detector::ScoreDegraded (the combined scheme falls back to
+  // subcarrier-only weighting; MUSIC needs the full array). When false,
+  // decisions pause until the chain revives. Degraded decisions bypass the
+  // HMM — its emission model was fitted to the primary statistic — and the
+  // filter resumes, state intact, on recovery.
+  bool degraded_fallback = true;
+
+  // Profile-drift watchdog: an EWMA of scores over windows the detector
+  // itself believes are empty (posterior at or below this bound). When the
+  // EWMA of believed-empty scores climbs to a fraction of the decision
+  // threshold, the static profile s(0) no longer matches the quiet channel
+  // and LinkHealth::profile_drift flags that recalibration (or
+  // Detector::UpdateProfile) is due.
+  double watchdog_empty_posterior = 0.2;
+  double watchdog_ewma_alpha = 0.1;
+  double watchdog_score_fraction = 0.9;
+  std::size_t watchdog_min_windows = 8;
+
+  // Online Bayesian calibration (core/calibration): per-link posteriors
+  // over the quiet profile and threshold plus the recalibration ladder
+  // Healthy -> DriftSuspected -> Recalibrating -> Degraded -> Frozen. When
+  // enabled, the ladder owns LinkHealth::profile_drift (it can clear the
+  // flag by recalibrating in place); the legacy watchdog above keeps
+  // feeding its EWMA either way. Off by default.
+  CalibrationConfig calibration;
+};
+
+struct PresenceDecision {
+  double timestamp_s = 0.0;   // timestamp of the newest packet in the window
+  double score = 0.0;         // raw detector statistic
+  double posterior = 0.0;     // P(occupied); equals score>threshold when !use_hmm
+  bool occupied = false;
+  // Decided on the degraded (dead-chain fallback) statistic against the
+  // fallback threshold; posterior is the hard 0/1 of that comparison.
+  bool degraded = false;
+};
 
 // Decisions produced by one ProcessBatch call. The vector is a reused
 // member buffer — its contents are valid until the next ProcessBatch/Reset
@@ -104,11 +184,6 @@ class SensingEngine {
   // buffer. Returns a decision when this packet completed a window.
   MULINK_HOT std::optional<PresenceDecision> ProcessPacket(
       std::size_t link, const wifi::CsiPacket& packet);
-
-  // Score one window directly on the link's scratch, bypassing the ring
-  // (for offline session scoring on engine-owned buffers).
-  double ScoreWindow(std::size_t link,
-                     std::span<const wifi::CsiPacket> window);
 
   // Current belief per link (unoccupied before the first window).
   bool occupied(std::size_t link) const;

@@ -124,9 +124,8 @@ enum class CalibrationLadder : std::uint8_t {
 
 const char* ToString(CalibrationLadder state);
 
-// Per-link ingest health. The guard fills the counters; SensingEngine /
-// StreamingDetector fill the degradation fields before handing the report
-// to callers.
+// Per-link ingest health. The guard fills the counters; SensingEngine fills
+// the degradation fields before handing the report to callers.
 struct LinkHealth {
   std::uint64_t received = 0;
   std::uint64_t accepted = 0;

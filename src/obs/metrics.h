@@ -82,7 +82,7 @@ enum class Counter : std::uint8_t {
   kAgcRebaselines,       // AGC-jump fast re-baseline paths taken
   kFramesRouted,         // frames the serve demux routed to a shard queue
   kFramesDropped,        // frames displaced by drop-oldest back-pressure
-  kFramesRejected,       // frames refused by reject-newest back-pressure
+  kFramesRejected,       // frames refused: reject-newest or mis-shaped
   kLinksAdmitted,        // links admitted to a serving shard roster
   kLinksEvicted,         // links evicted (capacity or health)
   kLinksReadmitted,      // evicted links re-admitted after cooldown

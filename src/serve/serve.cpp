@@ -190,6 +190,15 @@ bool ServeCore::Submit(std::uint64_t link_id, std::uint32_t profile_id,
   Shard& shard = *shards_[ShardOf(link_id)];
   // Single demux thread by contract: this call IS the producer role.
   ScopedRole producer(shard.producer_role);
+  // A frame the profile's detector cannot score is refused here: in the
+  // shard the engine would throw on it and take the worker down.
+  const core::Detector& detector = *profiles_[profile_id].detector;
+  if (packet.NumAntennas() != detector.num_antennas() ||
+      packet.NumSubcarriers() != detector.num_subcarriers()) {
+    ++shard.frames_rejected;
+    MULINK_OBS_COUNT_REF(router_metrics_, kFramesRejected, 1);
+    return false;
+  }
   // In-place produce: the packet is copy-assigned straight into the claimed
   // ring cell (whose CSI buffer sticks once warm), so routing costs one
   // packet copy total instead of staging + cell.

@@ -86,7 +86,9 @@ struct DecisionRecord {
 struct ShardStats {
   std::uint64_t frames_routed = 0;
   std::uint64_t frames_dropped = 0;   // drop-oldest displacements
-  std::uint64_t frames_rejected = 0;  // reject-newest refusals
+  // Refused frames: reject-newest on a full queue, plus frames whose shape
+  // does not match their profile's detector (whatever the policy).
+  std::uint64_t frames_rejected = 0;
   std::uint64_t frames_processed = 0;
   std::uint64_t decisions = 0;
   std::uint64_t links_admitted = 0;
@@ -128,7 +130,8 @@ class ServeCore {
 
   // Demux entry point — single producer thread. Routes the frame to its
   // link's shard under the configured back-pressure policy. Returns false
-  // iff the frame was rejected (kRejectNewest on a full queue).
+  // iff the frame was rejected: its shape does not match the profile's
+  // detector, or the queue was full under kRejectNewest.
   MULINK_HOT bool Submit(std::uint64_t link_id, std::uint32_t profile_id,
                          const wifi::CsiPacket& packet);
 

@@ -13,9 +13,9 @@
 #include "common/rng.h"
 #include "core/detector.h"
 #include "core/engine.h"
-#include "core/streaming.h"
 #include "experiments/scenario.h"
 #include "nic/frame_guard.h"
+#include "score_oracle.h"
 
 using namespace mulink;
 namespace ex = mulink::experiments;
@@ -134,7 +134,7 @@ TEST(DegradedScoring, MaskedScoreIgnoresDeadRow) {
 // A guarded engine fed a clean stream must reproduce the unguarded engine's
 // decisions bit for bit — the guard is free when nothing is wrong (the
 // PR 1 equivalence contract with injection disabled).
-TEST(GuardedIngest, CleanStreamBitIdenticalToUnguarded) {
+TEST(GuardedLink, CleanStreamBitIdenticalToUnguarded) {
   auto& f = Fixture();
   for (auto scheme : {core::DetectionScheme::kSubcarrierWeighting,
                       core::DetectionScheme::kSubcarrierAndPathWeighting}) {
@@ -164,9 +164,11 @@ TEST(GuardedIngest, CleanStreamBitIdenticalToUnguarded) {
   }
 }
 
-// StreamingDetector and the engine must agree decision-for-decision under
-// the same fault stream (the GuardedIngest state is shared logic).
-TEST(GuardedIngest, StreamingAndBatchAgreeUnderFaults) {
+// Under drops, corruption and a dead RX chain, the guarded engine decides
+// exactly when a guarded replay of the raw stream completes a window, and
+// scores each window like the offline Score (ScoreDegraded over the live
+// chains once the dead one is confirmed) of its raw packets.
+TEST(GuardedLink, StreamingAndBatchAgreeUnderFaults) {
   auto& f = Fixture();
   nic::FaultInjectionConfig faults;
   faults.enabled = true;
@@ -187,26 +189,30 @@ TEST(GuardedIngest, StreamingAndBatchAgreeUnderFaults) {
   stream.use_hmm = false;
   stream.guard_enabled = true;
 
+  // No HMM and no ladder: the detector never changes, so the whole
+  // session's expectations can be taken before one ProcessBatch call.
   auto detector =
       f.Calibrated(core::DetectionScheme::kSubcarrierAndPathWeighting);
-  core::StreamingDetector streaming(detector, {}, stream);
-  core::SensingEngine engine;
-  engine.AddLink(std::move(detector), {}, stream);
-
-  std::vector<core::PresenceDecision> pushed;
+  test_support::ScoreOracle oracle(stream, detector);
+  std::vector<test_support::ExpectedDecision> expected;
   for (const auto& packet : session) {
-    if (auto d = streaming.Push(packet)) pushed.push_back(*d);
+    if (auto e = oracle.Expect(packet, detector)) expected.push_back(*e);
   }
+  core::SensingEngine engine;
+  engine.AddLink(detector, {}, stream);
   const auto& batch =
       engine.ProcessBatch(std::span<const wifi::CsiPacket>(session));
-  ASSERT_EQ(pushed.size(), batch.decisions.size());
-  ASSERT_FALSE(pushed.empty());
+  ASSERT_EQ(expected.size(), batch.decisions.size());
+  ASSERT_FALSE(expected.empty());
   bool any_degraded = false;
-  for (std::size_t i = 0; i < pushed.size(); ++i) {
-    EXPECT_EQ(pushed[i].score, batch.decisions[i].score);
-    EXPECT_EQ(pushed[i].occupied, batch.decisions[i].occupied);
-    EXPECT_EQ(pushed[i].degraded, batch.decisions[i].degraded);
-    any_degraded |= pushed[i].degraded;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto& d = batch.decisions[i];
+    EXPECT_EQ(expected[i].timestamp_s, d.timestamp_s);
+    EXPECT_EQ(expected[i].score, d.score);
+    EXPECT_EQ(expected[i].degraded, d.degraded);
+    EXPECT_EQ(d.occupied, d.score >= (d.degraded ? detector.fallback_threshold()
+                                                 : detector.threshold()));
+    any_degraded |= d.degraded;
   }
   EXPECT_TRUE(any_degraded);
   const auto health = engine.Health(0);
@@ -220,7 +226,7 @@ TEST(GuardedIngest, StreamingAndBatchAgreeUnderFaults) {
 // margin of the clean run (the fallback is the paper's subcarrier-weighting
 // scheme, which gives up roughly 6 points of TP rate vs the combined one on
 // fig07 — the 25-point margin below covers that plus small-sample noise).
-TEST(GuardedIngest, AccuracyUnderFaultsWithinMarginOfCleanRun) {
+TEST(GuardedLink, AccuracyUnderFaultsWithinMarginOfCleanRun) {
   auto& f = Fixture();
 
   // Paired captures: same channel RNG seed, so the faulty stream rides the
@@ -301,7 +307,7 @@ TEST(GuardedIngest, AccuracyUnderFaultsWithinMarginOfCleanRun) {
 
 // Watchdog: believed-empty windows whose scores climb toward the threshold
 // must trip profile_drift; with a generous fraction it must stay quiet.
-TEST(GuardedIngest, ProfileDriftWatchdog) {
+TEST(GuardedLink, ProfileDriftWatchdog) {
   auto& f = Fixture();
   core::StreamingConfig stream;
   stream.use_hmm = false;

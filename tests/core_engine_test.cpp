@@ -1,7 +1,8 @@
 // Equivalence suite for the workspace-based sensing engine: the scratch
-// Score path, ProcessBatch, and the streaming detector must all produce
-// BIT-IDENTICAL results to the legacy allocating APIs — the refactor is a
-// pure hot-path restructuring, not a numerical change.
+// Score path, ProcessBatch and ProcessPacket must all produce BIT-IDENTICAL
+// results to the legacy allocating APIs — every engine decision scores its
+// window exactly like the offline Detector::Score of the raw packets (the
+// raw-window oracle in score_oracle.h), whatever the ingest caches do.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,9 +18,10 @@
 #include "core/engine.h"
 #include "core/music.h"
 #include "core/sanitize.h"
-#include "core/streaming.h"
 #include "experiments/scenario.h"
+#include "nic/frame_guard.h"
 #include "obs/metrics.h"
+#include "score_oracle.h"
 
 using namespace mulink;
 namespace ex = mulink::experiments;
@@ -133,8 +135,9 @@ std::vector<double> EmptyScores(const EngineFixture& f,
   return scores;
 }
 
-// ProcessBatch must reproduce StreamingDetector::Push decision-for-decision
-// regardless of how the packet stream is chopped into batches.
+// ProcessBatch must decide exactly where a packet-at-a-time replay of the
+// stream completes a window, scoring each window like the offline Score of
+// its raw packets, regardless of how the stream is chopped into batches.
 TEST(EngineEquivalence, ProcessBatchMatchesStreamingPush) {
   auto& f = Fixture();
   for (bool use_hmm : {false, true}) {
@@ -148,22 +151,24 @@ TEST(EngineEquivalence, ProcessBatchMatchesStreamingPush) {
     config.hop_packets = 10;
     config.use_hmm = use_hmm;
 
-    core::StreamingDetector streaming(detector, empty_scores, config);
+    test_support::ScoreOracle oracle(config, detector);
     core::SensingEngine engine;
     engine.AddLink(std::move(detector), empty_scores, config);
 
-    std::vector<core::PresenceDecision> push_decisions;
-    for (const auto& packet : f.occupied_session) {
-      if (auto d = streaming.Push(packet)) push_decisions.push_back(*d);
-    }
-
-    // Chop the same stream into uneven batches.
+    // Chop the stream into uneven batches; the detector is fixed (no
+    // ladder), so each batch's expectations are taken before it is fed.
+    std::vector<test_support::ExpectedDecision> expected;
     std::vector<core::PresenceDecision> batch_decisions;
     const std::span<const wifi::CsiPacket> session(f.occupied_session);
     const std::size_t cuts[] = {7, 40, 1, 25, 60, 3};
     std::size_t pos = 0, cut = 0;
     while (pos < session.size()) {
       const std::size_t n = std::min(cuts[cut % 6], session.size() - pos);
+      for (const auto& packet : session.subspan(pos, n)) {
+        if (auto e = oracle.Expect(packet, engine.detector(0))) {
+          expected.push_back(*e);
+        }
+      }
       const auto& result = engine.ProcessBatch(session.subspan(pos, n));
       batch_decisions.insert(batch_decisions.end(), result.decisions.begin(),
                              result.decisions.end());
@@ -171,16 +176,20 @@ TEST(EngineEquivalence, ProcessBatchMatchesStreamingPush) {
       ++cut;
     }
 
-    ASSERT_EQ(push_decisions.size(), batch_decisions.size())
+    ASSERT_EQ(expected.size(), batch_decisions.size())
         << "use_hmm=" << use_hmm;
-    for (std::size_t i = 0; i < push_decisions.size(); ++i) {
-      EXPECT_EQ(push_decisions[i].timestamp_s, batch_decisions[i].timestamp_s);
-      EXPECT_EQ(push_decisions[i].score, batch_decisions[i].score);
-      EXPECT_EQ(push_decisions[i].posterior, batch_decisions[i].posterior);
-      EXPECT_EQ(push_decisions[i].occupied, batch_decisions[i].occupied);
+    ASSERT_FALSE(expected.empty());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(expected[i].timestamp_s, batch_decisions[i].timestamp_s);
+      EXPECT_EQ(expected[i].score, batch_decisions[i].score);
+      EXPECT_FALSE(batch_decisions[i].degraded);
+      if (!use_hmm) {
+        EXPECT_EQ(batch_decisions[i].occupied,
+                  batch_decisions[i].score >= 1.0);
+      }
     }
-    EXPECT_EQ(streaming.occupied(), engine.occupied(0));
-    EXPECT_EQ(streaming.posterior(), engine.posterior(0));
+    EXPECT_EQ(engine.occupied(0), batch_decisions.back().occupied);
+    EXPECT_EQ(engine.posterior(0), batch_decisions.back().posterior);
   }
 }
 
@@ -390,6 +399,44 @@ TEST(SensingEngine, ResetAllMatchesFreshEngines) {
       EXPECT_EQ(reference[i].occupied, b.decisions[i].occupied);
     }
   }
+}
+
+// A guarded link takes its frame shape from the detector, not from the first
+// frame: a wrong-shaped first frame is quarantined as kShapeMismatch (no
+// throw), and the well-formed stream after it decides exactly like a fresh
+// guarded link's.
+TEST(SensingEngine, GuardQuarantinesMisShapedFirstFrame) {
+  auto& f = Fixture();
+  auto detector = f.Calibrated(core::DetectionScheme::kSubcarrierWeighting);
+  detector.SetThreshold(1.0);
+  core::StreamingConfig config;
+  config.use_hmm = false;
+  config.guard_enabled = true;
+
+  core::SensingEngine engine;
+  engine.AddLink(detector, {}, config);
+  wifi::CsiPacket bad = f.occupied_session.front();
+  bad.csi.Resize(detector.num_antennas() - 1, detector.num_subcarriers());
+  std::optional<core::PresenceDecision> decision;
+  EXPECT_NO_THROW(decision = engine.ProcessPacket(0, bad));
+  EXPECT_FALSE(decision.has_value());
+  const nic::LinkHealth health = engine.Health(0);
+  EXPECT_EQ(health.quarantined, 1u);
+  EXPECT_EQ(health.FaultCount(nic::FrameFault::kShapeMismatch), 1u);
+
+  const std::span<const wifi::CsiPacket> session(f.occupied_session);
+  const std::vector<core::PresenceDecision> after(
+      engine.ProcessBatch(0, session).decisions);
+  core::SensingEngine fresh;
+  fresh.AddLink(std::move(detector), {}, config);
+  const auto& reference = fresh.ProcessBatch(0, session);
+  ASSERT_FALSE(after.empty());
+  ASSERT_EQ(after.size(), reference.decisions.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].score, reference.decisions[i].score);
+    EXPECT_EQ(after[i].occupied, reference.decisions[i].occupied);
+  }
+  EXPECT_EQ(engine.Health(0).quarantined, 1u);
 }
 
 // The single-link convenience overload refuses multi-link engines.
@@ -701,7 +748,8 @@ TEST(EngineEquivalence, ProfileStackFollowsEveryProfileRewrite) {
 // The baseline ingest cache must stay coherent under the recalibration
 // ladder: when a profile swap bumps the detector's profile epoch
 // mid-stream, stale cached packet scores must not leak into decisions —
-// pinned by bit-identity against StreamingDetector (which never caches).
+// pinned by bit-identity against the raw-window oracle (which never
+// caches) scoring with the detector as the ladder left it.
 TEST(EngineEquivalence, BaselineIngestCacheSurvivesRecalibration) {
   auto& f = Fixture();
   auto detector = f.Calibrated(core::DetectionScheme::kBaseline);
@@ -718,30 +766,20 @@ TEST(EngineEquivalence, BaselineIngestCacheSurvivesRecalibration) {
   config.calibration.recalibration_quiet_windows = 3;
   config.calibration.recalibration_timeout_windows = 10;
 
-  core::StreamingDetector streaming(detector, empty_scores, config);
+  test_support::ScoreOracle oracle(config, detector);
   core::SensingEngine engine;
   engine.AddLink(std::move(detector), empty_scores, config);
 
   // Empty-room stream: quiet windows feed the ladder, which recalibrates
   // (ApplyProfile bumps the epoch) while the cache holds pre-swap scores.
-  std::vector<core::PresenceDecision> push_decisions;
+  std::size_t decisions = 0;
   for (const auto& packet : f.empty_session) {
-    if (auto d = streaming.Push(packet)) push_decisions.push_back(*d);
-  }
-  std::vector<core::PresenceDecision> engine_decisions;
-  for (const auto& packet : f.empty_session) {
-    if (auto d = engine.ProcessPacket(0, packet)) {
-      engine_decisions.push_back(*d);
+    if (test_support::CheckedPush(oracle, engine, 0, packet).has_value()) {
+      ++decisions;
     }
   }
-
-  ASSERT_EQ(push_decisions.size(), engine_decisions.size());
-  ASSERT_FALSE(push_decisions.empty());
-  for (std::size_t i = 0; i < push_decisions.size(); ++i) {
-    EXPECT_EQ(push_decisions[i].score, engine_decisions[i].score);
-    EXPECT_EQ(push_decisions[i].posterior, engine_decisions[i].posterior);
-    EXPECT_EQ(push_decisions[i].occupied, engine_decisions[i].occupied);
-  }
+  EXPECT_GT(decisions, 0u);
+  EXPECT_GT(engine.Calibrator(0).profile_swaps(), 0u);
 }
 
 // One fleet engine on one shared scratch serves every kind of link its
@@ -750,8 +788,9 @@ TEST(EngineEquivalence, BaselineIngestCacheSurvivesRecalibration) {
 // 3-antenna ones — interleaved packet by packet. The stream drifts (so the
 // ladders recalibrate and swap profiles, learning from windows rebuilt out
 // of the slab ring) and then loses an RX chain (so degraded windows are
-// rebuilt too). Every decision is bit-identical to a lone StreamingDetector
-// per link, which keeps its own packet window.
+// rebuilt too). Every decision scores like the raw-window oracle, which
+// keeps its own packet window, and the fleet's ladders and HMM posteriors
+// track a lone engine per link that owns its scratch.
 TEST(EngineEquivalence, SlabRebuiltWindowsMatchStreamingAcrossShapes) {
   auto& f = Fixture();
   nic::FaultInjectionConfig faults;
@@ -777,13 +816,12 @@ TEST(EngineEquivalence, SlabRebuiltWindowsMatchStreamingAcrossShapes) {
       {core::DetectionScheme::kSubcarrierAndPathWeighting, 2, 50},
   };
   std::vector<std::vector<wifi::CsiPacket>> streams;
-  // Reserved: a StreamingDetector's HMM filter refers to its own model, so
-  // the detectors must not move once constructed.
-  std::vector<core::StreamingDetector> lone;
-  lone.reserve(std::size(specs));
+  std::vector<test_support::ScoreOracle> oracles;
+  std::vector<core::SensingEngine> lone(std::size(specs));
   core::SensingEngine fleet;
   fleet.UseSharedScratch();
-  for (const Spec& spec : specs) {
+  for (std::size_t l = 0; l < std::size(specs); ++l) {
+    const Spec& spec = specs[l];
     auto sim = ex::MakeSimulator(f.link, ex::DefaultSimConfig(), spec.antennas);
     Rng rng(400 + spec.antennas);
     const auto calibration = sim.CaptureSession(300, std::nullopt, rng);
@@ -818,7 +856,8 @@ TEST(EngineEquivalence, SlabRebuiltWindowsMatchStreamingAcrossShapes) {
     auto drifting = ex::MakeSimulator(f.link, sim_config, spec.antennas);
     Rng stream_rng(77);
     streams.push_back(drifting.CaptureSession(2000, std::nullopt, stream_rng));
-    lone.emplace_back(detector, empty_scores, config);
+    oracles.emplace_back(config, detector);
+    lone[l].AddLink(detector, empty_scores, config);
     fleet.AddLink(std::move(detector), empty_scores, config);
   }
 
@@ -826,21 +865,21 @@ TEST(EngineEquivalence, SlabRebuiltWindowsMatchStreamingAcrossShapes) {
   std::vector<std::size_t> degraded(lone.size(), 0);
   for (std::size_t i = 0; i < streams[0].size(); ++i) {
     for (std::size_t l = 0; l < lone.size(); ++l) {
-      const auto expected = lone[l].Push(streams[l][i]);
-      const auto got = fleet.ProcessPacket(l, streams[l][i]);
-      ASSERT_EQ(expected.has_value(), got.has_value()) << l << " @" << i;
+      const auto alone = lone[l].ProcessPacket(0, streams[l][i]);
+      const auto got =
+          test_support::CheckedPush(oracles[l], fleet, l, streams[l][i]);
+      ASSERT_FALSE(::testing::Test::HasFailure()) << l << " @" << i;
+      ASSERT_EQ(alone.has_value(), got.has_value()) << l << " @" << i;
       if (!got.has_value()) continue;
       ++decisions[l];
       degraded[l] += got->degraded ? 1 : 0;
-      ASSERT_EQ(expected->timestamp_s, got->timestamp_s) << l << " @" << i;
-      ASSERT_EQ(expected->score, got->score) << l << " @" << i;
-      ASSERT_EQ(expected->posterior, got->posterior) << l << " @" << i;
-      ASSERT_EQ(expected->occupied, got->occupied) << l << " @" << i;
-      ASSERT_EQ(expected->degraded, got->degraded) << l << " @" << i;
+      ASSERT_EQ(alone->score, got->score) << l << " @" << i;
+      ASSERT_EQ(alone->posterior, got->posterior) << l << " @" << i;
+      ASSERT_EQ(alone->occupied, got->occupied) << l << " @" << i;
     }
   }
   for (std::size_t l = 0; l < lone.size(); ++l) {
-    const auto& want = lone[l].calibrator();
+    const auto& want = lone[l].Calibrator(0);
     const auto& have = fleet.Calibrator(l);
     EXPECT_GT(decisions[l], 0u) << l;
     EXPECT_GT(degraded[l], 0u) << l;

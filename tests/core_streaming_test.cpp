@@ -1,11 +1,14 @@
-// Streaming detector + multi-link fusion tests.
+// Streaming presence detection through SensingEngine (packet-at-a-time
+// cadence, HMM smoothing, reset, config validation) + multi-link fusion
+// tests.
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "core/engine.h"
 #include "core/fusion.h"
-#include "core/streaming.h"
 #include "experiments/scenario.h"
+#include "score_oracle.h"
 
 namespace mulink::core {
 namespace {
@@ -39,17 +42,29 @@ struct Rig {
   std::vector<double> empty_scores;
 };
 
+// One-link engine over the rig's detector: the packet-at-a-time serving
+// path every deployment goes through.
+SensingEngine OneLink(const Rig& rig, const std::vector<double>& empty_scores,
+                      const StreamingConfig& config) {
+  SensingEngine engine;
+  engine.AddLink(*rig.detector, empty_scores, config);
+  return engine;
+}
+
 TEST(Streaming, DecisionCadenceFollowsHop) {
   Rig rig;
   StreamingConfig config;
   config.window_packets = 25;
   config.hop_packets = 25;
-  StreamingDetector stream(*rig.detector, rig.empty_scores, config);
+  SensingEngine engine = OneLink(rig, rig.empty_scores, config);
+  test_support::ScoreOracle oracle(config, *rig.detector);
 
   int decisions = 0;
   for (int i = 0; i < 100; ++i) {
     const auto packet = rig.sim.CapturePacket(std::nullopt, rig.rng);
-    if (stream.Push(packet).has_value()) ++decisions;
+    if (test_support::CheckedPush(oracle, engine, 0, packet).has_value()) {
+      ++decisions;
+    }
   }
   EXPECT_EQ(decisions, 4);  // 100 packets / hop 25
 }
@@ -59,11 +74,12 @@ TEST(Streaming, OverlappingHopProducesMoreDecisions) {
   StreamingConfig config;
   config.window_packets = 25;
   config.hop_packets = 5;
-  StreamingDetector stream(*rig.detector, rig.empty_scores, config);
+  SensingEngine engine = OneLink(rig, rig.empty_scores, config);
+  test_support::ScoreOracle oracle(config, *rig.detector);
   int decisions = 0;
   for (int i = 0; i < 100; ++i) {
-    if (stream.Push(rig.sim.CapturePacket(std::nullopt, rig.rng))
-            .has_value()) {
+    const auto packet = rig.sim.CapturePacket(std::nullopt, rig.rng);
+    if (test_support::CheckedPush(oracle, engine, 0, packet).has_value()) {
       ++decisions;
     }
   }
@@ -73,45 +89,45 @@ TEST(Streaming, OverlappingHopProducesMoreDecisions) {
 
 TEST(Streaming, DetectsPersonAndRecovers) {
   Rig rig;
-  StreamingConfig config;
-  StreamingDetector stream(*rig.detector, rig.empty_scores, config);
+  SensingEngine engine = OneLink(rig, rig.empty_scores, {});
 
   // Empty room: stays idle.
   for (int i = 0; i < 75; ++i) {
-    stream.Push(rig.sim.CapturePacket(std::nullopt, rig.rng));
+    engine.ProcessPacket(0, rig.sim.CapturePacket(std::nullopt, rig.rng));
   }
-  EXPECT_FALSE(stream.occupied());
+  EXPECT_FALSE(engine.occupied(0));
 
   // Person on the LOS: flips occupied within a few windows.
   propagation::HumanBody body;
   body.position = (rig.link.tx + rig.link.rx) * 0.5;
   for (int i = 0; i < 100; ++i) {
-    stream.Push(rig.sim.CapturePacket(body, rig.rng));
+    engine.ProcessPacket(0, rig.sim.CapturePacket(body, rig.rng));
   }
-  EXPECT_TRUE(stream.occupied());
-  EXPECT_GT(stream.posterior(), 0.8);
+  EXPECT_TRUE(engine.occupied(0));
+  EXPECT_GT(engine.posterior(0), 0.8);
 
   // Person leaves: posterior decays back.
   for (int i = 0; i < 200; ++i) {
-    stream.Push(rig.sim.CapturePacket(std::nullopt, rig.rng));
+    engine.ProcessPacket(0, rig.sim.CapturePacket(std::nullopt, rig.rng));
   }
-  EXPECT_FALSE(stream.occupied());
+  EXPECT_FALSE(engine.occupied(0));
 }
 
 TEST(Streaming, ResetClearsState) {
   Rig rig;
-  StreamingDetector stream(*rig.detector, rig.empty_scores, {});
+  SensingEngine engine = OneLink(rig, rig.empty_scores, {});
   propagation::HumanBody body;
   body.position = (rig.link.tx + rig.link.rx) * 0.5;
   for (int i = 0; i < 100; ++i) {
-    stream.Push(rig.sim.CapturePacket(body, rig.rng));
+    engine.ProcessPacket(0, rig.sim.CapturePacket(body, rig.rng));
   }
-  EXPECT_TRUE(stream.occupied());
-  stream.Reset();
-  EXPECT_FALSE(stream.occupied());
+  EXPECT_TRUE(engine.occupied(0));
+  engine.Reset(0);
+  EXPECT_FALSE(engine.occupied(0));
+  EXPECT_EQ(engine.posterior(0), 0.0);
   // Needs a full window again before the next decision.
   const auto decision =
-      stream.Push(rig.sim.CapturePacket(std::nullopt, rig.rng));
+      engine.ProcessPacket(0, rig.sim.CapturePacket(std::nullopt, rig.rng));
   EXPECT_FALSE(decision.has_value());
 }
 
@@ -119,12 +135,12 @@ TEST(Streaming, RawThresholdModeWorksWithoutHmm) {
   Rig rig;
   StreamingConfig config;
   config.use_hmm = false;
-  StreamingDetector stream(*rig.detector, {}, config);
+  SensingEngine engine = OneLink(rig, {}, config);
   propagation::HumanBody body;
   body.position = (rig.link.tx + rig.link.rx) * 0.5;
   std::optional<PresenceDecision> last;
   for (int i = 0; i < 50; ++i) {
-    auto d = stream.Push(rig.sim.CapturePacket(body, rig.rng));
+    auto d = engine.ProcessPacket(0, rig.sim.CapturePacket(body, rig.rng));
     if (d.has_value()) last = d;
   }
   ASSERT_TRUE(last.has_value());
@@ -134,14 +150,16 @@ TEST(Streaming, RawThresholdModeWorksWithoutHmm) {
 
 TEST(Streaming, ValidatesConfig) {
   Rig rig;
+  SensingEngine engine;
   StreamingConfig bad;
   bad.hop_packets = 30;  // > window
-  EXPECT_THROW(StreamingDetector(*rig.detector, rig.empty_scores, bad),
+  EXPECT_THROW(engine.AddLink(*rig.detector, rig.empty_scores, bad),
                PreconditionError);
   StreamingConfig one;
   one.window_packets = 1;
-  EXPECT_THROW(StreamingDetector(*rig.detector, rig.empty_scores, one),
+  EXPECT_THROW(engine.AddLink(*rig.detector, rig.empty_scores, one),
                PreconditionError);
+  EXPECT_EQ(engine.NumActiveLinks(), 0u);
 }
 
 TEST(Fusion, RuleNames) {

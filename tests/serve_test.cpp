@@ -254,6 +254,43 @@ TEST(ServeCore, CountsFramesAndDecisions) {
   EXPECT_EQ(decisions, links * (frames - 10 + 1));
 }
 
+// A frame whose shape does not match its profile's detector is refused at
+// Submit (false, counted in frames_rejected) rather than reaching the
+// shard, where the engine would throw on it and terminate the process. The
+// link's well-formed frames after it still decide, with the guard on or
+// off, and Stop returns.
+TEST(ServeCore, RefusesMisShapedFrameWithoutAbort) {
+  auto& f = Fixture();
+  const std::size_t frames = 30;
+  const auto streams = f.Streams(1, frames);
+  wifi::CsiPacket bad = streams[0].front();
+  bad.csi.Resize(f.detector->num_antennas() - 1, f.detector->num_subcarriers());
+
+  for (bool guard : {false, true}) {
+    serve::ServeConfig config;
+    config.num_shards = 1;
+    config.queue_capacity = 64;
+    config.policy = serve::BackPressure::kBlock;
+    config.stream = f.Stream();
+    config.stream.guard_enabled = guard;
+    serve::ServeCore core(config);
+    const auto profile = core.RegisterProfile(f.detector, f.empty_scores);
+    core.Start();
+    EXPECT_FALSE(core.Submit(0, profile, bad)) << "guard=" << guard;
+    for (const auto& packet : streams[0]) {
+      EXPECT_TRUE(core.Submit(0, profile, packet));
+    }
+    core.Stop();
+
+    const auto stats = core.Stats();
+    EXPECT_EQ(stats[0].frames_rejected, 1u);
+    EXPECT_EQ(stats[0].frames_routed, frames);
+    EXPECT_EQ(stats[0].frames_processed, frames);
+    // Hop 1, window 10: one decision per frame once the window is full.
+    EXPECT_EQ(stats[0].decisions, frames - 10 + 1);
+  }
+}
+
 // ---- Determinism ----------------------------------------------------------
 
 TEST(ServeDeterminism, MergedLogBitIdenticalAcross124Shards) {

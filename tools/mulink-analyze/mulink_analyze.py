@@ -645,9 +645,14 @@ def _walk_body(tokens, start, end, fn: FuncInfo, atomic_vars,
                     and prev.text == "::" and nxt is not None \
                     and nxt.text == "<":
                 fn.facts.append(("alloc-function", t.line, "std::function"))
-            if t.text in ALLOC_FREE_CALLS and nxt is not None \
-                    and nxt.text == "(":
-                fn.facts.append(("alloc-call", t.line, t.text))
+            if t.text in ALLOC_FREE_CALLS and nxt is not None:
+                # `make_unique<T>(...)`: step over the template argument
+                # list before looking for the call's `(`.
+                call = i + 1
+                if nxt.text == "<":
+                    call = _match_angle(tokens, i + 1) + 1
+                if call < end and tokens[call].text == "(":
+                    fn.facts.append(("alloc-call", t.line, t.text))
 
             # Atomic operator-form access: ++x / x++ / x op= / x = v.
             if t.text in atomic_vars:

@@ -153,6 +153,23 @@ class HotPathAllocRule(AnalyzeHarness):
         self.assertEqual(code, mulink_analyze.EXIT_FINDINGS)
         self.assertIn("reserve", out)
 
+    def test_templated_make_unique_and_make_shared_fail(self):
+        # The template argument list sits between the name and the call's
+        # `(` — nested (`>>`) and qualified arguments included.
+        code, out, _ = self.analyze_tree({
+            "src/core/engine.cpp":
+            "MULINK_HOT double Push(double x) {\n"
+            "  auto one = std::make_unique<double>(1.0);\n"
+            "  auto many = std::make_shared<std::vector<int>>(4);\n"
+            "  return *one + x + static_cast<double>(many->size());\n"
+            "}\n"
+        }, ["--rule", "hot-path-alloc"])
+        self.assertEqual(code, mulink_analyze.EXIT_FINDINGS)
+        self.assertIn("engine.cpp:2", out)
+        self.assertIn("`make_unique`", out)
+        self.assertIn("engine.cpp:3", out)
+        self.assertIn("`make_shared`", out)
+
     def test_unreachable_allocation_is_clean(self):
         # Same allocation, no path from any hot root: setup code is allowed
         # to allocate. This is the false-positive class the token rule
