@@ -146,32 +146,30 @@ void ProfilePosterior::SeedFrom(const Detector& detector) {
             seed_variance_.begin());
 }
 
-void ProfilePosterior::Observe(std::span<const wifi::CsiPacket> window,
+void ProfilePosterior::Observe(std::span<const double> power_plane,
                                double forgetting) {
-  if (window.empty() || num_antennas_ == 0) return;
-  MULINK_REQUIRE(window[0].NumAntennas() == num_antennas_ &&
-                     window[0].NumSubcarriers() == num_subcarriers_,
-                 "ProfilePosterior: window shape mismatch");
-  const double inv_n = 1.0 / static_cast<double>(window.size());
+  const std::size_t cells = num_antennas_ * num_subcarriers_;
+  if (power_plane.empty() || cells == 0) return;
+  MULINK_REQUIRE(power_plane.size() % cells == 0,
+                 "ProfilePosterior: power plane shape mismatch");
+  const std::size_t rows = power_plane.size() / cells;
+  const double inv_n = 1.0 / static_cast<double>(rows);
   weight_ = forgetting * weight_ + 1.0;
   const double inv_w = 1.0 / weight_;
-  for (std::size_t m = 0; m < num_antennas_; ++m) {
-    for (std::size_t k = 0; k < num_subcarriers_; ++k) {
-      double sum_p = 0.0, sum_p2 = 0.0, sum_a = 0.0;
-      for (const auto& packet : window) {
-        const double p = packet.SubcarrierPower(m, k);
-        sum_p += p;
-        sum_p2 += p * p;
-        sum_a += std::sqrt(p);
-      }
-      const double mean_p = sum_p * inv_n;
-      const double mean_a = sum_a * inv_n;
-      const double var = std::max(sum_p2 * inv_n - mean_p * mean_p, 0.0);
-      const std::size_t idx = m * num_subcarriers_ + k;
-      mean_power_[idx] += (mean_p - mean_power_[idx]) * inv_w;
-      mean_amplitude_[idx] += (mean_a - mean_amplitude_[idx]) * inv_w;
-      mean_variance_[idx] += (var - mean_variance_[idx]) * inv_w;
+  for (std::size_t c = 0; c < cells; ++c) {
+    double sum_p = 0.0, sum_p2 = 0.0, sum_a = 0.0;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double p = power_plane[r * cells + c];
+      sum_p += p;
+      sum_p2 += p * p;
+      sum_a += std::sqrt(p);
     }
+    const double mean_p = sum_p * inv_n;
+    const double mean_a = sum_a * inv_n;
+    const double var = std::max(sum_p2 * inv_n - mean_p * mean_p, 0.0);
+    mean_power_[c] += (mean_p - mean_power_[c]) * inv_w;
+    mean_amplitude_[c] += (mean_a - mean_amplitude_[c]) * inv_w;
+    mean_variance_[c] += (var - mean_variance_[c]) * inv_w;
   }
 }
 
@@ -305,8 +303,27 @@ void LinkCalibrator::AbortRecalibration() {
                    : LadderState::kDegraded);
 }
 
+bool LinkCalibrator::AgcRebaselineDue(
+    const CalibrationWindowContext& context) const {
+  return config_.agc_fast_rebaseline &&
+         context.agc_frames >= config_.agc_frames_min &&
+         (state_ == LadderState::kHealthy ||
+          state_ == LadderState::kDriftSuspected);
+}
+
+bool LinkCalibrator::NeedsWindowPackets(
+    const CalibrationWindowContext& context) const {
+  // Staging happens only in Recalibrating — already there, or entered by
+  // this decision's AGC re-baseline.
+  return config_.enabled && stage_packets_ &&
+         (state_ == LadderState::kRecalibrating || AgcRebaselineDue(context));
+}
+
 void LinkCalibrator::StageQuietPackets(
     std::span<const wifi::CsiPacket> window) {
+  MULINK_REQUIRE(!window.empty(),
+                 "LinkCalibrator: staging needs the window's packets (see "
+                 "NeedsWindowPackets)");
   const std::size_t per =
       std::min(config_.staged_packets_per_window, window.size());
   for (std::size_t i = 0; i < per; ++i) {
@@ -427,6 +444,7 @@ void LinkCalibrator::ApplySwap(Detector& detector, DetectorScratch& scratch) {
 
 bool LinkCalibrator::ObserveDecision(double score, double posterior,
                                      std::span<const wifi::CsiPacket> window,
+                                     std::span<const double* const> csi_slabs,
                                      Detector& detector,
                                      DetectorScratch& scratch,
                                      const CalibrationWindowContext& context) {
@@ -455,10 +473,7 @@ bool LinkCalibrator::ObserveDecision(double score, double posterior,
 
   // AGC fast re-baseline: a confirmed gain step obsoletes the profile at
   // once — no point waiting out drift confirmation on stale statistics.
-  if (config_.agc_fast_rebaseline &&
-      context.agc_frames >= config_.agc_frames_min &&
-      (state_ == LadderState::kHealthy ||
-       state_ == LadderState::kDriftSuspected)) {
+  if (AgcRebaselineDue(context)) {
     ++agc_rebaselines_;
     MULINK_OBS_COUNT(metrics, kAgcRebaselines);
     EnterRecalibrating(/*agc_path=*/true);
@@ -539,7 +554,12 @@ bool LinkCalibrator::ObserveDecision(double score, double posterior,
                                     ? config_.recalibration_forgetting
                                     : config_.forgetting;
       score_posterior_.Observe(score, forgetting);
-      profile_posterior_.Observe(window, forgetting);
+      // The plane lives in the scoring scratch; it is consumed here, before
+      // any swap below rescores staged packets through the same scratch.
+      profile_posterior_.Observe(
+          FillPowerPlane(window, csi_slabs, detector.num_antennas(),
+                         detector.num_subcarriers(), scratch.power_plane),
+          forgetting);
     }
 
     switch (state_) {

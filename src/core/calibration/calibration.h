@@ -247,9 +247,11 @@ class ProfilePosterior {
   // the first swaps blend rather than replace.
   void SeedFrom(const Detector& detector);
 
-  // Fold one quiet window in (same sanitization state as the profile:
-  // sanitized for every scheme but the baseline). Allocation-free.
-  void Observe(std::span<const wifi::CsiPacket> window, double forgetting);
+  // Fold one quiet window in, given as its window-order power plane
+  // (FillPowerPlane of packets in the profile's sanitization state:
+  // sanitized for every scheme but the baseline). Each cell accumulates its
+  // column in window order. Allocation-free.
+  void Observe(std::span<const double> power_plane, double forgetting);
 
   double EffectiveWindows() const { return weight_; }
   double MeanPower(std::size_t m, std::size_t k) const {
@@ -315,19 +317,30 @@ class LinkCalibrator {
   bool enabled() const { return config_.enabled; }
 
   // Observe one emitted decision (clean or degraded) and run the ladder.
-  // `score`/`posterior` are the decision's statistic and P(occupied);
-  // `window` is the scored window in the detector's expected sanitization
-  // state; `detector` is mutated in place when a swap fires, and the swap
-  // borrows `scratch` — the link's scoring workspace, idle between windows
-  // — to rebuild the angular profile and rescore the staged packets (it
-  // never writes scratch.sanitized, so `window` may live there). Returns
-  // true when a profile/threshold swap was applied this decision — the
-  // caller must then re-fit its HMM empty emission from
+  // `score`/`posterior` are the decision's statistic and P(occupied). The
+  // scored window, in the detector's expected sanitization state, comes as
+  // its packets (`window`) and/or its ingest slabs (`csi_slabs`, one per
+  // packet in Detector::PreparedWindowFactors' layout): the profile
+  // posterior folds the window's power plane, built from the slabs when
+  // given, and only staging quiet packets needs the packets themselves —
+  // `window` may be empty unless NeedsWindowPackets(context). `detector` is
+  // mutated in place when a swap fires, and the swap borrows `scratch` —
+  // the link's scoring workspace, idle between windows — for the power
+  // plane, the angular refresh and rescoring the staged packets (it never
+  // writes scratch.sanitized or scratch.window, so `window` may live
+  // there). Returns true when a profile/threshold swap was applied this
+  // decision — the caller must then re-fit its HMM empty emission from
   // quiet_log_mean/sigma().
   bool ObserveDecision(double score, double posterior,
                        std::span<const wifi::CsiPacket> window,
+                       std::span<const double* const> csi_slabs,
                        Detector& detector, DetectorScratch& scratch,
                        const CalibrationWindowContext& context);
+
+  // Whether ObserveDecision may stage quiet packets from this decision's
+  // window (the ladder is Recalibrating, or this decision's AGC burst
+  // enters it), so the caller must pass the window's packets.
+  bool NeedsWindowPackets(const CalibrationWindowContext& context) const;
 
   LadderState state() const { return state_; }
   // Drift flag the ladder exposes in place of the legacy watchdog: set from
@@ -366,6 +379,8 @@ class LinkCalibrator {
   obs::Registry* metrics = nullptr;
 
  private:
+  // A confirmed AGC step this decision re-baselines through Recalibrating.
+  bool AgcRebaselineDue(const CalibrationWindowContext& context) const;
   void TransitionTo(LadderState next);
   void EnterRecalibrating(bool agc_path) MULINK_REQUIRES(owner_role_);
   // A recalibration attempt ended without a swap (quiet evidence never

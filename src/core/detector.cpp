@@ -30,6 +30,36 @@ std::uint64_t NextProfileVersion() {
 
 }  // namespace
 
+std::span<double> FillPowerPlane(std::span<const wifi::CsiPacket> window,
+                                 std::span<const double* const> csi_slabs,
+                                 std::size_t antennas, std::size_t subcarriers,
+                                 std::vector<double>& plane) {
+  const std::size_t cells = antennas * subcarriers;
+  const std::size_t rows = csi_slabs.empty() ? window.size() : csi_slabs.size();
+  if (plane.size() < rows * cells) {
+    // mulink-lint: allow(alloc): grow-only; a shared scratch is pre-warmed
+    plane.resize(rows * cells);
+  }
+  for (std::size_t i = 0; i < rows; ++i) {
+    double* const out = plane.data() + i * cells;
+    if (!csi_slabs.empty()) {
+      const double* const re = csi_slabs[i];
+      const double* const im = re + cells;
+      for (std::size_t c = 0; c < cells; ++c) {
+        out[c] = re[c] * re[c] + im[c] * im[c];
+      }
+    } else {
+      MULINK_REQUIRE(window[i].csi.rows() * window[i].csi.cols() == cells,
+                     "FillPowerPlane: packet shape mismatch");
+      const Complex* const h = window[i].csi.raw();
+      for (std::size_t c = 0; c < cells; ++c) {
+        out[c] = h[c].real() * h[c].real() + h[c].imag() * h[c].imag();
+      }
+    }
+  }
+  return {plane.data(), rows * cells};
+}
+
 const char* ToString(DetectionScheme scheme) {
   switch (scheme) {
     case DetectionScheme::kBaseline:
@@ -175,11 +205,10 @@ double Detector::ScoreSanitized(std::span<const wifi::CsiPacket> window,
 double Detector::ScoreSanitizedPrepared(
     std::span<const wifi::CsiPacket> window,
     const PreparedWindowFactors& factors, DetectorScratch& scratch) const {
-  // With ingest-split slabs the combined scheme never touches the window
+  // With ingest-split slabs the sanitized schemes never touch the window
   // packets, so the caller may pass an empty window span.
   const bool slab_window =
-      window.empty() && !factors.csi_slabs.empty() &&
-      config_.scheme == DetectionScheme::kSubcarrierAndPathWeighting;
+      window.empty() && !factors.csi_slabs.empty() && UsesSanitizedInput();
   const std::size_t window_packets =
       slab_window ? factors.csi_slabs.size() : window.size();
   MULINK_REQUIRE(window_packets > 0,
@@ -192,6 +221,10 @@ double Detector::ScoreSanitizedPrepared(
   MULINK_REQUIRE(factors.mu_rows.size() == window_packets &&
                      factors.medians.size() == window_packets,
                  "Detector::ScoreSanitizedPrepared: factors/window size "
+                 "mismatch");
+  MULINK_REQUIRE(factors.csi_slabs.empty() ||
+                     factors.csi_slabs.size() == window_packets,
+                 "Detector::ScoreSanitizedPrepared: slabs/window size "
                  "mismatch");
   MULINK_OBS_COUNT(scratch.metrics, kWindowsScored);
   return DispatchSanitized(window, scratch, &factors);
@@ -569,12 +602,60 @@ double Detector::ScoreBaselinePrepared(std::span<const double> packet_scores,
   return score / static_cast<double>(packet_scores.size());
 }
 
+void Detector::ComputeCellStats(std::span<const wifi::CsiPacket> sanitized,
+                                DetectorScratch& scratch,
+                                const PreparedWindowFactors* prepared,
+                                bool spread) const {
+  const std::size_t cells = num_antennas_ * num_subcarriers_;
+  const std::span<double> plane = FillPowerPlane(
+      sanitized,
+      prepared != nullptr ? prepared->csi_slabs
+                          : std::span<const double* const>(),
+      num_antennas_, num_subcarriers_, scratch.power_plane);
+  const std::size_t rows = plane.size() / cells;
+  auto& center = scratch.cell_center;
+  auto& spread_out = scratch.cell_spread;
+  if (center.size() < cells || spread_out.size() < cells) {
+    // mulink-lint: allow(alloc): grow-only; a shared scratch is pre-warmed
+    center.resize(cells);
+    // mulink-lint: allow(alloc): grow-only; a shared scratch is pre-warmed
+    spread_out.resize(cells);
+  }
+  if (config_.robust_window_aggregate) {
+    // Medians (and MADs) of every cell's column in one batched kernel.
+    kernels::ColumnMedians(plane.data(), rows, cells, cells, center.data(),
+                           spread ? spread_out.data() : nullptr);
+    return;
+  }
+  // dsp::Mean / dsp::Variance per cell: each cell accumulates its column in
+  // window order, so the values are theirs bit for bit.
+  const double n = static_cast<double>(rows);
+  std::fill_n(center.begin(), cells, 0.0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* const row = plane.data() + r * cells;
+    for (std::size_t c = 0; c < cells; ++c) center[c] += row[c];
+  }
+  for (std::size_t c = 0; c < cells; ++c) center[c] /= n;
+  if (!spread) return;
+  std::fill_n(spread_out.begin(), cells, 0.0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* const row = plane.data() + r * cells;
+    for (std::size_t c = 0; c < cells; ++c) {
+      const double d = row[c] - center[c];
+      spread_out[c] += d * d;
+    }
+  }
+  for (std::size_t c = 0; c < cells; ++c) spread_out[c] /= n;
+}
+
 double Detector::ScoreSubcarrierWeighting(
     std::span<const wifi::CsiPacket> sanitized, DetectorScratch& scratch,
     std::uint32_t live_mask, const PreparedWindowFactors* prepared) const {
   ComputeWindowWeights(sanitized, scratch, prepared);
   MULINK_OBS_STAGE_TIMER(score_timer, scratch.metrics, kScore);
+  ComputeCellStats(sanitized, scratch, prepared, /*spread=*/false);
   const auto& weights = scratch.weights;
+  const double* const window_power = scratch.cell_center.data();
 
   // Uniform weight reference so weighting redistributes emphasis without
   // changing the overall score scale (weights sum to <= 1 by construction).
@@ -587,26 +668,17 @@ double Detector::ScoreSubcarrierWeighting(
   const std::size_t live = static_cast<std::size_t>(
       std::popcount(live_mask & FullAntennaMask()));
   double score = 0.0;
-  auto& powers = scratch.powers;
-  // mulink-lint: allow(alloc): warm scratch; capacity sticks after first window
-  powers.resize(sanitized.size());
   for (std::size_t m = 0; m < num_antennas_; ++m) {
     if (((live_mask >> m) & 1u) == 0) continue;
     double sum_sq = 0.0;
     for (std::size_t k = 0; k < num_subcarriers_; ++k) {
-      for (std::size_t i = 0; i < sanitized.size(); ++i) {
-        powers[i] = sanitized[i].SubcarrierPower(m, k);
-      }
-      const double window_power =
-          config_.robust_window_aggregate
-              ? dsp::Median(powers, scratch.median_scratch)
-              : dsp::Mean(powers);
       // Eq. 12's linear power difference, normalized by the profile's mean
       // power so one global threshold works across links. (A dB-domain
       // difference was evaluated and rejected: the log expands the noise of
       // deep-fade subcarriers — exactly the ones Eq. 15 up-weights.)
       const double delta_s =
-          (window_power - profile_power_[m][k]) / profile_scale_power_;
+          (window_power[m * num_subcarriers_ + k] - profile_power_[m][k]) /
+          profile_scale_power_;
       const double weighted = (weights.weights[k] / uniform) * delta_s;
       sum_sq += weighted * weighted;
     }
@@ -618,26 +690,26 @@ double Detector::ScoreSubcarrierWeighting(
 double Detector::ScoreVarianceMobile(
     std::span<const wifi::CsiPacket> sanitized, DetectorScratch& scratch,
     std::uint32_t live_mask, const PreparedWindowFactors* prepared) const {
-  MULINK_REQUIRE(sanitized.size() >= 2,
+  const std::size_t packets =
+      prepared != nullptr && !prepared->csi_slabs.empty()
+          ? prepared->csi_slabs.size()
+          : sanitized.size();
+  MULINK_REQUIRE(packets >= 2,
                  "Detector: variance statistic needs >= 2 packets");
   ComputeWindowWeights(sanitized, scratch, prepared);
   MULINK_OBS_STAGE_TIMER(score_timer, scratch.metrics, kScore);
+  ComputeCellStats(sanitized, scratch, prepared, /*spread=*/true);
   const auto& weights = scratch.weights;
+  const double* const spread = scratch.cell_spread.data();
   const double uniform = 1.0 / static_cast<double>(num_subcarriers_);
 
   const std::size_t live = static_cast<std::size_t>(
       std::popcount(live_mask & FullAntennaMask()));
   double score = 0.0;
-  auto& powers = scratch.powers;
-  // mulink-lint: allow(alloc): warm scratch; capacity sticks after first window
-  powers.resize(sanitized.size());
   for (std::size_t m = 0; m < num_antennas_; ++m) {
     if (((live_mask >> m) & 1u) == 0) continue;
     double sum_sq = 0.0;
     for (std::size_t k = 0; k < num_subcarriers_; ++k) {
-      for (std::size_t i = 0; i < sanitized.size(); ++i) {
-        powers[i] = sanitized[i].SubcarrierPower(m, k);
-      }
       // EXCESS temporal spread over the empty-room floor (walkers, noise
       // and interference already vibrate the channel; only spread beyond
       // that is evidence of a moving person). The robust aggregate swaps the
@@ -646,11 +718,10 @@ double Detector::ScoreVarianceMobile(
       // works across links.
       double window_variance;
       if (config_.robust_window_aggregate) {
-        const double robust_sigma =
-            1.4826 * dsp::MedianAbsDeviation(powers, scratch.median_scratch);
+        const double robust_sigma = 1.4826 * spread[m * num_subcarriers_ + k];
         window_variance = robust_sigma * robust_sigma;
       } else {
-        window_variance = dsp::Variance(powers);
+        window_variance = spread[m * num_subcarriers_ + k];
       }
       const double excess =
           std::max(0.0, window_variance - profile_variance_[m][k]);

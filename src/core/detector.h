@@ -115,7 +115,15 @@ struct DetectorScratch {
   std::vector<std::vector<double>> mu;
   SubcarrierWeights weights;
   std::vector<double> median_scratch;
-  std::vector<double> powers;  // per-window temporal powers of one subcarrier
+  // Window-order power plane (FillPowerPlane; grow-only, so a shared
+  // scratch keeps the largest window's capacity). The amplitude schemes
+  // sort it in place, column by column.
+  std::vector<double> power_plane;
+  // Per-(antenna, subcarrier) window statistics read off the plane: the
+  // window power (median, or mean) and the variance-mobile spread (MAD, or
+  // variance).
+  std::vector<double> cell_center;
+  std::vector<double> cell_spread;
   linalg::CMatrix monitor_cov;
   linalg::CMatrix profile_cov;
   MusicWorkspace music;
@@ -124,6 +132,19 @@ struct DetectorScratch {
   std::vector<double> weighted_monitor;
   std::vector<double> weighted_profile;
 };
+
+// Fill `plane` with a window's power plane, row-major rows x cells, window
+// order: row i holds packet i's |h|^2 = re*re + im*im for each (antenna,
+// subcarrier) cell, antenna-major (cells = antennas * subcarriers; one lane
+// per cell). Read from `csi_slabs` when given — one per window packet, in
+// kernels::Deinterleave's layout (re rows then im rows) — else from
+// `window`'s packets; the slabs are exact copies, so both sources give the
+// same bits, and those bits are CsiPacket::SubcarrierPower's. `plane` only
+// grows. Returns the filled rows * cells prefix.
+std::span<double> FillPowerPlane(std::span<const wifi::CsiPacket> window,
+                                 std::span<const double* const> csi_slabs,
+                                 std::size_t antennas, std::size_t subcarriers,
+                                 std::vector<double>& plane);
 
 class Detector {
  public:
@@ -165,10 +186,11 @@ class Detector {
     std::span<const double> medians;
     // Optional ingest-split CSI slabs, one per window packet (antenna-major
     // re rows then im rows, exactly kernels::Deinterleave's bytes — see
-    // SampleCovarianceSlabsInto). When set, the combined scheme's monitor
-    // covariance reads these instead of the window packets, so the caller
-    // can skip materializing the window entirely (pass an empty window span
-    // to ScoreSanitizedPrepared). Ignored by the other schemes.
+    // SampleCovarianceSlabsInto). When set, every sanitized scheme reads
+    // these instead of the window packets — the combined scheme's monitor
+    // covariance, the amplitude schemes' power plane — so the caller can
+    // skip materializing the window entirely (pass an empty window span to
+    // ScoreSanitizedPrepared).
     std::span<const double* const> csi_slabs;
   };
 
@@ -308,6 +330,9 @@ class Detector {
   const std::vector<std::vector<double>>& profile_power() const {
     return profile_power_;
   }
+  const std::vector<std::vector<double>>& profile_variance() const {
+    return profile_variance_;
+  }
   const DetectorConfig& config() const { return config_; }
 
  private:
@@ -336,6 +361,16 @@ class Detector {
   void ComputeWindowWeights(std::span<const wifi::CsiPacket> sanitized,
                             DetectorScratch& scratch,
                             const PreparedWindowFactors* prepared) const;
+  // Fill the window's power plane (from prepared->csi_slabs when set, else
+  // the packets) and read the per-cell window power into
+  // scratch.cell_center — plus, with `spread`, the variance-mobile spread
+  // into scratch.cell_spread: medians and MADs under
+  // robust_window_aggregate (kernels::ColumnMedians), else dsp::Mean /
+  // dsp::Variance's values, accumulated in their order.
+  void ComputeCellStats(std::span<const wifi::CsiPacket> sanitized,
+                        DetectorScratch& scratch,
+                        const PreparedWindowFactors* prepared,
+                        bool spread) const;
   double ScoreSubcarrierWeighting(std::span<const wifi::CsiPacket> sanitized,
                                   DetectorScratch& scratch,
                                   std::uint32_t live_mask,

@@ -159,20 +159,18 @@ struct SensingEngine::LinkState {
     }
 
     // Fast paths, bit-identical to scoring the packets: full-mask baseline
-    // windows fold the cached distances, full-mask combined windows read the
-    // slabs (the Deinterleave bytes the covariance kernel would compute).
-    // Other windows — degraded, amplitude-scheme, or calibrator-observed —
-    // are rebuilt; else the span stays empty so nothing stale can leak in.
+    // windows fold the cached distances, full-mask sanitized windows read
+    // the slabs (the Deinterleave bytes the covariance kernel would compute,
+    // the powers the amplitude schemes' plane holds). Only degraded windows
+    // and the baseline slow path are rebuilt here; else the span stays empty
+    // so nothing stale can leak in.
     const bool baseline_fast =
         !pre_sanitize && live_mask == full_mask &&
         BaselineCacheFresh(detector.profile_epoch());
-    const bool slab_fast = pre_sanitize && live_mask == full_mask &&
-                           detector.config().scheme ==
-                               DetectionScheme::kSubcarrierAndPathWeighting;
-    const std::span<const wifi::CsiPacket> window_span =
-        (!baseline_fast && !slab_fast) || calibrator.enabled()
-            ? RebuildWindow()
-            : std::span<const wifi::CsiPacket>();
+    const bool slab_fast = pre_sanitize && live_mask == full_mask;
+    std::span<const wifi::CsiPacket> window_span =
+        !baseline_fast && !slab_fast ? RebuildWindow()
+                                     : std::span<const wifi::CsiPacket>();
     for (std::size_t i = 0; i < config.window_packets; ++i) {
       const std::size_t slot = (write_pos + i) % config.window_packets;
       csi_window[i] = Slab(slot);
@@ -225,13 +223,17 @@ struct SensingEngine::LinkState {
       context.degraded = decision.degraded;
       context.repaired_frames = repaired_since_decision;
       context.agc_frames = agc_frames_since_decision;
-      // The window holds packets in the detector's expected sanitization
+      // The slabs hold packets in the detector's expected sanitization
       // state (sanitized on ingest iff the scheme consumes sanitized
-      // windows), so the posteriors learn from window_span directly.
-      // Calibration requires an owned detector (enforced in the ctor).
+      // windows), so the posteriors learn from them directly; the packets
+      // are rebuilt only when the ladder may stage some. Calibration
+      // requires an owned detector (enforced in the ctor).
+      if (window_span.empty() && calibrator.NeedsWindowPackets(context)) {
+        window_span = RebuildWindow();
+      }
       calibrator.ObserveDecision(decision.score, decision.posterior,
-                                 window_span, *owned_detector, *scratch,
-                                 context);
+                                 window_span, csi_window, *owned_detector,
+                                 *scratch, context);
       if (hmm.has_value()) {
         // Pin the HMM's empty emission to the live quiet posterior every
         // window, not just after a profile swap: the posterior absorbs slow
@@ -518,14 +520,30 @@ void SensingEngine::WarmSharedScratch(const LinkState& link) {
     packet.csi.Resize(detector.num_antennas(), detector.num_subcarriers());
     grew = true;
   }
+  // Power planes: a window, or a ladder swap rescoring a staging ring.
+  const std::size_t rescored =
+      link.calibrator.enabled()
+          ? std::max(link.config.window_packets,
+                     link.config.calibration.staged_quiet_packets)
+          : link.config.window_packets;
+  if (scratch.power_plane.size() < rescored * cells) {
+    // mulink-lint: allow(alloc): AddLink, setup path
+    scratch.power_plane.resize(rescored * cells);
+    grew = true;
+  }
+  if (scratch.cell_center.size() < cells) {
+    // mulink-lint: allow(alloc): AddLink, setup path
+    scratch.cell_center.resize(cells);
+    // mulink-lint: allow(alloc): AddLink, setup path
+    scratch.cell_spread.resize(cells);
+    grew = true;
+  }
   if (!link.calibrator.enabled() || (swap_warmed_ && !grew)) return;
   // Rehearse a ladder swap on a throwaway copy: the MUSIC refresh over the
   // retained set, then rescoring up to a window (or a staging ring) of
   // quiet packets. The sink is muted — this is not a scored window.
   scratch.metrics = nullptr;
   Detector probe(detector);
-  const std::size_t rescored = std::max(
-      link.config.window_packets, link.config.calibration.staged_quiet_packets);
   const auto retained = detector.retained_calibration();
   const auto staged = retained.first(std::min(retained.size(), rescored));
   if (staged.size() >= 2) {

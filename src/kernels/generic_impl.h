@@ -8,7 +8,10 @@
 // per-element helpers here for loop tails.
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "common/constants.h"
 #include "kernels/trig_core.h"
@@ -234,6 +237,99 @@ inline void GenericMusicScan(const double* steer_re, const double* steer_im,
     out[i] = MusicPoint(steer_re, steer_im, points, antennas, noise_re,
                         noise_im, noise_dim, denom_floor, i);
   }
+}
+
+// ---- column order statistics ---------------------------------------------
+//
+// Both backends walk the same sorting networks from the loop nests below
+// (no comparator table), one lane per column, with one compare-exchange:
+// lo = a < b ? a : b, hi = a < b ? b : a — exactly _mm256_min_pd(a, b) and
+// _mm256_max_pd(b, a), so they agree even on NaN. {lo, hi} is always a
+// permutation of {a, b}.
+
+inline void CompareExchange(double* a, double* b) {
+  const double x = *a;
+  const double y = *b;
+  // A bitwise select on the comparison mask: branch-free (a sorting
+  // network's compare outcomes are data-dependent, so a branch mispredicts
+  // constantly), and exact for every input, NaN and signed zeros included.
+  const std::uint64_t x_bits = std::bit_cast<std::uint64_t>(x);
+  const std::uint64_t y_bits = std::bit_cast<std::uint64_t>(y);
+  const std::uint64_t less = 0 - static_cast<std::uint64_t>(x < y);
+  *a = std::bit_cast<double>((x_bits & less) | (y_bits & ~less));
+  *b = std::bit_cast<double>((y_bits & less) | (x_bits & ~less));
+}
+
+// Batcher's odd–even merge sort over keys 0..n-1: cx(i, j), i < j, for
+// every comparator of the network on the next power of two, in network
+// order, skipping those that reach past n-1. With the missing keys read as
+// +inf those comparators are no-ops, so the pruned network still sorts.
+template <typename Cx>
+inline void OddEvenMergeSortNetwork(std::size_t n, Cx cx) {
+  for (std::size_t p = 1; p < n; p += p) {
+    for (std::size_t k = p; k > 0; k /= 2) {
+      for (std::size_t j = k % p; j + k < n; j += 2 * k) {
+        // The comparators (i, i + k), i in [j, j + k), either all stay
+        // inside one 2p-block of this merge level or all straddle a block
+        // boundary (then they belong to no merge), so one test per run.
+        if ((j ^ (j + k)) >= 2 * p) continue;
+        const std::size_t end = j + k < n - k ? j + k : n - k;
+        for (std::size_t i = j; i < end; ++i) cx(i, i + k);
+      }
+    }
+  }
+}
+
+// Bitonic merge over keys 0..n-1 that are V-shaped (non-increasing, then
+// non-decreasing): half-cleaners of the next power of two, pruned like the
+// sort above (+inf padding keeps the sequence V-shaped).
+template <typename Cx>
+inline void BitonicMergeNetwork(std::size_t n, Cx cx) {
+  std::size_t half = 1;
+  while (2 * half < n) half *= 2;
+  for (; half > 0 && n > 1; half /= 2) {
+    for (std::size_t block = 0; block + half < n; block += 2 * half) {
+      for (std::size_t i = block; i < block + half && i + half < n; ++i) {
+        cx(i, i + half);
+      }
+    }
+  }
+}
+
+// The middle order statistic of `cols` sorted columns: sorted[mid] for odd
+// rows, 0.5 * (sorted[mid-1] + sorted[mid]) for even rows.
+inline void GenericColumnMiddle(const double* plane, std::size_t rows,
+                                std::size_t cols, std::size_t stride,
+                                double* out) {
+  const double* hi = plane + (rows / 2) * stride;
+  if (rows % 2 == 1) {
+    for (std::size_t c = 0; c < cols; ++c) out[c] = hi[c];
+    return;
+  }
+  const double* lo = hi - stride;
+  for (std::size_t c = 0; c < cols; ++c) out[c] = 0.5 * (lo[c] + hi[c]);
+}
+
+inline void GenericColumnMedians(double* plane, std::size_t rows,
+                                 std::size_t cols, std::size_t stride,
+                                 double* median, double* mad) {
+  const auto cx = [&](std::size_t i, std::size_t j) {
+    double* a = plane + i * stride;
+    double* b = plane + j * stride;
+    for (std::size_t c = 0; c < cols; ++c) CompareExchange(a + c, b + c);
+  };
+  OddEvenMergeSortNetwork(rows, cx);
+  GenericColumnMiddle(plane, rows, cols, stride, median);
+  if (mad == nullptr) return;
+  // |sorted - median| descends to the median, then ascends: V-shaped.
+  for (std::size_t r = 0; r < rows; ++r) {
+    double* row = plane + r * stride;
+    for (std::size_t c = 0; c < cols; ++c) {
+      row[c] = std::abs(row[c] - median[c]);
+    }
+  }
+  BitonicMergeNetwork(rows, cx);
+  GenericColumnMiddle(plane, rows, cols, stride, mad);
 }
 
 }  // namespace mulink::kernels::detail

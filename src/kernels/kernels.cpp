@@ -168,4 +168,9 @@ void MusicScan(const double* steer_re, const double* steer_im,
                       noise_dim, denom_floor, out);
 }
 
+void ColumnMedians(double* plane, std::size_t rows, std::size_t cols,
+                   std::size_t stride, double* median, double* mad) {
+  Active().column_medians(plane, rows, cols, stride, median, mad);
+}
+
 }  // namespace mulink::kernels

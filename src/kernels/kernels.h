@@ -131,4 +131,19 @@ MULINK_HOT void MusicScan(const double* steer_re, const double* steer_im,
                const double* noise_re, const double* noise_im,
                std::size_t noise_dim, double denom_floor, double* out);
 
+// ---- order statistics --------------------------------------------------
+
+// Column medians of a row-major rows x stride plane, over its first `cols`
+// columns (lane == column; rows >= 1, cols <= stride). Sorts each column in
+// place with Batcher's odd–even merge network pruned to `rows` and writes
+// median[c] = sorted[mid] for odd rows, 0.5 * (sorted[mid-1] + sorted[mid])
+// for even rows (mid = rows / 2) — the value dsp::MedianInPlace returns,
+// because an order statistic does not depend on how it was selected. When
+// `mad` is non-null, each column is then replaced by |x - median[c]|
+// (V-shaped over the sorted column, so a bitonic merge re-sorts it) and
+// mad[c] is its median — dsp::MedianAbsDeviation. Compare-exchange is
+// lo = a < b ? a : b, hi = a < b ? b : a, so backends agree even on NaN.
+MULINK_HOT void ColumnMedians(double* plane, std::size_t rows, std::size_t cols,
+                              std::size_t stride, double* median, double* mad);
+
 }  // namespace mulink::kernels

@@ -464,6 +464,65 @@ void Avx2MusicScan(const double* steer_re, const double* steer_im,
   }
 }
 
+// ---- column order statistics ----------------------------------------------
+
+// One compare-exchange of two rows across a strip of 4 * V adjacent columns
+// (lane == column): min_pd(x, y) is x < y ? x : y and max_pd(y, x) is
+// x < y ? y : x — detail::CompareExchange's exact selection, NaN included.
+template <std::size_t V>
+inline void StripCompareExchange(double* a, double* b) {
+  for (std::size_t v = 0; v < V; ++v) {
+    const __m256d x = _mm256_loadu_pd(a + 4 * v);
+    const __m256d y = _mm256_loadu_pd(b + 4 * v);
+    _mm256_storeu_pd(a + 4 * v, _mm256_min_pd(x, y));
+    _mm256_storeu_pd(b + 4 * v, _mm256_max_pd(y, x));
+  }
+}
+
+// GenericColumnMedians over one strip: the same networks, walked once for
+// all 4 * V columns.
+template <std::size_t V>
+void ColumnMedianStrip(double* plane, std::size_t rows, std::size_t stride,
+                       double* median, double* mad) {
+  const auto cx = [plane, stride](std::size_t i, std::size_t j) {
+    StripCompareExchange<V>(plane + i * stride, plane + j * stride);
+  };
+  OddEvenMergeSortNetwork(rows, cx);
+  GenericColumnMiddle(plane, rows, 4 * V, stride, median);
+  if (mad == nullptr) return;
+  __m256d center[V];
+  for (std::size_t v = 0; v < V; ++v) {
+    center[v] = _mm256_loadu_pd(median + 4 * v);
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    double* row = plane + r * stride;
+    for (std::size_t v = 0; v < V; ++v) {
+      _mm256_storeu_pd(row + 4 * v,
+                       Abs(_mm256_sub_pd(_mm256_loadu_pd(row + 4 * v),
+                                         center[v])));
+    }
+  }
+  BitonicMergeNetwork(rows, cx);
+  GenericColumnMiddle(plane, rows, 4 * V, stride, mad);
+}
+
+void Avx2ColumnMedians(double* plane, std::size_t rows, std::size_t cols,
+                       std::size_t stride, double* median, double* mad) {
+  std::size_t c = 0;
+  for (; c + 8 <= cols; c += 8) {
+    ColumnMedianStrip<2>(plane + c, rows, stride, median + c,
+                         mad != nullptr ? mad + c : nullptr);
+  }
+  for (; c + 4 <= cols; c += 4) {
+    ColumnMedianStrip<1>(plane + c, rows, stride, median + c,
+                         mad != nullptr ? mad + c : nullptr);
+  }
+  if (c < cols) {
+    GenericColumnMedians(plane + c, rows, cols - c, stride, median + c,
+                         mad != nullptr ? mad + c : nullptr);
+  }
+}
+
 }  // namespace
 
 const KernelTable& Avx2Table() {
@@ -480,6 +539,7 @@ const KernelTable& Avx2Table() {
       &Avx2WeightedCovariance,
       &Avx2BartlettScan,
       &Avx2MusicScan,
+      &Avx2ColumnMedians,
   };
   return table;
 }

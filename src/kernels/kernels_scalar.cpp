@@ -20,6 +20,7 @@ const KernelTable& ScalarTable() {
       &GenericWeightedCovariance,
       &GenericBartlettScan,
       &GenericMusicScan,
+      &GenericColumnMedians,
   };
   return table;
 }

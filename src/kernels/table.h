@@ -38,6 +38,8 @@ struct KernelTable {
                      std::size_t points, std::size_t antennas,
                      const double* noise_re, const double* noise_im,
                      std::size_t noise_dim, double denom_floor, double* out);
+  void (*column_medians)(double* plane, std::size_t rows, std::size_t cols,
+                         std::size_t stride, double* median, double* mad);
 };
 
 const KernelTable& ScalarTable();

@@ -196,7 +196,11 @@ TEST(ProfilePosterior, ObserveConvergesOnWindowStatsAndResetRestores) {
                                                 kWindow);
   // Fold the same window in with fast forgetting: the posterior mean must
   // converge on the window's own per-cell mean power.
-  for (int i = 0; i < 40; ++i) posterior.Observe(window, 0.5);
+  std::vector<double> plane;
+  const auto window_plane =
+      core::FillPowerPlane(window, {}, detector.num_antennas(),
+                           detector.num_subcarriers(), plane);
+  for (int i = 0; i < 40; ++i) posterior.Observe(window_plane, 0.5);
   double expected = 0.0;
   for (const auto& packet : window) expected += packet.SubcarrierPower(1, 7);
   expected /= static_cast<double>(window.size());
@@ -246,8 +250,8 @@ struct LadderHarness {
 
   bool Feed(double score, double posterior,
             core::CalibrationWindowContext context = {}) {
-    return calibrator.ObserveDecision(score, posterior, NextWindow(), detector,
-                                      scratch, context);
+    return calibrator.ObserveDecision(score, posterior, NextWindow(), {},
+                                      detector, scratch, context);
   }
 
   bool Quiet(double score) { return Feed(score, 0.0); }

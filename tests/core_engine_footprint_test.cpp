@@ -17,6 +17,7 @@
 #include "core/engine.h"
 #include "counting_new.h"
 #include "experiments/scenario.h"
+#include "nic/fault_injection.h"
 
 using namespace mulink;
 namespace ex = mulink::experiments;
@@ -69,6 +70,102 @@ TEST(EngineFootprint, SharedProfileCombinedLinkFitsItsSlabRing) {
   EXPECT_EQ(decisions, 1u);
   EXPECT_LT(bytes, kMaxBytesPerLink) << "bytes per link: " << bytes;
   RecordProperty("bytes_per_link", static_cast<int>(bytes));
+}
+
+// The amplitude schemes score every window off slabs, the ladder learns
+// from them, and packets are rebuilt into the shared scratch only for
+// degraded windows and quiet-packet staging — all on buffers AddLink
+// pre-sized. Calibrated subcarrier-weighting, variance-mobile and combined
+// links (windows 50, 25 and 25) on one shared scratch run through gain
+// drift, AGC retrains and a dead chain: after the links' first windows the
+// stream allocates nothing, ladder swaps included. perfbench leaves
+// adaptive-faulty's allocation count ungated, so this is the gate.
+TEST(EngineFootprint, CalibratedAmplitudeLinksAllocateNothingAfterWarmUp) {
+  const auto link = ex::MakeClassroomLink();
+  nic::FaultInjectionConfig faults;
+  faults.enabled = true;
+  faults.seed = 29;
+  faults.drift_ramp_db_per_1k = 3.0;
+  faults.agc_schedule_every_packets = 500;
+  faults.dead_antenna = 1;
+  faults.dead_from_packet = 1500;
+  auto drifting_config = ex::DefaultSimConfig();
+  drifting_config.faults = faults;
+
+  struct Spec {
+    core::DetectionScheme scheme;
+    std::size_t window;
+  };
+  const Spec specs[] = {
+      {core::DetectionScheme::kSubcarrierWeighting, 50},
+      {core::DetectionScheme::kVarianceMobile, 25},
+      {core::DetectionScheme::kSubcarrierAndPathWeighting, 25},
+  };
+  core::SensingEngine engine;
+  engine.UseSharedScratch();
+  std::vector<std::vector<wifi::CsiPacket>> streams;
+  for (const Spec& spec : specs) {
+    auto sim = ex::MakeSimulator(link);
+    Rng rng(400);
+    const auto calibration = sim.CaptureSession(300, std::nullopt, rng);
+    const auto empty = sim.CaptureSession(200, std::nullopt, rng);
+    core::DetectorConfig detector_config;
+    detector_config.scheme = spec.scheme;
+    auto detector = core::Detector::Calibrate(calibration, sim.band(),
+                                              sim.array(), detector_config);
+    std::vector<std::vector<wifi::CsiPacket>> empty_windows;
+    std::vector<double> empty_scores;
+    for (std::size_t start = 0; start + spec.window <= empty.size();
+         start += spec.window / 2) {
+      empty_windows.emplace_back(
+          empty.begin() + static_cast<std::ptrdiff_t>(start),
+          empty.begin() + static_cast<std::ptrdiff_t>(start + spec.window));
+      empty_scores.push_back(detector.Score(empty_windows.back()));
+    }
+    detector.CalibrateThreshold(empty_windows);
+
+    core::StreamingConfig config;
+    config.window_packets = spec.window;
+    config.hop_packets = 5;
+    config.guard_enabled = true;
+    config.calibration.enabled = true;
+    config.calibration.quiet_posterior_max = 0.2;
+    config.calibration.drift_ewma_alpha = 0.5;
+    config.calibration.drift_confirm_windows = 2;
+    config.calibration.recalibration_quiet_windows = 3;
+    config.calibration.max_consecutive_swaps = 8;
+    auto drifting = ex::MakeSimulator(link, drifting_config);
+    Rng stream_rng(77);
+    streams.push_back(drifting.CaptureSession(2000, std::nullopt, stream_rng));
+    engine.AddLink(std::move(detector), empty_scores, config);
+  }
+
+  // Warm-up: every link's first window (its ingest buffers, and the
+  // combined link's slab covariance planes, grow on first use).
+  const std::size_t warm_up = 50;
+  std::size_t decisions = 0;
+  std::uint64_t before = 0;
+  for (std::size_t i = 0; i < streams[0].size(); ++i) {
+    if (i == warm_up) {
+      for (std::size_t l = 0; l < streams.size(); ++l) {
+        ASSERT_EQ(engine.Calibrator(l).profile_swaps(), 0u);
+      }
+      before = counting_new::Allocations();
+    }
+    for (std::size_t l = 0; l < streams.size(); ++l) {
+      decisions += engine.ProcessPacket(l, streams[l][i]).has_value() ? 1 : 0;
+    }
+  }
+  const std::uint64_t allocations = counting_new::Allocations() - before;
+
+  EXPECT_GT(decisions, 0u);
+  for (std::size_t l = 0; l < streams.size(); ++l) {
+    EXPECT_GT(engine.Calibrator(l).profile_swaps(), 0u)
+        << core::ToString(specs[l].scheme);
+    EXPECT_GT(engine.Health(l).degraded_decisions, 0u)
+        << core::ToString(specs[l].scheme);
+  }
+  EXPECT_EQ(allocations, 0u);
 }
 
 }  // namespace

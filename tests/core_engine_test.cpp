@@ -729,8 +729,8 @@ TEST(EngineEquivalence, ProfileStackFollowsEveryProfileRewrite) {
     const std::span<const wifi::CsiPacket> window(quiet.data() + 25 * w, 25);
     core::CalibrationWindowContext context;
     if (w == 0) context.agc_frames = calibration.agc_frames_min;
-    (void)calibrator.ObserveDecision(quiet_score, 0.0, window, detector, warm,
-                                     context);
+    (void)calibrator.ObserveDecision(quiet_score, 0.0, window, {}, detector,
+                                     warm, context);
   }
   ASSERT_EQ(calibrator.profile_swaps(), 1u);
   EXPECT_EQ(warm.metrics, &registry);

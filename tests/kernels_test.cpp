@@ -14,6 +14,7 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -354,6 +355,174 @@ TEST_F(KernelsTest, SpectralScanParity) {
     MusicScan(steer_re.data(), steer_im.data(), points, antennas,
               noise_re.data(), noise_im.data(), 1, 1e-12, mu2.data());
     EXPECT_TRUE(BitIdentical(mu1, mu2)) << "MusicScan A=" << antennas;
+  }
+}
+
+// ---- column order statistics -------------------------------------------
+
+// Column counts around the 4-lane width and the 8-column strip, plus the
+// detector's 3 x 30 cell count.
+constexpr std::size_t kColumnCounts[] = {1, 2, 3, 4, 5, 7, 9, 13, 17, 90};
+
+// One adversarial column: `kind` picks ties, all-equal, zeros, denormals,
+// +inf (fewer than half the rows, so the median stays finite) or plain
+// random powers.
+void FillAdversarialColumn(Rng& rng, int kind, std::size_t rows,
+                           std::size_t stride, double* column) {
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double all_equal = rng.Uniform(0.0, 4.0);
+  const std::size_t infs = rows >= 4 ? (rows - 1) / 2 - 1 : 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    double x = rng.Uniform(0.0, 4.0);
+    switch (kind) {
+      case 0:  // ties
+        x = static_cast<double>(rng.UniformInt(0, 2)) * 0.5;
+        break;
+      case 1:
+        x = all_equal;
+        break;
+      case 2:  // zeros among powers
+        if (rng.UniformInt(0, 1) == 0) x = 0.0;
+        break;
+      case 3:  // denormals, and the smallest normal
+        x = static_cast<double>(rng.UniformInt(0, 6)) * denorm;
+        if (rng.UniformInt(0, 4) == 0) x = std::numeric_limits<double>::min();
+        break;
+      case 4:
+        if (r < infs) x = std::numeric_limits<double>::infinity();
+        break;
+      default:
+        break;
+    }
+    column[r * stride] = x;
+  }
+  if (kind == 4) {  // scatter the infinities through the column
+    for (std::size_t r = rows; r-- > 1;) {
+      const auto j = static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<int>(r)));
+      std::swap(column[r * stride], column[j * stride]);
+    }
+  }
+}
+
+struct ColumnStats {
+  std::vector<double> plane, median, mad;
+};
+
+ColumnStats RunColumnMedians(Backend backend, std::vector<double> plane,
+                             std::size_t offset, std::size_t rows,
+                             std::size_t cols, std::size_t stride) {
+  SetBackend(backend);
+  ColumnStats out;
+  out.median.assign(cols, 0.0);
+  out.mad.assign(cols, 0.0);
+  ColumnMedians(plane.data() + offset, rows, cols, stride, out.median.data(),
+                out.mad.data());
+  out.plane = std::move(plane);
+  return out;
+}
+
+// Against dsp::MedianInPlace / dsp::MedianAbsDeviation (std::nth_element)
+// on every backend, and bit for bit between backends — rows 1..64, column
+// counts off the lane width, an unaligned base and a stride wider than the
+// columns, whose padding the kernel must leave alone.
+TEST_F(KernelsTest, ColumnMediansMatchNthElementOnAdversarialColumns) {
+  Rng rng(41);
+  const double sentinel = -7.25;
+  for (std::size_t rows = 1; rows <= 64; ++rows) {
+    for (std::size_t cols : kColumnCounts) {
+      const std::size_t stride = cols + 3;
+      const std::size_t offset = 1;  // 8-mod-32: unaligned loads
+      std::vector<double> plane(offset + rows * stride, sentinel);
+      for (std::size_t c = 0; c < cols; ++c) {
+        FillAdversarialColumn(rng, static_cast<int>((rows + c) % 6), rows,
+                              stride, plane.data() + offset + c);
+      }
+      std::vector<double> want_median(cols), want_mad(cols), column(rows);
+      for (std::size_t c = 0; c < cols; ++c) {
+        for (std::size_t r = 0; r < rows; ++r) {
+          column[r] = plane[offset + r * stride + c];
+        }
+        want_mad[c] = dsp::MedianAbsDeviation(column);
+        want_median[c] = dsp::MedianInPlace(column);
+      }
+      std::vector<Backend> backends = {Backend::kScalar};
+      if (HasAvx2()) backends.push_back(Backend::kAvx2);
+      std::vector<ColumnStats> got;
+      for (Backend backend : backends) {
+        got.push_back(
+            RunColumnMedians(backend, plane, offset, rows, cols, stride));
+        const ColumnStats& stats = got.back();
+        for (std::size_t c = 0; c < cols; ++c) {
+          EXPECT_EQ(stats.median[c], want_median[c])
+              << ToString(backend) << " rows=" << rows << " cols=" << cols
+              << " c=" << c;
+          EXPECT_EQ(stats.mad[c], want_mad[c])
+              << ToString(backend) << " rows=" << rows << " cols=" << cols
+              << " c=" << c;
+        }
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t c = cols; c < stride; ++c) {
+            ASSERT_EQ(stats.plane[offset + r * stride + c], sentinel);
+          }
+        }
+        ASSERT_EQ(stats.plane[0], sentinel);
+      }
+      if (got.size() == 2) {
+        EXPECT_TRUE(BitIdentical(got[0].median, got[1].median))
+            << "rows=" << rows << " cols=" << cols;
+        EXPECT_TRUE(BitIdentical(got[0].mad, got[1].mad))
+            << "rows=" << rows << " cols=" << cols;
+        EXPECT_TRUE(BitIdentical(got[0].plane, got[1].plane))
+            << "rows=" << rows << " cols=" << cols;
+      }
+    }
+  }
+}
+
+// Without a MAD the kernel leaves every column sorted ascending.
+TEST_F(KernelsTest, ColumnMediansSortColumnsInPlace) {
+  Rng rng(43);
+  for (std::size_t rows = 1; rows <= 64; ++rows) {
+    const std::size_t cols = 13;
+    auto plane = RandomVector(rng, rows * cols, -3.0, 3.0);
+    std::vector<double> median(cols);
+    ColumnMedians(plane.data(), rows, cols, cols, median.data(), nullptr);
+    for (std::size_t c = 0; c < cols; ++c) {
+      for (std::size_t r = 1; r < rows; ++r) {
+        ASSERT_LE(plane[(r - 1) * cols + c], plane[r * cols + c])
+            << "rows=" << rows << " c=" << c;
+      }
+    }
+  }
+}
+
+// NaN has no order, so no reference applies — but the compare-exchange is
+// min_pd/max_pd's exact selection, so both backends still move every bit
+// the same way.
+TEST_F(KernelsTest, ColumnMediansNaNParity) {
+  if (!HasAvx2()) GTEST_SKIP() << "AVX2 backend not available";
+  Rng rng(47);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t rows = 1; rows <= 64; ++rows) {
+    for (std::size_t cols : kColumnCounts) {
+      auto plane = RandomVector(rng, rows * cols, 0.0, 4.0);
+      for (auto& x : plane) {
+        const int pick = rng.UniformInt(0, 7);
+        if (pick == 0) x = nan;
+        if (pick == 1) x = std::numeric_limits<double>::infinity();
+      }
+      const auto scalar =
+          RunColumnMedians(Backend::kScalar, plane, 0, rows, cols, cols);
+      const auto avx2 =
+          RunColumnMedians(Backend::kAvx2, plane, 0, rows, cols, cols);
+      EXPECT_TRUE(BitIdentical(scalar.median, avx2.median))
+          << "rows=" << rows << " cols=" << cols;
+      EXPECT_TRUE(BitIdentical(scalar.mad, avx2.mad))
+          << "rows=" << rows << " cols=" << cols;
+      EXPECT_TRUE(BitIdentical(scalar.plane, avx2.plane))
+          << "rows=" << rows << " cols=" << cols;
+    }
   }
 }
 
