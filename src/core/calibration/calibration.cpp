@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/assert.h"
+#include "kernels/kernels.h"
 
 namespace mulink::core {
 
@@ -156,20 +157,25 @@ void ProfilePosterior::Observe(std::span<const double> power_plane,
   const double inv_n = 1.0 / static_cast<double>(rows);
   weight_ = forgetting * weight_ + 1.0;
   const double inv_w = 1.0 / weight_;
-  for (std::size_t c = 0; c < cells; ++c) {
-    double sum_p = 0.0, sum_p2 = 0.0, sum_a = 0.0;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const double p = power_plane[r * cells + c];
-      sum_p += p;
-      sum_p2 += p * p;
-      sum_a += std::sqrt(p);
+  // Per-cell sums of p, p^2 and sqrt(p) over the window (each cell adds its
+  // column in window order), a strip of cells at a time on the stack.
+  constexpr std::size_t kStrip = 64;
+  double sum_p[kStrip];
+  double sum_p2[kStrip];
+  double sum_a[kStrip];
+  for (std::size_t c0 = 0; c0 < cells; c0 += kStrip) {
+    const std::size_t width = std::min(kStrip, cells - c0);
+    kernels::ColumnMoments(power_plane.data() + c0, rows, width, cells, sum_p,
+                           sum_p2, sum_a);
+    for (std::size_t j = 0; j < width; ++j) {
+      const std::size_t c = c0 + j;
+      const double mean_p = sum_p[j] * inv_n;
+      const double mean_a = sum_a[j] * inv_n;
+      const double var = std::max(sum_p2[j] * inv_n - mean_p * mean_p, 0.0);
+      mean_power_[c] += (mean_p - mean_power_[c]) * inv_w;
+      mean_amplitude_[c] += (mean_a - mean_amplitude_[c]) * inv_w;
+      mean_variance_[c] += (var - mean_variance_[c]) * inv_w;
     }
-    const double mean_p = sum_p * inv_n;
-    const double mean_a = sum_a * inv_n;
-    const double var = std::max(sum_p2 * inv_n - mean_p * mean_p, 0.0);
-    mean_power_[c] += (mean_p - mean_power_[c]) * inv_w;
-    mean_amplitude_[c] += (mean_a - mean_amplitude_[c]) * inv_w;
-    mean_variance_[c] += (var - mean_variance_[c]) * inv_w;
   }
 }
 

@@ -77,7 +77,7 @@ const char* ToString(DetectionScheme scheme) {
 Detector::Detector(const wifi::BandPlan& band,
                    const wifi::UniformLinearArray& array,
                    const DetectorConfig& config)
-    : band_(band), array_(array), config_(config) {}
+    : band_(band), ingest_plan_(band), array_(array), config_(config) {}
 
 Detector Detector::Calibrate(const std::vector<wifi::CsiPacket>& empty_session,
                              const wifi::BandPlan& band,
@@ -100,7 +100,11 @@ Detector Detector::Calibrate(const std::vector<wifi::CsiPacket>& empty_session,
   d.num_antennas_ = num_ant;
   d.num_subcarriers_ = num_sc;
 
-  const auto sanitized = SanitizePhase(empty_session, band);
+  std::vector<wifi::CsiPacket> sanitized;
+  {
+    SanitizeScratch scratch;
+    SanitizePhaseInto(empty_session, d.ingest_plan_, sanitized, scratch);
+  }
 
   // Static power/amplitude profile s(0).
   // mulink-lint: allow(alloc): calibration path
@@ -186,7 +190,8 @@ double Detector::Score(std::span<const wifi::CsiPacket> window,
   if (!UsesSanitizedInput()) return ScoreSanitized(window, scratch);
   {
     MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kIngestSanitize);
-    SanitizePhaseInto(window, band_, scratch.sanitized, scratch.sanitize);
+    SanitizePhaseInto(window, ingest_plan_, scratch.sanitized,
+                      scratch.sanitize);
   }
   return ScoreSanitized(scratch.sanitized, scratch);
 }
@@ -248,7 +253,8 @@ double Detector::ScoreDegraded(std::span<const wifi::CsiPacket> window,
   }
   {
     MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kIngestSanitize);
-    SanitizePhaseInto(window, band_, scratch.sanitized, scratch.sanitize);
+    SanitizePhaseInto(window, ingest_plan_, scratch.sanitized,
+                      scratch.sanitize);
   }
   return ScoreSanitizedDegraded(scratch.sanitized, scratch, live_mask);
 }
@@ -320,8 +326,7 @@ void Detector::ComputeWindowWeights(std::span<const wifi::CsiPacket> sanitized,
                                  num_subcarriers_, config_.weighting_mode,
                                  scratch.weights);
   } else {
-    MeasureMultipathFactorsInto(sanitized, band_, scratch.mu,
-                                scratch.multipath);
+    MeasureMultipathFactorsInto(sanitized, ingest_plan_.los_frac, scratch.mu);
     ComputeSubcarrierWeightsInto(
         std::span<const std::vector<double>>(scratch.mu)
             .first(sanitized.size()),
@@ -398,7 +403,12 @@ void Detector::UpdateProfile(const std::vector<wifi::CsiPacket>& empty_window,
   MULINK_REQUIRE(empty_window[0].NumAntennas() == num_antennas_ &&
                      empty_window[0].NumSubcarriers() == num_subcarriers_,
                  "Detector::UpdateProfile: window shape mismatch");
-  const auto sanitized = SanitizePhase(empty_window, band_);
+  std::vector<wifi::CsiPacket> sanitized;
+  {
+    SanitizeScratch scratch;
+    SanitizePhaseInto(std::span<const wifi::CsiPacket>(empty_window),
+                      ingest_plan_, sanitized, scratch);
+  }
 
   double power_sum = 0.0, amp_sum = 0.0;
   std::vector<double> powers(sanitized.size());

@@ -108,10 +108,8 @@ struct DetectorScratch {
   obs::Registry* metrics = nullptr;
   SanitizeScratch sanitize;
   std::vector<wifi::CsiPacket> sanitized;
-  // SensingEngine's ingest packet and rebuilt window (grow-only; see there).
-  wifi::CsiPacket ingest_packet;
+  // SensingEngine's rebuilt window (grow-only; see there).
   std::vector<wifi::CsiPacket> window;
-  MultipathScratch multipath;
   std::vector<std::vector<double>> mu;
   SubcarrierWeights weights;
   std::vector<double> median_scratch;
@@ -248,6 +246,9 @@ class Detector {
   }
 
   const wifi::BandPlan& band() const { return band_; }
+  // The band's ingest constants (phase-fit normal equations, subcarrier
+  // offsets, Eq. 10 LOS fractions), built with the detector.
+  const IngestPlan& ingest_plan() const { return ingest_plan_; }
 
   // Score every consecutive window of config.window_packets in a session.
   std::vector<double> ScoreSession(
@@ -383,6 +384,7 @@ class Detector {
                              const PreparedWindowFactors* prepared) const;
 
   wifi::BandPlan band_;
+  IngestPlan ingest_plan_;
   wifi::UniformLinearArray array_;
   DetectorConfig config_;
 

@@ -90,7 +90,10 @@ struct SensingEngine::LinkState {
     obs::Registry* const sink = metrics_on ? &metrics : nullptr;
     scratch->metrics = sink;
     calibrator.metrics = sink;
-    const auto report = Admit(packet, sink);
+    // One deterministic sampling tick per frame: on a sampled frame every
+    // per-frame stage (guard classify, ingest sanitize) is timed.
+    obs::Registry* const timed = MULINK_OBS_SAMPLED(sink);
+    const auto report = Admit(packet, sink, timed);
     if (!report.has_value()) return std::nullopt;  // quarantined
     MULINK_REQUIRE(packet.NumAntennas() == num_antennas &&
                        packet.NumSubcarriers() == num_subcarriers,
@@ -104,30 +107,29 @@ struct SensingEngine::LinkState {
     SlotMeta& meta = slot_meta[write_pos];
     meta = {packet.timestamp_s, packet.rssi_db, packet.sequence, 0.0,
             detector.profile_epoch()};
-    const wifi::CsiPacket* stored = &packet;
+    // The slot keeps the CSI split antenna-major (re rows then im rows,
+    // exactly kernels::Deinterleave's bytes): the covariance planes
+    // assemble from it by memcpy, and RebuildWindow re-interleaves it
+    // exactly.
     double* const slab = Slab(write_pos);
+    double* const slab_im = slab + num_antennas * num_subcarriers;
     if (pre_sanitize) {
-      // Per-packet sanitize latency is sampled on the shard's deterministic
-      // tick, like the guard-classify stage.
-      obs::Registry* const timed = MULINK_OBS_SAMPLED(sink);
+      // One pass from the raw frame into the slot: phase fit, rotation
+      // into the split rows, mu from those rows, and the row median.
       MULINK_OBS_STAGE_TIMER(timer, timed, kIngestSanitize);
-      SanitizePhaseInto(packet, detector.band(), scratch->ingest_packet,
-                        scratch->sanitize);
-      stored = &scratch->ingest_packet;
+      const IngestPlan& plan = detector.ingest_plan();
+      SanitizePhaseSplitInto(packet, plan, slab, slab_im, scratch->sanitize);
       const std::span<double> mu(MuRow(slab), num_subcarriers);
-      MeasureMultipathFactorsInto(*stored, detector.band(), mu,
-                                  scratch->multipath);
+      MeasureMultipathFactorsSplitInto(slab, slab_im, num_antennas,
+                                       plan.los_frac, mu);
       meta.stat = dsp::Median(mu, scratch->median_scratch);
     } else {
       meta.stat = detector.BaselinePacketScore(packet);
-    }
-    // Keep the CSI split antenna-major (re rows then im rows, exactly
-    // kernels::Deinterleave's bytes): the covariance planes assemble from
-    // it by memcpy, and RebuildWindow re-interleaves it exactly.
-    for (std::size_t m = 0; m < num_antennas; ++m) {
-      kernels::Deinterleave(stored->csi.raw() + m * num_subcarriers,
-                            num_subcarriers, slab + m * num_subcarriers,
-                            slab + (num_antennas + m) * num_subcarriers);
+      for (std::size_t m = 0; m < num_antennas; ++m) {
+        kernels::Deinterleave(packet.csi.raw() + m * num_subcarriers,
+                              num_subcarriers, slab + m * num_subcarriers,
+                              slab_im + m * num_subcarriers);
+      }
     }
     write_pos = (write_pos + 1) % config.window_packets;
     if (count < config.window_packets) ++count;
@@ -264,17 +266,18 @@ struct SensingEngine::LinkState {
 
   // Inspect one arriving frame. nullopt means the frame is quarantined and
   // must not reach the ring; otherwise the report's `resync` flag tells
-  // Push to flush the ring first. Verdict counters are exact; the per-frame
-  // inspection latency is sampled 1-in-kIngestSampleEvery on a
-  // deterministic tick, so totals merge bit-identically across shards.
+  // Push to flush the ring first. Verdict counters are exact; the
+  // inspection latency goes to `timed`, the frame's sampled sink (Push's
+  // 1-in-kIngestSampleEvery deterministic tick, so totals merge
+  // bit-identically across shards).
   std::optional<nic::FrameReport> Admit(const wifi::CsiPacket& packet,
-                                        obs::Registry* sink) {
+                                        obs::Registry* sink,
+                                        obs::Registry* timed) {
     MULINK_OBS_COUNT(sink, kPacketsIngested);
     if (!guard.has_value()) {
       MULINK_OBS_COUNT(sink, kPacketsAccepted);
       return nic::FrameReport{};
     }
-    obs::Registry* const timed = MULINK_OBS_SAMPLED(sink);
     nic::FrameReport report;
     {
       MULINK_OBS_STAGE_TIMER(timer, timed, kGuardClassify);
@@ -538,13 +541,49 @@ void SensingEngine::WarmSharedScratch(const LinkState& link) {
     scratch.cell_spread.resize(cells);
     grew = true;
   }
-  if (!link.calibrator.enabled() || (swap_warmed_ && !grew)) return;
+  if (link.pre_sanitize) {
+    // Ingest lanes and the mu-row median copy, so a link's first frame
+    // finds them warm.
+    const std::size_t subcarriers = detector.num_subcarriers();
+    scratch.sanitize.Reserve(subcarriers);
+    // mulink-lint: allow(alloc): AddLink, setup path
+    scratch.median_scratch.reserve(subcarriers);
+  }
+  if (detector.config().scheme ==
+      DetectionScheme::kSubcarrierAndPathWeighting) {
+    // The combined scheme's monitor covariance planes, assembled from the
+    // window's slabs (AlignedBuffer::Ensure only grows).
+    const std::size_t lanes = link.config.window_packets *
+                              detector.num_subcarriers();
+    scratch.music.plane_re.Ensure(detector.num_antennas() * lanes);
+    scratch.music.plane_im.Ensure(detector.num_antennas() * lanes);
+    scratch.music.w_rep.Ensure(lanes);
+  }
+  if (grew) rehearsed_schemes_ = 0;
+  const std::uint32_t scheme_bit =
+      1u << static_cast<unsigned>(detector.config().scheme);
+  const bool rehearse_decision =
+      link.pre_sanitize && (rehearsed_schemes_ & scheme_bit) == 0;
+  const bool rehearse_swap =
+      link.calibrator.enabled() && (!swap_warmed_ || grew);
+  if (!rehearse_decision && !rehearse_swap) return;
+  // The rehearsals below score retained calibration packets with the sink
+  // muted — they are not scored windows.
+  scratch.metrics = nullptr;
+  const auto retained = detector.retained_calibration();
+  if (rehearse_decision) {
+    // A first decision of this scheme: its weights, covariances, spectra
+    // and steering table then exist before any link of it decides.
+    const auto window =
+        retained.first(std::min(retained.size(), link.config.window_packets));
+    if (window.size() >= 2) (void)detector.ScoreSanitized(window, scratch);
+    rehearsed_schemes_ |= scheme_bit;
+  }
+  if (!rehearse_swap) return;
   // Rehearse a ladder swap on a throwaway copy: the MUSIC refresh over the
   // retained set, then rescoring up to a window (or a staging ring) of
-  // quiet packets. The sink is muted — this is not a scored window.
-  scratch.metrics = nullptr;
+  // quiet packets.
   Detector probe(detector);
-  const auto retained = detector.retained_calibration();
   const auto staged = retained.first(std::min(retained.size(), rescored));
   if (staged.size() >= 2) {
     probe.RefreshAngularProfile(staged, scratch);

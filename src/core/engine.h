@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -235,8 +236,11 @@ class SensingEngine {
   // Engine-owned workspace shared by every link when UseSharedScratch() was
   // called (null otherwise; links then own their scratch).
   std::unique_ptr<DetectorScratch> shared_scratch_;
-  // Whether a ladder swap was rehearsed on the shared scratch (AddLink).
+  // Whether a ladder swap was rehearsed on the shared scratch (AddLink), and
+  // the schemes (bit = DetectionScheme) whose first decision was, since the
+  // scratch last grew.
   bool swap_warmed_ = false;
+  std::uint32_t rehearsed_schemes_ = 0;
   bool metrics_enabled_ = true;
 };
 

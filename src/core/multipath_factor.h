@@ -15,17 +15,10 @@
 
 namespace mulink::core {
 
-// Reusable buffers for per-packet multipath factor extraction. The Friis
-// f^{-2} LOS fractions depend only on the band plan, so they are computed
-// once and cached against the band fingerprint below instead of being
-// rebuilt per antenna row (they were the bulk of the per-packet cost).
-struct MultipathScratch {
-  // los_frac[k] = f_k^{-2} / sum_i f_i^{-2} for the cached band.
-  std::vector<double> los_frac;
-  double band_center_hz = 0.0;
-  double band_spacing_hz = 0.0;
-  std::vector<int> band_indices;
-};
+// The band-only half of Eq. 10: los_frac[k] = f_k^{-2} / sum_i f_i^{-2}
+// (los_frac.size() == band.NumSubcarriers()). IngestPlan caches it per
+// band; the per-packet factors below take it as an input.
+void LosFractionsInto(const wifi::BandPlan& band, std::span<double> los_frac);
 
 // Per-subcarrier LOS power estimate P_L(f_k) of Eq. 10 for one antenna's CFR.
 std::vector<double> EstimateLosPower(const std::vector<Complex>& cfr,
@@ -41,12 +34,19 @@ std::vector<double> MeasureMultipathFactors(const std::vector<Complex>& cfr,
 std::vector<double> MeasureMultipathFactors(const wifi::CsiPacket& packet,
                                             const wifi::BandPlan& band);
 
-// Scratch variant: writes the antenna-averaged factors into `out`, which
-// must hold exactly the subcarrier count, without allocating.
+// Allocation-free variant: writes the antenna-averaged factors into `out`,
+// which must hold exactly the subcarrier count (as must `los_frac`).
 void MeasureMultipathFactorsInto(const wifi::CsiPacket& packet,
-                                 const wifi::BandPlan& band,
-                                 std::span<double> out,
-                                 MultipathScratch& scratch);
+                                 std::span<const double> los_frac,
+                                 std::span<double> out);
+
+// The same factors from split rows (antenna m's real parts at
+// re[m * out.size()], imaginary parts at im[m * out.size()]) — bit-identical
+// to the interleaved variant on the same CSI.
+void MeasureMultipathFactorsSplitInto(const double* re, const double* im,
+                                      std::size_t antennas,
+                                      std::span<const double> los_frac,
+                                      std::span<double> out);
 
 // Multipath factors for every packet of a session: result[m][k] is packet
 // m's factor on subcarrier k.
@@ -58,8 +58,7 @@ std::vector<std::vector<double>> MeasureMultipathFactors(
 // rescoring on a shared scratch) keeps the rows a full window reuses; read
 // the first packets.size() rows.
 void MeasureMultipathFactorsInto(std::span<const wifi::CsiPacket> packets,
-                                 const wifi::BandPlan& band,
-                                 std::vector<std::vector<double>>& out,
-                                 MultipathScratch& scratch);
+                                 std::span<const double> los_frac,
+                                 std::vector<std::vector<double>>& out);
 
 }  // namespace mulink::core

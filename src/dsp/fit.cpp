@@ -9,7 +9,7 @@ namespace mulink::dsp {
 
 namespace {
 
-double RSquared(std::span<const double> xs, std::span<const double> ys,
+double RSquared(const std::vector<double>& xs, const std::vector<double>& ys,
                 const LinearFit& fit) {
   double mean_y = 0.0;
   for (double y : ys) mean_y += y;
@@ -29,30 +29,19 @@ double RSquared(std::span<const double> xs, std::span<const double> ys,
 
 LinearFit FitLinear(const std::vector<double>& xs,
                     const std::vector<double>& ys) {
-  FitScratch scratch;
-  return FitLinear(std::span<const double>(xs), std::span<const double>(ys),
-                   scratch);
-}
-
-LinearFit FitLinear(std::span<const double> xs, std::span<const double> ys,
-                    FitScratch& scratch) {
   MULINK_REQUIRE(xs.size() == ys.size(), "FitLinear: size mismatch");
   MULINK_REQUIRE(xs.size() >= 2, "FitLinear: need >= 2 points");
 
-  scratch.design.rows = xs.size();
-  scratch.design.cols = 2;
-  // mulink-lint: allow(alloc): warm scratch
-  scratch.design.data.resize(xs.size() * 2);
+  linalg::RMatrix design(xs.size(), 2);
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    scratch.design.At(i, 0) = 1.0;
-    scratch.design.At(i, 1) = xs[i];
+    design.At(i, 0) = 1.0;
+    design.At(i, 1) = xs[i];
   }
-  linalg::SolveLeastSquaresInto(scratch.design, ys, scratch.coeffs,
-                                scratch.solve);
+  const auto coeffs = linalg::SolveLeastSquares(design, ys);
 
   LinearFit fit;
-  fit.intercept = scratch.coeffs[0];
-  fit.slope = scratch.coeffs[1];
+  fit.intercept = coeffs[0];
+  fit.slope = coeffs[1];
   fit.num_points = xs.size();
   fit.r_squared = RSquared(xs, ys, fit);
   return fit;

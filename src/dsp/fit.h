@@ -7,10 +7,7 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
-
-#include "linalg/solve.h"
 
 namespace mulink::dsp {
 
@@ -23,22 +20,10 @@ struct LinearFit {
   double Evaluate(double x) const { return intercept + slope * x; }
 };
 
-// Reusable buffers for the scratch FitLinear overload; grow on first use.
-struct FitScratch {
-  linalg::RMatrix design;
-  std::vector<double> coeffs;
-  linalg::LeastSquaresScratch solve;
-};
-
-// Ordinary least squares fit of y = a + b x.
+// Ordinary least squares fit of y = a + b x, solved through the normal
+// equations (linalg::SolveLeastSquares).
 LinearFit FitLinear(const std::vector<double>& xs,
                     const std::vector<double>& ys);
-
-// Scratch variant: identical math (the allocating overload wraps this), but
-// allocation-free once `scratch` has warmed up to the problem size. This is
-// the per-packet hot path of phase sanitization.
-LinearFit FitLinear(std::span<const double> xs, std::span<const double> ys,
-                    FitScratch& scratch);
 
 // Fit of y = a + b ln(x). Points with x <= 0 are skipped (the multipath
 // factor is strictly positive in theory, but quantization can produce zeros).

@@ -86,11 +86,28 @@ inline void GenericRotateRows(const Complex* src, std::size_t rows,
   }
 }
 
-inline double MuOne(Complex h, double los_frac, double dominant) {
-  const double re = h.real();
-  const double im = h.imag();
+inline void GenericRotateRowsSplit(const Complex* src, std::size_t rows,
+                                   std::size_t cols, const double* cos_v,
+                                   const double* sin_v, double* re,
+                                   double* im) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t k = 0; k < cols; ++k) {
+      const std::size_t i = r * cols + k;
+      const Complex z = RotateOne(src[i], cos_v[k], sin_v[k]);
+      re[i] = z.real();
+      im[i] = z.imag();
+    }
+  }
+}
+
+inline double MuSplitOne(double re, double im, double los_frac,
+                         double dominant) {
   const double power = re * re + im * im;
   return power > 0.0 ? (los_frac * dominant) / power : 0.0;
+}
+
+inline double MuOne(Complex h, double los_frac, double dominant) {
+  return MuSplitOne(h.real(), h.imag(), los_frac, dominant);
 }
 
 inline void GenericMuAccumulateRow(const Complex* row, const double* los_frac,
@@ -99,6 +116,28 @@ inline void GenericMuAccumulateRow(const Complex* row, const double* los_frac,
   for (std::size_t k = 0; k < n; ++k) {
     mu_accum[k] += MuOne(row[k], los_frac[k], dominant);
   }
+}
+
+inline void GenericMuAccumulateSplitRow(const double* re, const double* im,
+                                        const double* los_frac,
+                                        double dominant, std::size_t n,
+                                        double* mu_accum) {
+  for (std::size_t k = 0; k < n; ++k) {
+    mu_accum[k] += MuSplitOne(re[k], im[k], los_frac[k], dominant);
+  }
+}
+
+inline double GenericDominantTapPowerSplit(const double* re, const double* im,
+                                           std::size_t n) {
+  double sum_re = 0.0;
+  double sum_im = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    sum_re += re[k];
+    sum_im += im[k];
+  }
+  const double mean_re = sum_re / static_cast<double>(n);
+  const double mean_im = sum_im / static_cast<double>(n);
+  return mean_re * mean_re + mean_im * mean_im;
 }
 
 inline void GenericMeanStabilityAccumulate(const double* mu_row, double median,
@@ -236,6 +275,29 @@ inline void GenericMusicScan(const double* steer_re, const double* steer_im,
   for (std::size_t i = 0; i < points; ++i) {
     out[i] = MusicPoint(steer_re, steer_im, points, antennas, noise_re,
                         noise_im, noise_dim, denom_floor, i);
+  }
+}
+
+// ---- column statistics ----------------------------------------------------
+
+inline void GenericColumnMoments(const double* plane, std::size_t rows,
+                                 std::size_t cols, std::size_t stride,
+                                 double* sum, double* sum_sq,
+                                 double* sum_sqrt) {
+  for (std::size_t c = 0; c < cols; ++c) {
+    sum[c] = 0.0;
+    sum_sq[c] = 0.0;
+    sum_sqrt[c] = 0.0;
+  }
+  // Row-outer keeps the plane walk sequential; each column still adds its
+  // rows in row order.
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* row = plane + r * stride;
+    for (std::size_t c = 0; c < cols; ++c) {
+      sum[c] += row[c];
+      sum_sq[c] += row[c] * row[c];
+      sum_sqrt[c] += std::sqrt(row[c]);
+    }
   }
 }
 

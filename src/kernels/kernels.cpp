@@ -103,9 +103,26 @@ void RotateRows(const Complex* src, std::size_t rows, std::size_t cols,
   Active().rotate_rows(src, rows, cols, cos_v, sin_v, dst);
 }
 
+void RotateRowsSplit(const Complex* src, std::size_t rows, std::size_t cols,
+                     const double* cos_v, const double* sin_v, double* re,
+                     double* im) {
+  Active().rotate_rows_split(src, rows, cols, cos_v, sin_v, re, im);
+}
+
 void MuAccumulateRow(const Complex* row, const double* los_frac,
                      double dominant, std::size_t n, double* mu_accum) {
   Active().mu_accumulate_row(row, los_frac, dominant, n, mu_accum);
+}
+
+void MuAccumulateSplitRow(const double* re, const double* im,
+                          const double* los_frac, double dominant,
+                          std::size_t n, double* mu_accum) {
+  Active().mu_accumulate_split_row(re, im, los_frac, dominant, n, mu_accum);
+}
+
+double DominantTapPowerSplit(const double* re, const double* im,
+                             std::size_t n) {
+  return Active().dominant_tap_power_split(re, im, n);
 }
 
 void MeanStabilityAccumulate(const double* mu_row, double median,
@@ -166,6 +183,12 @@ void MusicScan(const double* steer_re, const double* steer_im,
                std::size_t noise_dim, double denom_floor, double* out) {
   Active().music_scan(steer_re, steer_im, points, antennas, noise_re, noise_im,
                       noise_dim, denom_floor, out);
+}
+
+void ColumnMoments(const double* plane, std::size_t rows, std::size_t cols,
+                   std::size_t stride, double* sum, double* sum_sq,
+                   double* sum_sqrt) {
+  Active().column_moments(plane, rows, cols, stride, sum, sum_sq, sum_sqrt);
 }
 
 void ColumnMedians(double* plane, std::size_t rows, std::size_t cols,

@@ -72,12 +72,32 @@ MULINK_HOT void Deinterleave(const Complex* src, std::size_t n, double* re, doub
 MULINK_HOT void RotateRows(const Complex* src, std::size_t rows, std::size_t cols,
                 const double* cos_v, const double* sin_v, Complex* dst);
 
+// RotateRows writing split rows: re[r*cols + k] / im[r*cols + k] receive the
+// real / imaginary part of the rotated src[r*cols + k] — the same
+// re*c - im*s, re*s + im*c products, so the bytes equal RotateRows followed
+// by Deinterleave of each row. The outputs must not alias src.
+MULINK_HOT void RotateRowsSplit(const Complex* src, std::size_t rows,
+                                std::size_t cols, const double* cos_v,
+                                const double* sin_v, double* re, double* im);
+
 // ---- multipath / weighting reductions ----------------------------------
 
 // Eq. 11 per-subcarrier multipath factors of one antenna row, accumulated:
 // mu_accum[k] += |row[k]|^2 > 0 ? (los_frac[k] * dominant) / |row[k]|^2 : 0.
 MULINK_HOT void MuAccumulateRow(const Complex* row, const double* los_frac,
                      double dominant, std::size_t n, double* mu_accum);
+
+// MuAccumulateRow over one split row (re[k], im[k]): the same per-element
+// power and ratio, so the sums match the interleaved kernel bit for bit.
+MULINK_HOT void MuAccumulateSplitRow(const double* re, const double* im,
+                                     const double* los_frac, double dominant,
+                                     std::size_t n, double* mu_accum);
+
+// Eq. 10's dominant-tap power |mean_k h[k]|^2 of one split row: re and im
+// summed in index order from +0.0, each divided by n, then re^2 + im^2 —
+// dsp::DominantTapPower's complex accumulation, componentwise (n >= 1).
+MULINK_HOT double DominantTapPowerSplit(const double* re, const double* im,
+                                        std::size_t n);
 
 // Eq. 14/15 accumulation for one packet's mu row:
 // mean_mu[k] += mu_row[k]; stability[k] += (mu_row[k] > median) ? 1 : 0.
@@ -130,6 +150,17 @@ MULINK_HOT void MusicScan(const double* steer_re, const double* steer_im,
                std::size_t points, std::size_t antennas,
                const double* noise_re, const double* noise_im,
                std::size_t noise_dim, double denom_floor, double* out);
+
+// ---- column statistics -------------------------------------------------
+
+// Per-column raw moments of a row-major rows x stride plane over its first
+// `cols` columns (lane == column): sum[c], sum_sq[c] and sum_sqrt[c] add
+// x, x*x and sqrt(x) of column c row by row in row order, from +0.0 — the
+// order a per-cell loop over the rows uses (sqrt is correctly rounded, so
+// the vector lanes agree with std::sqrt).
+MULINK_HOT void ColumnMoments(const double* plane, std::size_t rows,
+                              std::size_t cols, std::size_t stride,
+                              double* sum, double* sum_sq, double* sum_sqrt);
 
 // ---- order statistics --------------------------------------------------
 

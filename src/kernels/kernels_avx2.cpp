@@ -224,6 +224,34 @@ void Avx2RotateRows(const Complex* src, std::size_t rows, std::size_t cols,
   }
 }
 
+void Avx2RotateRowsSplit(const Complex* src, std::size_t rows,
+                         std::size_t cols, const double* cos_v,
+                         const double* sin_v, double* re, double* im) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const Complex* src_row = src + r * cols;
+    double* re_row = re + r * cols;
+    double* im_row = im + r * cols;
+    std::size_t k = 0;
+    for (; k + 4 <= cols; k += 4) {
+      __m256d a;
+      __m256d b;
+      LoadComplex4(src_row + k, &a, &b);
+      const __m256d c = _mm256_loadu_pd(cos_v + k);
+      const __m256d s = _mm256_loadu_pd(sin_v + k);
+      // The RotateOne DAG: re' = a*c - b*s, im' = a*s + b*c.
+      _mm256_storeu_pd(re_row + k, _mm256_sub_pd(_mm256_mul_pd(a, c),
+                                                 _mm256_mul_pd(b, s)));
+      _mm256_storeu_pd(im_row + k, _mm256_add_pd(_mm256_mul_pd(a, s),
+                                                 _mm256_mul_pd(b, c)));
+    }
+    for (; k < cols; ++k) {
+      const Complex z = RotateOne(src_row[k], cos_v[k], sin_v[k]);
+      re_row[k] = z.real();
+      im_row[k] = z.imag();
+    }
+  }
+}
+
 // ---- multipath / weighting ----------------------------------------------
 
 void Avx2MuAccumulateRow(const Complex* row, const double* los_frac,
@@ -246,6 +274,29 @@ void Avx2MuAccumulateRow(const Complex* row, const double* los_frac,
   }
   for (; k < n; ++k) {
     mu_accum[k] += MuOne(row[k], los_frac[k], dominant);
+  }
+}
+
+void Avx2MuAccumulateSplitRow(const double* re, const double* im,
+                              const double* los_frac, double dominant,
+                              std::size_t n, double* mu_accum) {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d dom = _mm256_set1_pd(dominant);
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const __m256d r = _mm256_loadu_pd(re + k);
+    const __m256d m = _mm256_loadu_pd(im + k);
+    const __m256d power =
+        _mm256_add_pd(_mm256_mul_pd(r, r), _mm256_mul_pd(m, m));
+    const __m256d num = _mm256_mul_pd(_mm256_loadu_pd(los_frac + k), dom);
+    const __m256d ratio = _mm256_div_pd(num, power);  // blended away if 0/0
+    const __m256d pos = _mm256_cmp_pd(power, zero, _CMP_GT_OQ);
+    const __m256d mu = _mm256_blendv_pd(zero, ratio, pos);
+    _mm256_storeu_pd(mu_accum + k,
+                     _mm256_add_pd(_mm256_loadu_pd(mu_accum + k), mu));
+  }
+  for (; k < n; ++k) {
+    mu_accum[k] += MuSplitOne(re[k], im[k], los_frac[k], dominant);
   }
 }
 
@@ -464,6 +515,38 @@ void Avx2MusicScan(const double* steer_re, const double* steer_im,
   }
 }
 
+// ---- column statistics ----------------------------------------------------
+
+// GenericColumnMoments with lane == column: the output arrays are the
+// accumulators, so every column adds its rows in row order.
+void Avx2ColumnMoments(const double* plane, std::size_t rows,
+                       std::size_t cols, std::size_t stride, double* sum,
+                       double* sum_sq, double* sum_sqrt) {
+  for (std::size_t c = 0; c < cols; ++c) {
+    sum[c] = 0.0;
+    sum_sq[c] = 0.0;
+    sum_sqrt[c] = 0.0;
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* row = plane + r * stride;
+    std::size_t c = 0;
+    for (; c + 4 <= cols; c += 4) {
+      const __m256d x = _mm256_loadu_pd(row + c);
+      _mm256_storeu_pd(sum + c, _mm256_add_pd(_mm256_loadu_pd(sum + c), x));
+      _mm256_storeu_pd(sum_sq + c, _mm256_add_pd(_mm256_loadu_pd(sum_sq + c),
+                                                 _mm256_mul_pd(x, x)));
+      _mm256_storeu_pd(sum_sqrt + c,
+                       _mm256_add_pd(_mm256_loadu_pd(sum_sqrt + c),
+                                     _mm256_sqrt_pd(x)));
+    }
+    for (; c < cols; ++c) {
+      sum[c] += row[c];
+      sum_sq[c] += row[c] * row[c];
+      sum_sqrt[c] += std::sqrt(row[c]);
+    }
+  }
+}
+
 // ---- column order statistics ----------------------------------------------
 
 // One compare-exchange of two rows across a strip of 4 * V adjacent columns
@@ -531,7 +614,12 @@ const KernelTable& Avx2Table() {
       &Avx2SinCos,
       &Avx2Deinterleave,
       &Avx2RotateRows,
+      &Avx2RotateRowsSplit,
       &Avx2MuAccumulateRow,
+      &Avx2MuAccumulateSplitRow,
+      // A serial per-row sum: no lane layout preserves its order, so both
+      // backends share the reference loop.
+      &GenericDominantTapPowerSplit,
       &Avx2MeanStabilityAccumulate,
       &Avx2Multiply,
       &Avx2SumSquares,
@@ -539,6 +627,7 @@ const KernelTable& Avx2Table() {
       &Avx2WeightedCovariance,
       &Avx2BartlettScan,
       &Avx2MusicScan,
+      &Avx2ColumnMoments,
       &Avx2ColumnMedians,
   };
   return table;

@@ -12,7 +12,10 @@ const KernelTable& ScalarTable() {
       &GenericSinCos,
       &GenericDeinterleave,
       &GenericRotateRows,
+      &GenericRotateRowsSplit,
       &GenericMuAccumulateRow,
+      &GenericMuAccumulateSplitRow,
+      &GenericDominantTapPowerSplit,
       &GenericMeanStabilityAccumulate,
       &GenericMultiply,
       &GenericSumSquares,
@@ -20,6 +23,7 @@ const KernelTable& ScalarTable() {
       &GenericWeightedCovariance,
       &GenericBartlettScan,
       &GenericMusicScan,
+      &GenericColumnMoments,
       &GenericColumnMedians,
   };
   return table;

@@ -17,8 +17,16 @@ struct KernelTable {
                        double* im);
   void (*rotate_rows)(const Complex* src, std::size_t rows, std::size_t cols,
                       const double* cos_v, const double* sin_v, Complex* dst);
+  void (*rotate_rows_split)(const Complex* src, std::size_t rows,
+                            std::size_t cols, const double* cos_v,
+                            const double* sin_v, double* re, double* im);
   void (*mu_accumulate_row)(const Complex* row, const double* los_frac,
                             double dominant, std::size_t n, double* mu_accum);
+  void (*mu_accumulate_split_row)(const double* re, const double* im,
+                                  const double* los_frac, double dominant,
+                                  std::size_t n, double* mu_accum);
+  double (*dominant_tap_power_split)(const double* re, const double* im,
+                                     std::size_t n);
   void (*mean_stability_accumulate)(const double* mu_row, double median,
                                     std::size_t n, double* mean_mu,
                                     double* stability);
@@ -38,6 +46,9 @@ struct KernelTable {
                      std::size_t points, std::size_t antennas,
                      const double* noise_re, const double* noise_im,
                      std::size_t noise_dim, double denom_floor, double* out);
+  void (*column_moments)(const double* plane, std::size_t rows,
+                         std::size_t cols, std::size_t stride, double* sum,
+                         double* sum_sq, double* sum_sqrt);
   void (*column_medians)(double* plane, std::size_t rows, std::size_t cols,
                          std::size_t stride, double* median, double* mad);
 };

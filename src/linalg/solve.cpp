@@ -61,36 +61,25 @@ void SolveLinearInPlace(RMatrix& a, std::span<double> b, std::span<double> x) {
 
 std::vector<double> SolveLeastSquares(const RMatrix& a,
                                       const std::vector<double>& b) {
-  std::vector<double> x;
-  LeastSquaresScratch scratch;
-  SolveLeastSquaresInto(a, b, x, scratch);
-  return x;
-}
-
-void SolveLeastSquaresInto(const RMatrix& a, std::span<const double> b,
-                           std::vector<double>& x,
-                           LeastSquaresScratch& scratch) {
   MULINK_REQUIRE(a.rows == b.size(), "SolveLeastSquares: dimension mismatch");
   MULINK_REQUIRE(a.rows >= a.cols,
                  "SolveLeastSquares: need at least as many rows as unknowns");
   const std::size_t n = a.cols;
-
-  scratch.ata.rows = n;
-  scratch.ata.cols = n;
-  scratch.ata.data.resize(n * n);  // mulink-lint: allow(alloc): warm scratch
-  scratch.atb.resize(n);  // mulink-lint: allow(alloc): warm scratch
+  RMatrix ata(n, n);
+  std::vector<double> atb(n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       double sum = 0.0;
       for (std::size_t r = 0; r < a.rows; ++r) sum += a.At(r, i) * a.At(r, j);
-      scratch.ata.At(i, j) = sum;
+      ata.At(i, j) = sum;
     }
     double sum = 0.0;
     for (std::size_t r = 0; r < a.rows; ++r) sum += a.At(r, i) * b[r];
-    scratch.atb[i] = sum;
+    atb[i] = sum;
   }
-  x.resize(n);  // mulink-lint: allow(alloc): warm output
-  SolveLinearInPlace(scratch.ata, scratch.atb, x);
+  std::vector<double> x(n);
+  SolveLinearInPlace(ata, atb, x);
+  return x;
 }
 
 }  // namespace mulink::linalg

@@ -30,21 +30,10 @@ std::vector<double> SolveLinear(RMatrix a, std::vector<double> b);
 // is a thin wrapper around this.
 void SolveLinearInPlace(RMatrix& a, std::span<double> b, std::span<double> x);
 
-// Minimize ||A x - b||_2 via the normal equations (A^T A) x = A^T b.
-// Adequate for the tiny, well-conditioned design matrices in this project.
+// Minimize ||A x - b||_2 via the normal equations (A^T A) x = A^T b, each
+// entry summed from +0.0 in row order. Adequate for the tiny,
+// well-conditioned design matrices in this project.
 std::vector<double> SolveLeastSquares(const RMatrix& a,
                                       const std::vector<double>& b);
-
-// Reusable buffers for SolveLeastSquaresInto; grow on first use.
-struct LeastSquaresScratch {
-  RMatrix ata;
-  std::vector<double> atb;
-};
-
-// Scratch variant: allocation-free once `scratch` and `x` have warmed up to
-// the problem shape. `x` is resized to a.cols.
-void SolveLeastSquaresInto(const RMatrix& a, std::span<const double> b,
-                           std::vector<double>& x,
-                           LeastSquaresScratch& scratch);
 
 }  // namespace mulink::linalg

@@ -113,6 +113,12 @@ FrameGuard::FrameGuard(FrameGuardConfig config) : config_(config) {
       "FrameGuard: rssi_ewma_alpha must be in (0, 1]");
   locked_antennas_ = config_.expected_antennas;
   locked_subcarriers_ = config_.expected_subcarriers;
+  // With the shape configured, size the streak counters now so the first
+  // frame allocates nothing (a shape-locking guard sizes them on it).
+  // mulink-lint: allow(alloc): ctor, setup path
+  dead_streak_.assign(locked_antennas_, 0);
+  // mulink-lint: allow(alloc): ctor, setup path
+  live_streak_.assign(locked_antennas_, 0);
 }
 
 void FrameGuard::Reset() {

@@ -48,9 +48,9 @@ double ReferenceScore(const core::Detector& detector, Statistic statistic,
   const std::size_t antennas = detector.num_antennas();
   const std::size_t subcarriers = detector.num_subcarriers();
 
-  core::MultipathScratch multipath;
   std::vector<std::vector<double>> mu;
-  core::MeasureMultipathFactorsInto(sanitized, detector.band(), mu, multipath);
+  core::MeasureMultipathFactorsInto(sanitized, detector.ingest_plan().los_frac,
+                                    mu);
   core::SubcarrierWeights weights;
   std::vector<double> median_scratch;
   core::ComputeSubcarrierWeightsInto(
@@ -119,7 +119,6 @@ struct PreparedWindow {
                  std::span<const wifi::CsiPacket> sanitized) {
     const std::size_t antennas = detector.num_antennas();
     const std::size_t subcarriers = detector.num_subcarriers();
-    core::MultipathScratch multipath;
     std::vector<double> median_scratch;
     for (const auto& packet : sanitized) {
       auto& slab = slabs.emplace_back(2 * antennas * subcarriers);
@@ -129,8 +128,8 @@ struct PreparedWindow {
                               slab.data() + (antennas + m) * subcarriers);
       }
       auto& row = mu.emplace_back(subcarriers);
-      core::MeasureMultipathFactorsInto(packet, detector.band(), row,
-                                        multipath);
+      core::MeasureMultipathFactorsInto(packet,
+                                        detector.ingest_plan().los_frac, row);
       medians.push_back(dsp::Median(row, median_scratch));
     }
     for (std::size_t i = 0; i < sanitized.size(); ++i) {

@@ -72,13 +72,64 @@ TEST(EngineFootprint, SharedProfileCombinedLinkFitsItsSlabRing) {
   RecordProperty("bytes_per_link", static_cast<int>(bytes));
 }
 
+// Under serving churn links join an engine that is already running, and
+// everything a link's first frames and first decision touch on the worker's
+// path — the guard's streak counters, the ingest lanes, the mu-median copy,
+// the window's power plane and the combined scheme's covariance planes —
+// must already exist: the guard sizes its state at construction, AddLink
+// pre-sizes the shared scratch. A guarded combined, subcarrier-weighting and
+// variance-mobile link each join an engine that has only served a baseline
+// link, and none allocates from its first frame through its first decision.
+TEST(EngineFootprint, JoiningGuardedLinkAllocatesNothingThroughFirstDecision) {
+  const auto link = ex::MakeClassroomLink();
+  auto sim = ex::MakeSimulator(link);
+  Rng rng(31);
+  const auto calibration = sim.CaptureSession(300, std::nullopt, rng);
+  const auto stream = sim.CaptureSession(100, std::nullopt, rng);
+  const std::span<const wifi::CsiPacket> window(stream.data(), 25);
+
+  auto shared_detector = [&](core::DetectionScheme scheme) {
+    core::DetectorConfig detector_config;
+    detector_config.scheme = scheme;
+    auto detector = core::Detector::Calibrate(calibration, sim.band(),
+                                              sim.array(), detector_config);
+    detector.SetThreshold(1.0);
+    return std::make_shared<const core::Detector>(std::move(detector));
+  };
+  core::StreamingConfig config;
+  config.window_packets = 25;
+  config.guard_enabled = true;
+  const std::vector<double> empty_scores = {0.1, 0.2, 0.15, 0.12};
+
+  for (auto scheme : {core::DetectionScheme::kSubcarrierAndPathWeighting,
+                      core::DetectionScheme::kSubcarrierWeighting,
+                      core::DetectionScheme::kVarianceMobile}) {
+    core::SensingEngine engine;
+    engine.UseSharedScratch();
+    const std::size_t warm =
+        engine.AddLink(shared_detector(core::DetectionScheme::kBaseline),
+                       empty_scores, config);
+    ASSERT_EQ(engine.ProcessBatch(warm, window).decisions.size(), 1u);
+    const std::size_t joined =
+        engine.AddLink(shared_detector(scheme), empty_scores, config);
+    const std::uint64_t before = counting_new::Allocations();
+    std::size_t decisions = 0;
+    for (const auto& packet : window) {
+      decisions += engine.ProcessPacket(joined, packet).has_value() ? 1 : 0;
+    }
+    const std::uint64_t allocations = counting_new::Allocations() - before;
+    EXPECT_EQ(decisions, 1u) << core::ToString(scheme);
+    EXPECT_EQ(allocations, 0u) << core::ToString(scheme);
+  }
+}
+
 // The amplitude schemes score every window off slabs, the ladder learns
 // from them, and packets are rebuilt into the shared scratch only for
 // degraded windows and quiet-packet staging — all on buffers AddLink
 // pre-sized. Calibrated subcarrier-weighting, variance-mobile and combined
 // links (windows 50, 25 and 25) on one shared scratch run through gain
-// drift, AGC retrains and a dead chain: after the links' first windows the
-// stream allocates nothing, ladder swaps included. perfbench leaves
+// drift, AGC retrains and a dead chain: from the first frame on the stream
+// allocates nothing, ladder swaps included. perfbench leaves
 // adaptive-faulty's allocation count ungated, so this is the gate.
 TEST(EngineFootprint, CalibratedAmplitudeLinksAllocateNothingAfterWarmUp) {
   const auto link = ex::MakeClassroomLink();
@@ -140,18 +191,11 @@ TEST(EngineFootprint, CalibratedAmplitudeLinksAllocateNothingAfterWarmUp) {
     engine.AddLink(std::move(detector), empty_scores, config);
   }
 
-  // Warm-up: every link's first window (its ingest buffers, and the
-  // combined link's slab covariance planes, grow on first use).
-  const std::size_t warm_up = 50;
+  // AddLink pre-sized the shared scratch, so counting starts at the first
+  // frame.
   std::size_t decisions = 0;
-  std::uint64_t before = 0;
+  const std::uint64_t before = counting_new::Allocations();
   for (std::size_t i = 0; i < streams[0].size(); ++i) {
-    if (i == warm_up) {
-      for (std::size_t l = 0; l < streams.size(); ++l) {
-        ASSERT_EQ(engine.Calibrator(l).profile_swaps(), 0u);
-      }
-      before = counting_new::Allocations();
-    }
     for (std::size_t l = 0; l < streams.size(); ++l) {
       decisions += engine.ProcessPacket(l, streams[l][i]).has_value() ? 1 : 0;
     }

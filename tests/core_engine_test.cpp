@@ -530,6 +530,38 @@ TEST(SensingEngine, MetricsCountersMatchBatchActivity) {
   }
 }
 
+// Per-frame stages share one deterministic sampling tick per frame: a
+// guarded link fed N clean frames times both the guard inspection and the
+// fused ingest sanitize on N / kIngestSampleEvery of them.
+TEST(SensingEngine, GuardedIngestSamplesEveryPerFrameStageOncePerTick) {
+  auto& f = Fixture();
+  for (auto scheme : {core::DetectionScheme::kSubcarrierAndPathWeighting,
+                      core::DetectionScheme::kSubcarrierWeighting}) {
+    auto detector = f.Calibrated(scheme);
+    const auto empty_scores = EmptyScores(f, detector);
+    detector.SetThreshold(1.0);
+    core::StreamingConfig config;
+    config.guard_enabled = true;
+    core::SensingEngine engine;
+    engine.AddLink(std::move(detector), empty_scores, config);
+
+    const auto session = std::span<const wifi::CsiPacket>(f.empty_session)
+                             .first(12 * obs::kIngestSampleEvery);
+    (void)engine.ProcessBatch(0, session);
+    const auto& m = engine.Metrics(0);
+    if constexpr (obs::kEnabled) {
+      ASSERT_EQ(m.Get(obs::Counter::kPacketsAccepted), session.size());
+      const std::uint64_t expected = session.size() / obs::kIngestSampleEvery;
+      EXPECT_EQ(m.StageLatency(obs::Stage::kGuardClassify).count, expected)
+          << core::ToString(scheme);
+      EXPECT_EQ(m.StageLatency(obs::Stage::kIngestSanitize).count, expected)
+          << core::ToString(scheme);
+    } else {
+      EXPECT_TRUE(m.Empty());
+    }
+  }
+}
+
 // Packet-at-a-time ingest (the serving-tier entry point) must be
 // decision-for-decision identical to batch ingest of the same stream.
 TEST(EngineEquivalence, ProcessPacketMatchesProcessBatch) {

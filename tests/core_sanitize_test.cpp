@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/constants.h"
+#include "common/error.h"
 #include "common/rng.h"
+#include "core/multipath_factor.h"
 #include "core/sanitize.h"
+#include "dsp/fit.h"
+#include "kernels/kernels.h"
 #include "propagation/path.h"
 #include "wifi/cfr.h"
 #include "wifi/noise.h"
@@ -179,6 +185,137 @@ TEST(Sanitize, SessionVariantMatchesPerPacket) {
     const auto one = SanitizePhase(session[i], band);
     for (std::size_t k = 0; k < band.NumSubcarriers(); ++k) {
       EXPECT_EQ(cleaned[i].csi.At(0, k), one.csi.At(0, k));
+    }
+  }
+}
+
+
+// ---- exact closed-form phase fit -----------------------------------------
+
+// The unwrapped antenna-averaged phase FitLinearPhase fits, derived the
+// long way: complex antenna sum, kernels::Atan2, UnwrapPhase.
+std::vector<double> UnwrappedPhase(const wifi::CsiPacket& packet) {
+  const std::size_t num_sc = packet.NumSubcarriers();
+  std::vector<double> re(num_sc), im(num_sc), phase(num_sc);
+  for (std::size_t k = 0; k < num_sc; ++k) {
+    Complex acc(0.0, 0.0);
+    for (std::size_t m = 0; m < packet.NumAntennas(); ++m) {
+      acc += packet.csi.At(m, k);
+    }
+    re[k] = acc.real();
+    im[k] = acc.imag();
+  }
+  kernels::Atan2(im.data(), re.data(), num_sc, phase.data());
+  return UnwrapPhase(phase);
+}
+
+// Random CSI whose per-subcarrier phase wanders far enough to wrap, on top
+// of a common phase and an STO slope.
+wifi::CsiPacket RandomPacket(Rng& rng, const wifi::BandPlan& band,
+                             std::size_t antennas) {
+  linalg::CMatrix csi(antennas, band.NumSubcarriers());
+  const double common = rng.Uniform(-kPi, kPi);
+  const double sto = rng.Uniform(-200e-9, 200e-9);
+  for (std::size_t m = 0; m < antennas; ++m) {
+    for (std::size_t k = 0; k < band.NumSubcarriers(); ++k) {
+      const double phase = common - 2.0 * kPi * band.OffsetHz(k) * sto +
+                           rng.Uniform(-2.5, 2.5);
+      csi.At(m, k) = std::polar(rng.Uniform(0.1, 2.0), phase);
+    }
+  }
+  return MakePacket(csi);
+}
+
+std::vector<int> Indices(int lo, int hi, int skip_below) {
+  std::vector<int> out;
+  for (int i = lo; i <= hi; ++i) {
+    if (std::abs(i) >= skip_below) out.push_back(i);
+  }
+  return out;
+}
+
+TEST(IngestPlanFit, BitIdenticalToLeastSquaresOnEveryBandShape) {
+  struct Case {
+    const char* name;
+    wifi::BandPlan band;
+    bool swapped;     // the Sx row takes the pivot
+    bool eliminated;  // factor != 0
+  };
+  const Case cases[] = {
+      {"intel5300", wifi::BandPlan::Intel5300Channel11(), true, true},
+      {"symmetric", wifi::BandPlan(2.437e9, {-3, -1, 1, 3}, 312.5e3), false,
+       false},
+      {"two", wifi::BandPlan(2.437e9, {3, 7}, 312.5e3), true, true},
+      {"ht20-56", wifi::BandPlan(5.18e9, Indices(-28, 28, 1), 312.5e3), false,
+       false},
+      {"ht40-114", wifi::BandPlan(5.19e9, Indices(-58, 58, 2), 312.5e3),
+       false, false},
+      // |Sx| < n: no swap, but a nonzero elimination factor.
+      {"narrow", wifi::BandPlan(1e9, {-2, -1, 0, 1, 3}, 1.0), false, true},
+  };
+  Rng rng(41);
+  for (const Case& c : cases) {
+    const IngestPlan plan(c.band);
+    EXPECT_EQ(plan.swapped, c.swapped) << c.name;
+    EXPECT_EQ(plan.factor != 0.0, c.eliminated) << c.name;
+    const std::vector<double> offsets = c.band.AllOffsetsHz();
+    SanitizeScratch scratch;
+    std::size_t wrapped = 0;
+    for (int trial = 0; trial < 64; ++trial) {
+      const auto packet = RandomPacket(rng, c.band, 1 + trial % 3);
+      const auto unwrapped = UnwrappedPhase(packet);
+      for (const double y : unwrapped) wrapped += std::abs(y) > kPi ? 1 : 0;
+      const auto reference = dsp::FitLinear(offsets, unwrapped);
+      const PhaseFit fit = FitLinearPhase(packet, plan, scratch);
+      EXPECT_EQ(fit.offset_rad, reference.intercept) << c.name;
+      EXPECT_EQ(fit.slope_rad_per_hz, reference.slope) << c.name;
+    }
+    EXPECT_GT(wrapped, 0u) << c.name << ": no phase ever unwrapped";
+  }
+}
+
+TEST(IngestPlanFit, SingularBandThrowsWhenThePlanIsBuilt) {
+  // Two subcarriers at one offset: the normal matrix has rank 1 (the
+  // elimination cancels exactly), as it does for the least-squares solver.
+  const wifi::BandPlan duplicate(1e9, {2, 2}, 1.0);
+  EXPECT_THROW(IngestPlan{duplicate}, NumericalError);
+  EXPECT_THROW(dsp::FitLinear({2.0, 2.0}, {0.1, 0.2}), NumericalError);
+  EXPECT_THROW(IngestPlan{wifi::BandPlan(1e9, {4}, 1.0)}, PreconditionError);
+}
+
+// The engine's one-pass ingest writes the same bytes as the offline
+// interleaved sanitize followed by a per-row split, and measures the same
+// mu from them.
+TEST(IngestPlanFit, SplitSanitizeAndMuMatchInterleavedPath) {
+  const auto band = wifi::BandPlan::Intel5300Channel11();
+  const IngestPlan plan(band);
+  const std::size_t num_sc = band.NumSubcarriers();
+  Rng rng(43);
+  SanitizeScratch scratch;
+  for (std::size_t antennas : {std::size_t{1}, std::size_t{3}}) {
+    for (int trial = 0; trial < 16; ++trial) {
+      const auto packet = RandomPacket(rng, band, antennas);
+      wifi::CsiPacket clean;
+      SanitizePhaseInto(packet, plan, clean, scratch);
+      std::vector<double> want(2 * antennas * num_sc);
+      for (std::size_t m = 0; m < antennas; ++m) {
+        kernels::Deinterleave(clean.csi.raw() + m * num_sc, num_sc,
+                              want.data() + m * num_sc,
+                              want.data() + (antennas + m) * num_sc);
+      }
+      std::vector<double> got(2 * antennas * num_sc);
+      SanitizePhaseSplitInto(packet, plan, got.data(),
+                             got.data() + antennas * num_sc, scratch);
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                               got.size() * sizeof(double)));
+
+      std::vector<double> mu(num_sc), mu_split(num_sc);
+      MeasureMultipathFactorsInto(clean, plan.los_frac, mu);
+      MeasureMultipathFactorsSplitInto(got.data(),
+                                       got.data() + antennas * num_sc,
+                                       antennas, plan.los_frac, mu_split);
+      EXPECT_EQ(0, std::memcmp(mu.data(), mu_split.data(),
+                               num_sc * sizeof(double)));
     }
   }
 }

@@ -22,6 +22,7 @@
 #include "core/detector.h"
 #include "core/multipath_factor.h"
 #include "core/sanitize.h"
+#include "dsp/delay_domain.h"
 #include "dsp/stats.h"
 #include "experiments/scenario.h"
 #include "kernels/kernels.h"
@@ -526,6 +527,123 @@ TEST_F(KernelsTest, ColumnMediansNaNParity) {
   }
 }
 
+// ---- split-row ingest kernels --------------------------------------------
+
+std::vector<Backend> AvailableBackends() {
+  std::vector<Backend> backends = {Backend::kScalar};
+  if (BackendAvailable(Backend::kAvx2)) backends.push_back(Backend::kAvx2);
+  return backends;
+}
+
+// RotateRowsSplit writes the bytes of RotateRows + a per-row Deinterleave,
+// and the split mu / dominant-tap kernels reproduce MuAccumulateRow and
+// dsp::DominantTapPower on them — on every backend, with row lengths off
+// the lane width and unaligned rows, and bit for bit across backends.
+TEST_F(KernelsTest, SplitIngestKernelsMatchInterleavedOnes) {
+  Rng rng(53);
+  for (std::size_t rows : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+    for (std::size_t n : kLengths) {
+      const std::size_t off = 1;  // 8-mod-32 base: unaligned loads/stores
+      const auto src_buf = RandomComplex(rng, off + rows * n);
+      const Complex* src = src_buf.data() + off;
+      const auto cos_v = RandomVector(rng, off + n, -1.0, 1.0);
+      const auto sin_v = RandomVector(rng, off + n, -1.0, 1.0);
+      const auto los = RandomVector(rng, off + n, 0.0, 1.0);
+      std::vector<std::vector<double>> split_by_backend, mu_by_backend;
+      for (Backend backend : AvailableBackends()) {
+        SetBackend(backend);
+        std::vector<Complex> rotated(rows * n);
+        RotateRows(src, rows, n, cos_v.data() + off, sin_v.data() + off,
+                   rotated.data());
+        std::vector<double> want(2 * rows * n);
+        for (std::size_t r = 0; r < rows; ++r) {
+          Deinterleave(rotated.data() + r * n, n, want.data() + r * n,
+                       want.data() + (rows + r) * n);
+        }
+        std::vector<double> split(off + 2 * rows * n, 0.0);
+        double* re = split.data() + off;
+        double* im = re + rows * n;
+        RotateRowsSplit(src, rows, n, cos_v.data() + off, sin_v.data() + off,
+                        re, im);
+        EXPECT_TRUE(BitIdentical(std::span<const double>(re, 2 * rows * n),
+                                 want))
+            << ToString(backend) << " RotateRowsSplit " << rows << "x" << n;
+        split_by_backend.emplace_back(re, re + 2 * rows * n);
+
+        std::vector<double> mu(n, 0.25), mu_split(off + n, 0.25);
+        for (std::size_t r = 0; r < rows; ++r) {
+          const Complex* row = rotated.data() + r * n;
+          const double dominant =
+              dsp::DominantTapPower(std::span<const Complex>(row, n));
+          const double dominant_split =
+              DominantTapPowerSplit(re + r * n, im + r * n, n);
+          EXPECT_EQ(dominant, dominant_split)
+              << ToString(backend) << " DominantTapPowerSplit n=" << n;
+          MuAccumulateRow(row, los.data() + off, dominant, n, mu.data());
+          MuAccumulateSplitRow(re + r * n, im + r * n, los.data() + off,
+                               dominant_split, n, mu_split.data() + off);
+        }
+        EXPECT_TRUE(BitIdentical(
+            mu, std::span<const double>(mu_split.data() + off, n)))
+            << ToString(backend) << " MuAccumulateSplitRow " << rows << "x"
+            << n;
+        mu_by_backend.push_back(mu);
+      }
+      if (split_by_backend.size() == 2) {
+        EXPECT_TRUE(BitIdentical(split_by_backend[0], split_by_backend[1]))
+            << "RotateRowsSplit backends " << rows << "x" << n;
+        EXPECT_TRUE(BitIdentical(mu_by_backend[0], mu_by_backend[1]))
+            << "MuAccumulateSplitRow backends " << rows << "x" << n;
+      }
+    }
+  }
+}
+
+// ColumnMoments against the per-cell loop it replaces (each column summed
+// in row order, std::sqrt per element) on every backend: column counts off
+// the lane width, an unaligned strided plane, zeros and denormals.
+TEST_F(KernelsTest, ColumnMomentsMatchPerCellLoop) {
+  Rng rng(59);
+  for (std::size_t rows : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                           std::size_t{25}, std::size_t{50}}) {
+    for (std::size_t cols : kColumnCounts) {
+      const std::size_t stride = cols + 3;
+      const std::size_t offset = 1;
+      auto plane = RandomVector(rng, offset + rows * stride, 0.0, 5.0);
+      plane[offset] = 0.0;
+      plane[offset + rows * stride - 1] =
+          std::numeric_limits<double>::denorm_min();
+      const double* base = plane.data() + offset;
+      std::vector<double> want_p(cols), want_p2(cols), want_a(cols);
+      for (std::size_t c = 0; c < cols; ++c) {
+        double sum_p = 0.0, sum_p2 = 0.0, sum_a = 0.0;
+        for (std::size_t r = 0; r < rows; ++r) {
+          const double p = base[r * stride + c];
+          sum_p += p;
+          sum_p2 += p * p;
+          sum_a += std::sqrt(p);
+        }
+        want_p[c] = sum_p;
+        want_p2[c] = sum_p2;
+        want_a[c] = sum_a;
+      }
+      for (Backend backend : AvailableBackends()) {
+        SetBackend(backend);
+        std::vector<double> sum_p(cols, -1.0), sum_p2(cols, -1.0),
+            sum_a(cols, -1.0);
+        ColumnMoments(base, rows, cols, stride, sum_p.data(), sum_p2.data(),
+                      sum_a.data());
+        EXPECT_TRUE(BitIdentical(sum_p, want_p))
+            << ToString(backend) << " rows=" << rows << " cols=" << cols;
+        EXPECT_TRUE(BitIdentical(sum_p2, want_p2))
+            << ToString(backend) << " rows=" << rows << " cols=" << cols;
+        EXPECT_TRUE(BitIdentical(sum_a, want_a))
+            << ToString(backend) << " rows=" << rows << " cols=" << cols;
+      }
+    }
+  }
+}
+
 // ---- closed-form smallest eigenvalue ------------------------------------
 
 TEST(SmallestEigenvalueTest, MatchesFullJacobiDecomposition) {
@@ -625,7 +743,7 @@ TEST_F(EngineParityTest, PreparedFactorsScoreMatchesRecompute) {
     const auto window = Window(human);
     DetectorScratch recompute_scratch, prepared_scratch;
     std::vector<wifi::CsiPacket> sanitized;
-    SanitizePhaseInto(std::span(window), detector.band(), sanitized,
+    SanitizePhaseInto(std::span(window), detector.ingest_plan(), sanitized,
                       recompute_scratch.sanitize);
 
     const double direct =
@@ -633,14 +751,14 @@ TEST_F(EngineParityTest, PreparedFactorsScoreMatchesRecompute) {
 
     // Derive the factors exactly as the engine's ingest path does: one mu
     // row + median per packet.
-    MultipathScratch mp;
     std::vector<double> median_scratch;
     std::vector<std::vector<double>> mu(
         sanitized.size(), std::vector<double>(detector.num_subcarriers()));
     std::vector<double> medians(sanitized.size());
     std::vector<const double*> rows(sanitized.size());
     for (std::size_t i = 0; i < sanitized.size(); ++i) {
-      MeasureMultipathFactorsInto(sanitized[i], detector.band(), mu[i], mp);
+      MeasureMultipathFactorsInto(sanitized[i], detector.ingest_plan().los_frac,
+                                  mu[i]);
       medians[i] = dsp::Median(mu[i], median_scratch);
       rows[i] = mu[i].data();
     }
