@@ -9,7 +9,7 @@
 #include <memory>
 
 #include "common/rng.h"
-#include "core/fusion.h"
+#include "core/detector.h"
 #include "experiments/format.h"
 #include "experiments/scenario.h"
 #include "experiments/workload.h"
@@ -63,9 +63,8 @@ int main(int argc, char** argv) {
   auto naive_a = MakeRig(link_a, core::DetectionScheme::kBaseline, rng);
   auto naive_b = MakeRig(link_b, core::DetectionScheme::kBaseline, rng);
 
-  core::MultiLinkDetector bundle(core::FusionRule::kAny);
-  bundle.AddLink(*naive_a.detector);
-  bundle.AddLink(*naive_b.detector);
+  // The two-link bundle fuses with an any-vote: it alarms when either naive
+  // link crosses its own threshold.
 
   // Coverage grid across the whole room.
   int grid_total = 0;
@@ -81,8 +80,9 @@ int main(int argc, char** argv) {
       }
       const auto window_a = naive_a.sim->CaptureSession(25, body, rng);
       const auto window_b = naive_b.sim->CaptureSession(25, body, rng);
-      if (naive_a.detector->Detect(window_a)) ++naive_one_hits;
-      if (bundle.Detect({window_a, window_b})) ++bundle_hits;
+      const bool alarm_a = naive_a.detector->Detect(window_a);
+      if (alarm_a) ++naive_one_hits;
+      if (alarm_a || naive_b.detector->Detect(window_b)) ++bundle_hits;
     }
   }
 
@@ -96,8 +96,9 @@ int main(int argc, char** argv) {
     }
     const auto window_a = naive_a.sim->CaptureSession(25, std::nullopt, rng);
     const auto window_b = naive_b.sim->CaptureSession(25, std::nullopt, rng);
-    if (naive_a.detector->Detect(window_a)) ++naive_one_fa;
-    if (bundle.Detect({window_a, window_b})) ++bundle_fa;
+    const bool alarm_a = naive_a.detector->Detect(window_a);
+    if (alarm_a) ++naive_one_fa;
+    if (alarm_a || naive_b.detector->Detect(window_b)) ++bundle_fa;
   }
 
   const auto pct = [](int n, int d) {

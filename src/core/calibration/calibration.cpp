@@ -370,8 +370,8 @@ void LinkCalibrator::ApplySwap(Detector& detector, DetectorScratch& scratch) {
   // and re-apply the calibrated threshold margin relative to it.
   double rebased = 0.0;
   if (staged_count_ >= 2) {
-    rebased = detector.ScoreSanitized(
-        std::span<const wifi::CsiPacket>(staged_.data(), staged_count_),
+    rebased = detector.ScorePrepared(
+        std::span<const wifi::CsiPacket>(staged_.data(), staged_count_), {},
         scratch);
   }
   scratch.metrics = scoring_sink;

@@ -183,56 +183,31 @@ double Detector::Score(const std::vector<wifi::CsiPacket>& window) const {
 
 double Detector::Score(std::span<const wifi::CsiPacket> window,
                        DetectorScratch& scratch) const {
-  MULINK_REQUIRE(!window.empty(), "Detector::Score: empty window");
-  MULINK_REQUIRE(window[0].NumAntennas() == num_antennas_ &&
-                     window[0].NumSubcarriers() == num_subcarriers_,
-                 "Detector::Score: window dimensions mismatch calibration");
-  if (!UsesSanitizedInput()) return ScoreSanitized(window, scratch);
-  {
-    MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kIngestSanitize);
-    SanitizePhaseInto(window, ingest_plan_, scratch.sanitized,
-                      scratch.sanitize);
-  }
-  return ScoreSanitized(scratch.sanitized, scratch);
+  return Dispatch(InputState(window, scratch), {}, scratch, FullAntennaMask(),
+                  /*fallback=*/false);
 }
 
-double Detector::ScoreSanitized(std::span<const wifi::CsiPacket> window,
-                                DetectorScratch& scratch) const {
-  MULINK_REQUIRE(!window.empty(), "Detector::ScoreSanitized: empty window");
-  MULINK_REQUIRE(
-      window[0].NumAntennas() == num_antennas_ &&
-          window[0].NumSubcarriers() == num_subcarriers_,
-      "Detector::ScoreSanitized: window dimensions mismatch calibration");
-  MULINK_OBS_COUNT(scratch.metrics, kWindowsScored);
-  return DispatchSanitized(window, scratch, nullptr);
+double Detector::ScoreDegraded(std::span<const wifi::CsiPacket> window,
+                               DetectorScratch& scratch,
+                               std::uint32_t live_mask) const {
+  return Dispatch(InputState(window, scratch), {}, scratch, live_mask,
+                  /*fallback=*/true);
 }
 
-double Detector::ScoreSanitizedPrepared(
-    std::span<const wifi::CsiPacket> window,
-    const PreparedWindowFactors& factors, DetectorScratch& scratch) const {
-  // With ingest-split slabs the sanitized schemes never touch the window
-  // packets, so the caller may pass an empty window span.
-  const bool slab_window =
-      window.empty() && !factors.csi_slabs.empty() && UsesSanitizedInput();
-  const std::size_t window_packets =
-      slab_window ? factors.csi_slabs.size() : window.size();
-  MULINK_REQUIRE(window_packets > 0,
-                 "Detector::ScoreSanitizedPrepared: empty window");
-  MULINK_REQUIRE(slab_window ||
-                     (window[0].NumAntennas() == num_antennas_ &&
-                      window[0].NumSubcarriers() == num_subcarriers_),
-                 "Detector::ScoreSanitizedPrepared: window dimensions "
-                 "mismatch calibration");
-  MULINK_REQUIRE(factors.mu_rows.size() == window_packets &&
-                     factors.medians.size() == window_packets,
-                 "Detector::ScoreSanitizedPrepared: factors/window size "
-                 "mismatch");
-  MULINK_REQUIRE(factors.csi_slabs.empty() ||
-                     factors.csi_slabs.size() == window_packets,
-                 "Detector::ScoreSanitizedPrepared: slabs/window size "
-                 "mismatch");
-  MULINK_OBS_COUNT(scratch.metrics, kWindowsScored);
-  return DispatchSanitized(window, scratch, &factors);
+double Detector::ScorePrepared(std::span<const wifi::CsiPacket> window,
+                               const PreparedWindowFactors& factors,
+                               DetectorScratch& scratch,
+                               std::uint32_t live_mask) const {
+  live_mask &= FullAntennaMask();
+  return Dispatch(window, factors, scratch, live_mask,
+                  /*fallback=*/live_mask != FullAntennaMask());
+}
+
+bool Detector::Detect(const std::vector<wifi::CsiPacket>& window) const {
+  MULINK_REQUIRE(threshold_set_,
+                 "Detector::Detect: threshold not calibrated; call "
+                 "SetThreshold or CalibrateThreshold first");
+  return Score(window) >= threshold_;
 }
 
 std::uint32_t Detector::FullAntennaMask() const {
@@ -240,89 +215,80 @@ std::uint32_t Detector::FullAntennaMask() const {
                              : ((1u << num_antennas_) - 1u);
 }
 
-double Detector::ScoreDegraded(std::span<const wifi::CsiPacket> window,
-                               DetectorScratch& scratch,
-                               std::uint32_t live_mask) const {
-  MULINK_REQUIRE(!window.empty(), "Detector::ScoreDegraded: empty window");
-  MULINK_REQUIRE(window[0].NumAntennas() == num_antennas_ &&
-                     window[0].NumSubcarriers() == num_subcarriers_,
-                 "Detector::ScoreDegraded: window dimensions mismatch "
-                 "calibration");
-  if (!UsesSanitizedInput()) {
-    return ScoreSanitizedDegraded(window, scratch, live_mask);
-  }
-  {
-    MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kIngestSanitize);
-    SanitizePhaseInto(window, ingest_plan_, scratch.sanitized,
-                      scratch.sanitize);
-  }
-  return ScoreSanitizedDegraded(scratch.sanitized, scratch, live_mask);
+std::span<const wifi::CsiPacket> Detector::InputState(
+    std::span<const wifi::CsiPacket> window, DetectorScratch& scratch) const {
+  if (!UsesSanitizedInput()) return window;
+  MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kIngestSanitize);
+  SanitizePhaseInto(window, ingest_plan_, scratch.sanitized, scratch.sanitize);
+  return scratch.sanitized;
 }
 
-double Detector::ScoreSanitizedDegraded(
-    std::span<const wifi::CsiPacket> window, DetectorScratch& scratch,
-    std::uint32_t live_mask) const {
-  MULINK_REQUIRE(!window.empty(),
-                 "Detector::ScoreSanitizedDegraded: empty window");
-  MULINK_REQUIRE(window[0].NumAntennas() == num_antennas_ &&
-                     window[0].NumSubcarriers() == num_subcarriers_,
-                 "Detector::ScoreSanitizedDegraded: window dimensions "
-                 "mismatch calibration");
+double Detector::Dispatch(std::span<const wifi::CsiPacket> window,
+                          const PreparedWindowFactors& factors,
+                          DetectorScratch& scratch, std::uint32_t live_mask,
+                          bool fallback) const {
+  // The packets' stand-ins: with ingest-split slabs (sanitized schemes) or
+  // cached distances (baseline) the scheme never touches the window
+  // packets, so the caller may pass an empty window span.
+  const std::size_t stand_ins = UsesSanitizedInput()
+                                    ? factors.csi_slabs.size()
+                                    : factors.packet_scores.size();
+  const std::size_t packets = window.empty() ? stand_ins : window.size();
+  MULINK_REQUIRE(packets > 0, "Detector: empty window");
+  MULINK_REQUIRE(window.empty() ||
+                     (window[0].NumAntennas() == num_antennas_ &&
+                      window[0].NumSubcarriers() == num_subcarriers_),
+                 "Detector: window dimensions mismatch calibration");
+  MULINK_REQUIRE(
+      (stand_ins == 0 || stand_ins == packets) &&
+          factors.medians.size() == factors.mu_rows.size() &&
+          (factors.mu_rows.empty() ? factors.csi_slabs.empty()
+                                   : factors.mu_rows.size() == packets),
+      "Detector: prepared factors/window size mismatch");
   MULINK_REQUIRE((live_mask & FullAntennaMask()) != 0,
-                 "Detector::ScoreSanitizedDegraded: no live antennas");
+                 "Detector: no live antennas");
+  MULINK_REQUIRE(
+      factors.packet_scores.empty() || live_mask == FullAntennaMask(),
+      "Detector: cached baseline distances are full-mask only");
   MULINK_OBS_COUNT(scratch.metrics, kWindowsScored);
-  return DispatchSanitizedDegraded(window, scratch, live_mask);
-}
-
-double Detector::DispatchSanitizedDegraded(
-    std::span<const wifi::CsiPacket> sanitized, DetectorScratch& scratch,
-    std::uint32_t live_mask) const {
   switch (config_.scheme) {
     case DetectionScheme::kBaseline: {  // the window is raw (see header)
       MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kScore);
-      return ScoreBaseline(sanitized, live_mask);
+      if (factors.packet_scores.empty()) {
+        return ScoreBaseline(window, live_mask);
+      }
+      // Same accumulation order and divisors as the full-mask ScoreBaseline
+      // (live == num_antennas_ there), so the fold is bit-identical.
+      const double live = static_cast<double>(num_antennas_);
+      double score = 0.0;
+      for (const double packet_score : factors.packet_scores) {
+        score += packet_score / live;
+      }
+      return score / static_cast<double>(packets);
     }
     case DetectionScheme::kSubcarrierWeighting:
-      return ScoreSubcarrierWeighting(sanitized, scratch, live_mask, nullptr);
+      return ScoreSubcarrierWeighting(window, scratch, live_mask, factors);
     case DetectionScheme::kSubcarrierAndPathWeighting:
       // MUSIC needs the full 3-element ULA; with a dead chain the angular
       // statistic is meaningless, so fall back to subcarrier-only
       // weighting over the live rows (decisions use fallback_threshold()).
-      return ScoreSubcarrierWeighting(sanitized, scratch, live_mask, nullptr);
+      if (fallback) {
+        return ScoreSubcarrierWeighting(window, scratch, live_mask, factors);
+      }
+      return ScoreCombined(window, scratch, factors);
     case DetectionScheme::kVarianceMobile:
-      return ScoreVarianceMobile(sanitized, scratch, live_mask, nullptr);
-  }
-  return 0.0;
-}
-
-double Detector::DispatchSanitized(std::span<const wifi::CsiPacket> sanitized,
-                                   DetectorScratch& scratch,
-                                   const PreparedWindowFactors* prepared)
-    const {
-  switch (config_.scheme) {
-    case DetectionScheme::kBaseline: {  // the window is raw (see header)
-      MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kScore);
-      return ScoreBaseline(sanitized, FullAntennaMask());
-    }
-    case DetectionScheme::kSubcarrierWeighting:
-      return ScoreSubcarrierWeighting(sanitized, scratch, FullAntennaMask(),
-                                      prepared);
-    case DetectionScheme::kSubcarrierAndPathWeighting:
-      return ScoreCombined(sanitized, scratch, prepared);
-    case DetectionScheme::kVarianceMobile:
-      return ScoreVarianceMobile(sanitized, scratch, FullAntennaMask(),
-                                 prepared);
+      return ScoreVarianceMobile(window, scratch, live_mask, factors);
   }
   return 0.0;
 }
 
 void Detector::ComputeWindowWeights(std::span<const wifi::CsiPacket> sanitized,
                                     DetectorScratch& scratch,
-                                    const PreparedWindowFactors* prepared)
+                                    const PreparedWindowFactors& factors)
     const {
   MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kSubcarrierWeighting);
-  if (prepared != nullptr) {
-    ComputeSubcarrierWeightsInto(prepared->mu_rows, prepared->medians,
+  if (!factors.mu_rows.empty()) {
+    ComputeSubcarrierWeightsInto(factors.mu_rows, factors.medians,
                                  num_subcarriers_, config_.weighting_mode,
                                  scratch.weights);
   } else {
@@ -332,30 +298,6 @@ void Detector::ComputeWindowWeights(std::span<const wifi::CsiPacket> sanitized,
             .first(sanitized.size()),
         config_.weighting_mode, scratch.weights, scratch.median_scratch);
   }
-}
-
-std::vector<double> Detector::ScoreSession(
-    const std::vector<wifi::CsiPacket>& session) const {
-  MULINK_REQUIRE(session.size() >= config_.window_packets,
-                 "Detector::ScoreSession: session shorter than one window");
-  std::vector<double> scores;
-  const std::size_t m = config_.window_packets;
-  // mulink-lint: allow(alloc): legacy convenience API; engine path is allocation-free
-  scores.reserve(session.size() / m);
-  DetectorScratch scratch;
-  const std::span<const wifi::CsiPacket> all(session);
-  for (std::size_t start = 0; start + m <= session.size(); start += m) {
-    // mulink-lint: allow(alloc): legacy convenience API; engine path is allocation-free
-    scores.push_back(Score(all.subspan(start, m), scratch));
-  }
-  return scores;
-}
-
-bool Detector::Detect(const std::vector<wifi::CsiPacket>& window) const {
-  MULINK_REQUIRE(threshold_set_,
-                 "Detector::Detect: threshold not calibrated; call "
-                 "SetThreshold or CalibrateThreshold first");
-  return Score(window) >= threshold_;
 }
 
 void Detector::CalibrateThreshold(
@@ -466,21 +408,26 @@ void Detector::ApplyProfile(std::span<const double> power,
   MULINK_REQUIRE(power.size() == cells && amplitude.size() == cells &&
                      variance.size() == cells,
                  "Detector::ApplyProfile: shape mismatch");
+  // Validate before writing anything, so a refused profile leaves the
+  // detector as it was.
   double power_sum = 0.0, amp_sum = 0.0;
+  for (std::size_t idx = 0; idx < cells; ++idx) {
+    power_sum += power[idx];
+    amp_sum += amplitude[idx];
+  }
+  const double scale_power = power_sum / static_cast<double>(cells);
+  MULINK_REQUIRE(scale_power > 0.0,
+                 "Detector::ApplyProfile: staged profile has no power");
   for (std::size_t m = 0; m < num_antennas_; ++m) {
     for (std::size_t k = 0; k < num_subcarriers_; ++k) {
       const std::size_t idx = m * num_subcarriers_ + k;
       profile_power_[m][k] = power[idx];
       profile_amplitude_[m][k] = amplitude[idx];
       profile_variance_[m][k] = variance[idx];
-      power_sum += power[idx];
-      amp_sum += amplitude[idx];
     }
   }
-  profile_scale_power_ = power_sum / static_cast<double>(cells);
+  profile_scale_power_ = scale_power;
   profile_scale_amplitude_ = amp_sum / static_cast<double>(cells);
-  MULINK_REQUIRE(profile_scale_power_ > 0.0,
-                 "Detector::ApplyProfile: staged profile has no power");
   profile_epoch_ = NextProfileVersion();
 }
 
@@ -578,7 +525,7 @@ double Detector::ScoreBaseline(std::span<const wifi::CsiPacket> window,
 double Detector::BaselinePacketScore(const wifi::CsiPacket& packet) const {
   // Exactly one full-mask iteration of ScoreBaseline's packet loop: the
   // antennas accumulate in index order and the per-antenna subcarrier walk
-  // is unchanged, so folding these values with ScoreBaselinePrepared below
+  // is unchanged, so folding these values (Dispatch, packet_scores)
   // reproduces ScoreBaseline bit for bit.
   double packet_score = 0.0;
   for (std::size_t m = 0; m < num_antennas_; ++m) {
@@ -594,33 +541,14 @@ double Detector::BaselinePacketScore(const wifi::CsiPacket& packet) const {
   return packet_score;
 }
 
-double Detector::ScoreBaselinePrepared(std::span<const double> packet_scores,
-                                       DetectorScratch& scratch) const {
-  MULINK_REQUIRE(config_.scheme == DetectionScheme::kBaseline,
-                 "Detector::ScoreBaselinePrepared: baseline scheme only");
-  MULINK_REQUIRE(!packet_scores.empty(),
-                 "Detector::ScoreBaselinePrepared: empty window");
-  MULINK_OBS_COUNT(scratch.metrics, kWindowsScored);
-  MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kScore);
-  // Same accumulation order and divisors as the full-mask ScoreBaseline
-  // (live == num_antennas_ there), so the fold is bit-identical.
-  const double live = static_cast<double>(num_antennas_);
-  double score = 0.0;
-  for (const double packet_score : packet_scores) {
-    score += packet_score / live;
-  }
-  return score / static_cast<double>(packet_scores.size());
-}
-
 void Detector::ComputeCellStats(std::span<const wifi::CsiPacket> sanitized,
                                 DetectorScratch& scratch,
-                                const PreparedWindowFactors* prepared,
+                                const PreparedWindowFactors& factors,
                                 bool spread) const {
   const std::size_t cells = num_antennas_ * num_subcarriers_;
   const std::span<double> plane = FillPowerPlane(
       sanitized,
-      prepared != nullptr ? prepared->csi_slabs
-                          : std::span<const double* const>(),
+      factors.csi_slabs,
       num_antennas_, num_subcarriers_, scratch.power_plane);
   const std::size_t rows = plane.size() / cells;
   auto& center = scratch.cell_center;
@@ -660,10 +588,10 @@ void Detector::ComputeCellStats(std::span<const wifi::CsiPacket> sanitized,
 
 double Detector::ScoreSubcarrierWeighting(
     std::span<const wifi::CsiPacket> sanitized, DetectorScratch& scratch,
-    std::uint32_t live_mask, const PreparedWindowFactors* prepared) const {
-  ComputeWindowWeights(sanitized, scratch, prepared);
+    std::uint32_t live_mask, const PreparedWindowFactors& factors) const {
+  ComputeWindowWeights(sanitized, scratch, factors);
   MULINK_OBS_STAGE_TIMER(score_timer, scratch.metrics, kScore);
-  ComputeCellStats(sanitized, scratch, prepared, /*spread=*/false);
+  ComputeCellStats(sanitized, scratch, factors, /*spread=*/false);
   const auto& weights = scratch.weights;
   const double* const window_power = scratch.cell_center.data();
 
@@ -699,16 +627,15 @@ double Detector::ScoreSubcarrierWeighting(
 
 double Detector::ScoreVarianceMobile(
     std::span<const wifi::CsiPacket> sanitized, DetectorScratch& scratch,
-    std::uint32_t live_mask, const PreparedWindowFactors* prepared) const {
-  const std::size_t packets =
-      prepared != nullptr && !prepared->csi_slabs.empty()
-          ? prepared->csi_slabs.size()
-          : sanitized.size();
+    std::uint32_t live_mask, const PreparedWindowFactors& factors) const {
+  const std::size_t packets = factors.csi_slabs.empty()
+                                  ? sanitized.size()
+                                  : factors.csi_slabs.size();
   MULINK_REQUIRE(packets >= 2,
                  "Detector: variance statistic needs >= 2 packets");
-  ComputeWindowWeights(sanitized, scratch, prepared);
+  ComputeWindowWeights(sanitized, scratch, factors);
   MULINK_OBS_STAGE_TIMER(score_timer, scratch.metrics, kScore);
-  ComputeCellStats(sanitized, scratch, prepared, /*spread=*/true);
+  ComputeCellStats(sanitized, scratch, factors, /*spread=*/true);
   const auto& weights = scratch.weights;
   const double* const spread = scratch.cell_spread.data();
   const double uniform = 1.0 / static_cast<double>(num_subcarriers_);
@@ -746,10 +673,10 @@ double Detector::ScoreVarianceMobile(
 
 double Detector::ScoreCombined(std::span<const wifi::CsiPacket> sanitized,
                                DetectorScratch& scratch,
-                               const PreparedWindowFactors* prepared) const {
+                               const PreparedWindowFactors& factors) const {
   MULINK_REQUIRE(num_antennas_ >= 2,
                  "Detector: combined scheme needs >= 2 antennas");
-  ComputeWindowWeights(sanitized, scratch, prepared);
+  ComputeWindowWeights(sanitized, scratch, factors);
   const auto& weights = scratch.weights;
 
   // Same monitoring-stage subcarrier weights applied to both sides — valid
@@ -760,9 +687,9 @@ double Detector::ScoreCombined(std::span<const wifi::CsiPacket> sanitized,
   auto& profile_cov = scratch.profile_cov;
   {
     MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kMusicPathWeighting);
-    if (prepared != nullptr && !prepared->csi_slabs.empty()) {
+    if (!factors.csi_slabs.empty()) {
       // Ingest-split slabs: same bytes, no per-window re-deinterleave.
-      SampleCovarianceSlabsInto(prepared->csi_slabs, num_antennas_,
+      SampleCovarianceSlabsInto(factors.csi_slabs, num_antennas_,
                                 num_subcarriers_, weights.weights,
                                 monitor_cov, scratch.music);
     } else {

@@ -144,6 +144,23 @@ std::span<double> FillPowerPlane(std::span<const wifi::CsiPacket> window,
                                  std::size_t antennas, std::size_t subcarriers,
                                  std::vector<double>& plane);
 
+// Scoring surface (every entry is bit-identical to the others on the same
+// packets — sanitization, mu extraction and the baseline's per-packet
+// distance are deterministic per-packet maps, so computing them at ingest
+// instead of per window changes no bits):
+//  * Score          — the offline statistic of a raw window (two overloads;
+//                     the span one is allocation-free on a warm scratch).
+//  * ScoreDegraded  — the offline dead-chain statistic over the live rows:
+//                     the raw-window reference for degraded decisions, and
+//                     at full mask the combined scheme's fallback statistic
+//                     CalibrateThreshold derives fallback_threshold() from.
+//  * Detect         — Score against the operating threshold.
+//  * ScorePrepared  — the engine's entry: a window already in the
+//                     detector's input state plus whatever SensingEngine
+//                     prepared at ingest (slabs, mu rows, baseline
+//                     distances), primary or degraded by its live mask.
+// BaselinePacketScore is the per-packet map behind the baseline's prepared
+// distances.
 class Detector {
  public:
   // Build a detector from an empty-room calibration session. Requires >= 2
@@ -153,9 +170,9 @@ class Detector {
                             const wifi::UniformLinearArray& array,
                             const DetectorConfig& config = {});
 
-  // Decision statistic for a monitoring window (>= 1 packet; the combined
-  // scheme needs >= 2 packets for a stable covariance). Higher = more
-  // evidence of human presence.
+  // Decision statistic for a raw monitoring window (>= 1 packet; the
+  // combined scheme needs >= 2 packets for a stable covariance). Higher =
+  // more evidence of human presence.
   double Score(const std::vector<wifi::CsiPacket>& window) const;
 
   // Workspace variant: bit-identical to Score, but all intermediate buffers
@@ -163,64 +180,7 @@ class Detector {
   MULINK_HOT double Score(std::span<const wifi::CsiPacket> window,
                           DetectorScratch& scratch) const;
 
-  // Score a window whose packets are already phase-sanitized (exactly as
-  // SanitizePhaseInto would produce them). Callers that ingest packets
-  // incrementally — SensingEngine — sanitize each packet once on arrival
-  // and score overlapping windows through this entry point, instead of
-  // re-sanitizing the whole window every hop. Bit-identical to Score on the
-  // raw window, because sanitization is a deterministic per-packet map.
-  // The baseline never sanitizes: for it, this is exactly Score.
-  MULINK_HOT double ScoreSanitized(std::span<const wifi::CsiPacket> window,
-                                   DetectorScratch& scratch) const;
-
-  // Per-packet multipath factors prepared once at ingest (the engine fast
-  // path): mu_rows[m] points at packet m's num_subcarriers() factors and
-  // medians[m] is that row's cross-subcarrier median, both in window order.
-  // Like sanitization, mu extraction is a deterministic per-packet map, so
-  // caching it at ingest instead of re-deriving window_packets rows every
-  // hop changes no bits of the score.
-  struct PreparedWindowFactors {
-    std::span<const double* const> mu_rows;
-    std::span<const double> medians;
-    // Optional ingest-split CSI slabs, one per window packet (antenna-major
-    // re rows then im rows, exactly kernels::Deinterleave's bytes — see
-    // SampleCovarianceSlabsInto). When set, every sanitized scheme reads
-    // these instead of the window packets — the combined scheme's monitor
-    // covariance, the amplitude schemes' power plane — so the caller can
-    // skip materializing the window entirely (pass an empty window span to
-    // ScoreSanitizedPrepared).
-    std::span<const double* const> csi_slabs;
-  };
-
-  // ScoreSanitized with ingest-prepared multipath factors. Bit-identical to
-  // ScoreSanitized on the same window when the factors match what
-  // MeasureMultipathFactorsInto / dsp::Median produce for its packets.
-  MULINK_HOT double ScoreSanitizedPrepared(
-      std::span<const wifi::CsiPacket> window,
-      const PreparedWindowFactors& factors, DetectorScratch& scratch) const;
-
-  // Per-packet contribution to the baseline statistic: the full-mask inner
-  // body of ScoreBaseline (sum over antennas of the normalized amplitude
-  // distance to the profile). A deterministic per-packet map of the RAW
-  // packet, so ingest paths cache one double per ring slot and fold the
-  // window's statistic with ScoreBaselinePrepared instead of re-walking
-  // window_packets x antennas x subcarriers every hop. Values are tied to
-  // profile_epoch(): a profile rewrite invalidates them.
-  MULINK_HOT double BaselinePacketScore(const wifi::CsiPacket& packet) const;
-
-  // Fold ingest-cached per-packet baseline scores (window order) into the
-  // window statistic. Bit-identical to Score on the same raw window when
-  // every entry equals BaselinePacketScore of its packet under the current
-  // profile epoch. Baseline scheme only.
-  double ScoreBaselinePrepared(std::span<const double> packet_scores,
-                               DetectorScratch& scratch) const;
-
-  // Monotonic epoch of the amplitude profile the baseline statistic reads;
-  // bumped by Calibrate, UpdateProfile and ApplyProfile. Caches of
-  // BaselinePacketScore stamped with an older epoch must recompute.
-  std::uint64_t profile_epoch() const { return profile_epoch_; }
-
-  // Degraded-mode statistic for windows with dead RX chains: only the
+  // Degraded-mode statistic for raw windows with dead RX chains: only the
   // antennas set in `live_mask` (bit m = antenna m) contribute. The
   // combined scheme always falls back to subcarrier-only weighting here —
   // MUSIC needs the full ULA — and its decisions compare against
@@ -232,15 +192,58 @@ class Detector {
                        DetectorScratch& scratch,
                        std::uint32_t live_mask) const;
 
-  // Degraded scoring of an already-sanitized window (engine ingest path;
-  // exactly ScoreDegraded for the baseline).
-  MULINK_HOT double ScoreSanitizedDegraded(
-      std::span<const wifi::CsiPacket> window, DetectorScratch& scratch,
-      std::uint32_t live_mask) const;
+  bool Detect(const std::vector<wifi::CsiPacket>& window) const;
+
+  // Per-packet values a caller prepared at ingest, all in window order.
+  // Any subset may be empty; the scheme reads a prepared value in place of
+  // re-deriving it from the window packets.
+  struct PreparedWindowFactors {
+    // Sanitized schemes: mu_rows[m] points at packet m's num_subcarriers()
+    // multipath factors (MeasureMultipathFactorsInto's values) and
+    // medians[m] is that row's cross-subcarrier median (dsp::Median's).
+    std::span<const double* const> mu_rows;
+    std::span<const double> medians;
+    // Sanitized schemes: ingest-split CSI slabs, one per packet
+    // (antenna-major re rows then im rows, exactly kernels::Deinterleave's
+    // bytes — see SampleCovarianceSlabsInto). With them, every sanitized
+    // statistic reads these instead of the packets — the combined scheme's
+    // monitor covariance, the amplitude schemes' power plane — so the
+    // window span may be empty. Requires mu_rows.
+    std::span<const double* const> csi_slabs;
+    // Baseline: BaselinePacketScore of each raw packet under the current
+    // profile_epoch(). Full-mask windows only; the window may then be
+    // empty.
+    std::span<const double> packet_scores;
+  };
+
+  // Score a window already in the detector's input state (phase-sanitized
+  // exactly as SanitizePhaseInto would, or raw for the baseline — see
+  // UsesSanitizedInput), reading `factors` in place of re-deriving them. A
+  // `live_mask` short of FullAntennaMask() scores ScoreDegraded's statistic
+  // over the live rows; otherwise (the default) Score's.
+  MULINK_HOT double ScorePrepared(std::span<const wifi::CsiPacket> window,
+                                  const PreparedWindowFactors& factors,
+                                  DetectorScratch& scratch,
+                                  std::uint32_t live_mask = ~0u) const;
+
+  // Per-packet contribution to the baseline statistic: the full-mask inner
+  // body of ScoreBaseline (sum over antennas of the normalized amplitude
+  // distance to the profile). A deterministic per-packet map of the RAW
+  // packet, so ingest paths cache one double per ring slot and fold the
+  // window's statistic through PreparedWindowFactors::packet_scores
+  // instead of re-walking window_packets x antennas x subcarriers every
+  // hop. Values are tied to profile_epoch(): a profile rewrite invalidates
+  // them.
+  MULINK_HOT double BaselinePacketScore(const wifi::CsiPacket& packet) const;
+
+  // Monotonic epoch of the amplitude profile the baseline statistic reads;
+  // bumped by Calibrate, UpdateProfile and ApplyProfile. Caches of
+  // BaselinePacketScore stamped with an older epoch must recompute.
+  std::uint64_t profile_epoch() const { return profile_epoch_; }
 
   // Whether Score sanitizes its input (every scheme except the baseline,
   // which is amplitude-only). When false, callers must not pre-sanitize —
-  // feed raw windows to Score.
+  // feed raw windows to ScorePrepared.
   bool UsesSanitizedInput() const {
     return config_.scheme != DetectionScheme::kBaseline;
   }
@@ -249,12 +252,6 @@ class Detector {
   // The band's ingest constants (phase-fit normal equations, subcarrier
   // offsets, Eq. 10 LOS fractions), built with the detector.
   const IngestPlan& ingest_plan() const { return ingest_plan_; }
-
-  // Score every consecutive window of config.window_packets in a session.
-  std::vector<double> ScoreSession(
-      const std::vector<wifi::CsiPacket>& session) const;
-
-  bool Detect(const std::vector<wifi::CsiPacket>& window) const;
 
   // Set the operating threshold directly (e.g. from a ROC sweep).
   void SetThreshold(double threshold) {
@@ -346,23 +343,29 @@ class Detector {
   // buffers, with `scratch` as the MUSIC workspace. Needs >= 2 antennas.
   void RebuildAngularProfile(DetectorScratch& scratch);
 
+  // `window` in the detector's input state: phase-sanitized into
+  // scratch.sanitized, or the raw window itself for the baseline.
+  std::span<const wifi::CsiPacket> InputState(
+      std::span<const wifi::CsiPacket> window, DetectorScratch& scratch) const;
+  // Every scoring entry's one body: checks the window against the
+  // calibration and the factors, counts it, and runs the scheme's statistic
+  // over the antennas in live_mask (the full mask reproduces the clean
+  // statistic bit for bit). `fallback` selects the combined scheme's
+  // degraded statistic.
+  double Dispatch(std::span<const wifi::CsiPacket> window,
+                  const PreparedWindowFactors& factors,
+                  DetectorScratch& scratch, std::uint32_t live_mask,
+                  bool fallback) const;
+  // The scheme bodies below take a window in the input state and read the
+  // prepared factors in place of its packets where given.
   double ScoreBaseline(std::span<const wifi::CsiPacket> window,
                        std::uint32_t live_mask) const;
-  // The scheme bodies below take an already-sanitized window; only antennas
-  // in live_mask contribute (the full mask reproduces the clean statistic
-  // bit for bit).
-  double DispatchSanitized(std::span<const wifi::CsiPacket> sanitized,
-                           DetectorScratch& scratch,
-                           const PreparedWindowFactors* prepared) const;
-  double DispatchSanitizedDegraded(std::span<const wifi::CsiPacket> sanitized,
-                                   DetectorScratch& scratch,
-                                   std::uint32_t live_mask) const;
   // Eq. 13–15 window weights into scratch.weights — from the prepared
   // per-packet factors when given, else measured from the sanitized window.
   void ComputeWindowWeights(std::span<const wifi::CsiPacket> sanitized,
                             DetectorScratch& scratch,
-                            const PreparedWindowFactors* prepared) const;
-  // Fill the window's power plane (from prepared->csi_slabs when set, else
+                            const PreparedWindowFactors& factors) const;
+  // Fill the window's power plane (from factors.csi_slabs when set, else
   // the packets) and read the per-cell window power into
   // scratch.cell_center — plus, with `spread`, the variance-mobile spread
   // into scratch.cell_spread: medians and MADs under
@@ -370,18 +373,18 @@ class Detector {
   // dsp::Variance's values, accumulated in their order.
   void ComputeCellStats(std::span<const wifi::CsiPacket> sanitized,
                         DetectorScratch& scratch,
-                        const PreparedWindowFactors* prepared,
+                        const PreparedWindowFactors& factors,
                         bool spread) const;
   double ScoreSubcarrierWeighting(std::span<const wifi::CsiPacket> sanitized,
                                   DetectorScratch& scratch,
                                   std::uint32_t live_mask,
-                                  const PreparedWindowFactors* prepared) const;
+                                  const PreparedWindowFactors& factors) const;
   double ScoreCombined(std::span<const wifi::CsiPacket> sanitized,
                        DetectorScratch& scratch,
-                       const PreparedWindowFactors* prepared) const;
+                       const PreparedWindowFactors& factors) const;
   double ScoreVarianceMobile(std::span<const wifi::CsiPacket> sanitized,
                              DetectorScratch& scratch, std::uint32_t live_mask,
-                             const PreparedWindowFactors* prepared) const;
+                             const PreparedWindowFactors& factors) const;
 
   wifi::BandPlan band_;
   IngestPlan ingest_plan_;

@@ -160,33 +160,38 @@ struct SensingEngine::LinkState {
       return std::nullopt;
     }
 
-    // Fast paths, bit-identical to scoring the packets: full-mask baseline
-    // windows fold the cached distances, full-mask sanitized windows read
-    // the slabs (the Deinterleave bytes the covariance kernel would compute,
-    // the powers the amplitude schemes' plane holds). Only degraded windows
-    // and the baseline slow path are rebuilt here; else the span stays empty
-    // so nothing stale can leak in.
-    const bool baseline_fast =
-        !pre_sanitize && live_mask == full_mask &&
-        BaselineCacheFresh(detector.profile_epoch());
-    const bool slab_fast = pre_sanitize && live_mask == full_mask;
+    // Degraded mode: surviving antennas only, fallback threshold, HMM
+    // frozen (its emission model belongs to the primary statistic). A link
+    // with no threshold to fall back on keeps the full-mask statistic.
+    const bool degraded_window =
+        live_mask != full_mask && detector.has_threshold();
+    const std::uint32_t scored_mask = degraded_window ? live_mask : full_mask;
+    // Prepared windows, bit-identical to scoring the packets (each score
+    // equals Score, or ScoreDegraded, of the raw window): sanitized schemes
+    // read the slabs and the ingest mu rows, full-mask baseline windows
+    // fold the cached distances. Only the baseline slow path rebuilds the
+    // packets here; else the span stays empty so nothing stale can leak in.
+    const bool baseline_fast = !pre_sanitize && scored_mask == full_mask &&
+                               BaselineCacheFresh(detector.profile_epoch());
     std::span<const wifi::CsiPacket> window_span =
-        !baseline_fast && !slab_fast ? RebuildWindow()
-                                     : std::span<const wifi::CsiPacket>();
+        !pre_sanitize && !baseline_fast ? RebuildWindow()
+                                        : std::span<const wifi::CsiPacket>();
     for (std::size_t i = 0; i < config.window_packets; ++i) {
       const std::size_t slot = (write_pos + i) % config.window_packets;
       csi_window[i] = Slab(slot);
       mu_window[i] = MuRow(Slab(slot));
       stat_window[i] = slot_meta[slot].stat;
     }
+    Detector::PreparedWindowFactors factors;
+    if (pre_sanitize) {
+      factors = {mu_window, stat_window, csi_window, {}};
+    } else if (baseline_fast) {
+      factors.packet_scores = stat_window;
+    }
+    decision.score =
+        detector.ScorePrepared(window_span, factors, *scratch, scored_mask);
 
-    if (live_mask != full_mask && detector.has_threshold()) {
-      // Degraded mode: surviving antennas only, fallback threshold, HMM
-      // frozen (its emission model belongs to the primary statistic). The
-      // window is in the detector's input state (sanitized iff
-      // pre_sanitize), so the score equals ScoreDegraded of the raw window.
-      decision.score =
-          detector.ScoreSanitizedDegraded(window_span, *scratch, live_mask);
+    if (degraded_window) {
       decision.occupied = decision.score >= detector.fallback_threshold();
       decision.posterior = decision.occupied ? 1.0 : 0.0;
       decision.degraded = true;
@@ -194,17 +199,6 @@ struct SensingEngine::LinkState {
       ++degraded_decisions;
       MULINK_OBS_COUNT(sink, kDegradedDecisions);
     } else {
-      if (pre_sanitize) {
-        const Detector::PreparedWindowFactors factors{mu_window, stat_window,
-                                                      csi_window};
-        decision.score =
-            detector.ScoreSanitizedPrepared(window_span, factors, *scratch);
-      } else if (baseline_fast) {
-        decision.score = detector.ScoreBaselinePrepared(
-            std::span<const double>(stat_window), *scratch);
-      } else {
-        decision.score = detector.Score(window_span, *scratch);
-      }
       if (filter.has_value()) {
         MULINK_OBS_STAGE_TIMER(hmm_timer, sink, kHmmFilter);
         decision.posterior = filter->Update(decision.score);
@@ -576,7 +570,7 @@ void SensingEngine::WarmSharedScratch(const LinkState& link) {
     // and steering table then exist before any link of it decides.
     const auto window =
         retained.first(std::min(retained.size(), link.config.window_packets));
-    if (window.size() >= 2) (void)detector.ScoreSanitized(window, scratch);
+    if (window.size() >= 2) (void)detector.ScorePrepared(window, {}, scratch);
     rehearsed_schemes_ |= scheme_bit;
   }
   if (!rehearse_swap) return;
@@ -587,7 +581,7 @@ void SensingEngine::WarmSharedScratch(const LinkState& link) {
   const auto staged = retained.first(std::min(retained.size(), rescored));
   if (staged.size() >= 2) {
     probe.RefreshAngularProfile(staged, scratch);
-    (void)probe.ScoreSanitized(staged, scratch);
+    (void)probe.ScorePrepared(staged, {}, scratch);
   }
   swap_warmed_ = true;
 }

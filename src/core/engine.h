@@ -77,8 +77,8 @@ struct StreamingConfig {
   nic::FrameGuardConfig guard;
 
   // When the guard confirms a dead RX chain, keep deciding on the surviving
-  // antennas via Detector::ScoreDegraded (the combined scheme falls back to
-  // subcarrier-only weighting; MUSIC needs the full array). When false,
+  // antennas with Detector::ScoreDegraded's statistic (the combined scheme
+  // falls back to subcarrier-only weighting; MUSIC needs the full array). When false,
   // decisions pause until the chain revives. Degraded decisions bypass the
   // HMM — its emission model was fitted to the primary statistic — and the
   // filter resumes, state intact, on recovery.

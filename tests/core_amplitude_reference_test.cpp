@@ -212,15 +212,19 @@ void ExpectSchemesMatchReference(const Fixture& f, const char* backend) {
 
         // The engine's slab path: no window packets at all.
         const PreparedWindow prepared(detector, sanitized);
-        EXPECT_EQ(detector.ScoreSanitizedPrepared({}, prepared.Factors(),
-                                                  scratch),
+        EXPECT_EQ(detector.ScorePrepared({}, prepared.Factors(), scratch),
                   want)
             << label << " slabs";
 
         for (const std::uint32_t mask : degraded_masks) {
-          EXPECT_EQ(detector.ScoreDegraded(window, scratch, mask),
-                    ReferenceScore(detector, c.statistic, sanitized, mask))
+          const double degraded =
+              ReferenceScore(detector, c.statistic, sanitized, mask);
+          EXPECT_EQ(detector.ScoreDegraded(window, scratch, mask), degraded)
               << label << " mask=" << mask;
+          EXPECT_EQ(
+              detector.ScorePrepared({}, prepared.Factors(), scratch, mask),
+              degraded)
+              << label << " slabs mask=" << mask;
         }
       }
     }
@@ -251,12 +255,21 @@ TEST(AmplitudeReference, CombinedFallbackMatchesPerCellMedianScorer) {
       const auto sanitized = core::SanitizePhase(
           std::vector<wifi::CsiPacket>(window.begin(), window.end()),
           detector.band());
+      const PreparedWindow prepared(detector, sanitized);
       for (const std::uint32_t mask : {0b111u, 0b101u, 0b001u}) {
-        EXPECT_EQ(detector.ScoreDegraded(window, scratch, mask),
-                  ReferenceScore(detector, Statistic::kPowerChange, sanitized,
-                                 mask))
+        const double want = ReferenceScore(detector, Statistic::kPowerChange,
+                                           sanitized, mask);
+        EXPECT_EQ(detector.ScoreDegraded(window, scratch, mask), want)
             << (robust ? "robust" : "mean") << " n=" << n
             << " mask=" << mask;
+        // The engine's slab path takes the fallback for a short mask only;
+        // at full mask it scores the angular statistic.
+        if (mask == detector.FullAntennaMask()) continue;
+        EXPECT_EQ(
+            detector.ScorePrepared({}, prepared.Factors(), scratch, mask),
+            want)
+            << (robust ? "robust" : "mean") << " n=" << n
+            << " slabs mask=" << mask;
       }
     }
   }
@@ -276,8 +289,7 @@ TEST(AmplitudeReference, PreparedPathRejectsSlabCountMismatch) {
   auto factors = prepared.Factors();
   factors.csi_slabs = factors.csi_slabs.first(24);
   core::DetectorScratch scratch;
-  EXPECT_THROW((void)detector.ScoreSanitizedPrepared(sanitized, factors,
-                                                     scratch),
+  EXPECT_THROW((void)detector.ScorePrepared(sanitized, factors, scratch),
                PreconditionError);
 }
 

@@ -167,7 +167,9 @@ TEST(GuardedLink, CleanStreamBitIdenticalToUnguarded) {
 // Under drops, corruption and a dead RX chain, the guarded engine decides
 // exactly when a guarded replay of the raw stream completes a window, and
 // scores each window like the offline Score (ScoreDegraded over the live
-// chains once the dead one is confirmed) of its raw packets.
+// chains once the dead one is confirmed) of its raw packets — for every
+// scheme, so the sanitized schemes' degraded windows read from the slabs
+// and the baseline's from its rebuilt window agree with the raw packets.
 TEST(GuardedLink, StreamingAndBatchAgreeUnderFaults) {
   auto& f = Fixture();
   nic::FaultInjectionConfig faults;
@@ -189,35 +191,38 @@ TEST(GuardedLink, StreamingAndBatchAgreeUnderFaults) {
   stream.use_hmm = false;
   stream.guard_enabled = true;
 
-  // No HMM and no ladder: the detector never changes, so the whole
-  // session's expectations can be taken before one ProcessBatch call.
-  auto detector =
-      f.Calibrated(core::DetectionScheme::kSubcarrierAndPathWeighting);
-  test_support::ScoreOracle oracle(stream, detector);
-  std::vector<test_support::ExpectedDecision> expected;
-  for (const auto& packet : session) {
-    if (auto e = oracle.Expect(packet, detector)) expected.push_back(*e);
+  for (const auto scheme : kAllSchemes) {
+    SCOPED_TRACE(core::ToString(scheme));
+    // No HMM and no ladder: the detector never changes, so the whole
+    // session's expectations can be taken before one ProcessBatch call.
+    auto detector = f.Calibrated(scheme);
+    test_support::ScoreOracle oracle(stream, detector);
+    std::vector<test_support::ExpectedDecision> expected;
+    for (const auto& packet : session) {
+      if (auto e = oracle.Expect(packet, detector)) expected.push_back(*e);
+    }
+    core::SensingEngine engine;
+    engine.AddLink(detector, {}, stream);
+    const auto& batch =
+        engine.ProcessBatch(std::span<const wifi::CsiPacket>(session));
+    ASSERT_EQ(expected.size(), batch.decisions.size());
+    ASSERT_FALSE(expected.empty());
+    bool any_degraded = false;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      const auto& d = batch.decisions[i];
+      EXPECT_EQ(expected[i].timestamp_s, d.timestamp_s);
+      EXPECT_EQ(expected[i].score, d.score);
+      EXPECT_EQ(expected[i].degraded, d.degraded);
+      EXPECT_EQ(d.occupied,
+                d.score >= (d.degraded ? detector.fallback_threshold()
+                                       : detector.threshold()));
+      any_degraded |= d.degraded;
+    }
+    EXPECT_TRUE(any_degraded);
+    const auto health = engine.Health(0);
+    EXPECT_EQ(health.dead_antenna_mask, 1u << 2);
+    EXPECT_GT(health.degraded_decisions, 0u);
   }
-  core::SensingEngine engine;
-  engine.AddLink(detector, {}, stream);
-  const auto& batch =
-      engine.ProcessBatch(std::span<const wifi::CsiPacket>(session));
-  ASSERT_EQ(expected.size(), batch.decisions.size());
-  ASSERT_FALSE(expected.empty());
-  bool any_degraded = false;
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    const auto& d = batch.decisions[i];
-    EXPECT_EQ(expected[i].timestamp_s, d.timestamp_s);
-    EXPECT_EQ(expected[i].score, d.score);
-    EXPECT_EQ(expected[i].degraded, d.degraded);
-    EXPECT_EQ(d.occupied, d.score >= (d.degraded ? detector.fallback_threshold()
-                                                 : detector.threshold()));
-    any_degraded |= d.degraded;
-  }
-  EXPECT_TRUE(any_degraded);
-  const auto health = engine.Health(0);
-  EXPECT_EQ(health.dead_antenna_mask, 1u << 2);
-  EXPECT_GT(health.degraded_decisions, 0u);
 }
 
 // The fig07-style acceptance scenario: under 5% drop, 1% corruption and one

@@ -88,17 +88,26 @@ TEST_F(DetectorTest, CalibrateThresholdSuppressesEmptyWindows) {
   EXPECT_TRUE(detector.Detect(HumanWindow((link_.tx + link_.rx) * 0.5)));
 }
 
-TEST_F(DetectorTest, ScoreSessionWindowsCount) {
+// A profile ApplyProfile refuses must leave the detector untouched: the
+// check runs before anything is written, so a caught throw cannot leave a
+// half-installed profile behind.
+TEST_F(DetectorTest, RefusedApplyProfileWritesNothing) {
+  // The baseline's score reads the amplitude profile and its scale.
   auto detector = MakeDetector(DetectionScheme::kBaseline);
-  const auto session = simulator_.CaptureSession(100, std::nullopt, rng_);
-  const auto scores = detector.ScoreSession(session);
-  EXPECT_EQ(scores.size(), 4u);  // 100 / 25
-}
-
-TEST_F(DetectorTest, ScoreSessionTooShortThrows) {
-  auto detector = MakeDetector(DetectionScheme::kBaseline);
-  const auto session = simulator_.CaptureSession(10, std::nullopt, rng_);
-  EXPECT_THROW(detector.ScoreSession(session), PreconditionError);
+  const auto window = EmptyWindow();
+  const double score = detector.Score(window);
+  const auto power = detector.profile_power();
+  const auto variance = detector.profile_variance();
+  const std::uint64_t epoch = detector.profile_epoch();
+  const std::size_t cells =
+      detector.num_antennas() * detector.num_subcarriers();
+  const std::vector<double> zeros(cells, 0.0);
+  const std::vector<double> ones(cells, 1.0);
+  EXPECT_THROW(detector.ApplyProfile(zeros, ones, ones), PreconditionError);
+  EXPECT_EQ(detector.profile_power(), power);
+  EXPECT_EQ(detector.profile_variance(), variance);
+  EXPECT_EQ(detector.profile_epoch(), epoch);
+  EXPECT_EQ(detector.Score(window), score);
 }
 
 TEST_F(DetectorTest, CalibrationValidatesDimensions) {

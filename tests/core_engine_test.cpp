@@ -106,22 +106,6 @@ TEST(EngineEquivalence, ScratchReuseIsStateless) {
   }
 }
 
-// ScoreSession (now span-based internally) must agree with scoring each
-// window through the legacy API.
-TEST(EngineEquivalence, ScoreSessionMatchesPerWindowScores) {
-  auto& f = Fixture();
-  const auto detector =
-      f.Calibrated(core::DetectionScheme::kSubcarrierAndPathWeighting);
-  const auto scores = detector.ScoreSession(f.occupied_session);
-  ASSERT_EQ(scores.size(), f.occupied_session.size() / 25);
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    const std::vector<wifi::CsiPacket> window(
-        f.occupied_session.begin() + static_cast<std::ptrdiff_t>(i * 25),
-        f.occupied_session.begin() + static_cast<std::ptrdiff_t>((i + 1) * 25));
-    EXPECT_EQ(scores[i], detector.Score(window));
-  }
-}
-
 std::vector<double> EmptyScores(const EngineFixture& f,
                                 const core::Detector& detector) {
   std::vector<double> scores;

@@ -1,12 +1,10 @@
 // Streaming presence detection through SensingEngine (packet-at-a-time
-// cadence, HMM smoothing, reset, config validation) + multi-link fusion
-// tests.
+// cadence, HMM smoothing, reset, config validation).
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/engine.h"
-#include "core/fusion.h"
 #include "experiments/scenario.h"
 #include "score_oracle.h"
 
@@ -160,105 +158,6 @@ TEST(Streaming, ValidatesConfig) {
   EXPECT_THROW(engine.AddLink(*rig.detector, rig.empty_scores, one),
                PreconditionError);
   EXPECT_EQ(engine.NumActiveLinks(), 0u);
-}
-
-TEST(Fusion, RuleNames) {
-  EXPECT_STREQ(ToString(FusionRule::kAny), "any");
-  EXPECT_STREQ(ToString(FusionRule::kMajority), "majority");
-  EXPECT_STREQ(ToString(FusionRule::kMeanScore), "mean-score");
-  EXPECT_STREQ(ToString(FusionRule::kMaxScore), "max-score");
-}
-
-class FusionTest : public ::testing::Test {
- protected:
-  FusionTest() : rng_(77) {
-    // Two links across the classroom sharing a room but crossing paths.
-    auto lc1 = ex::MakeClassroomLink();
-    auto lc2 = lc1;
-    lc2.tx = {3.0, 1.0};
-    lc2.rx = {3.0, 7.0};
-    for (auto* lc : {&lc1, &lc2}) {
-      sims_.emplace_back(ex::MakeSimulator(*lc));
-      DetectorConfig config;
-      config.scheme = DetectionScheme::kSubcarrierWeighting;
-      auto det = Detector::Calibrate(
-          sims_.back().CaptureSession(200, std::nullopt, rng_),
-          sims_.back().band(), sims_.back().array(), config);
-      std::vector<std::vector<wifi::CsiPacket>> empties;
-      for (int i = 0; i < 8; ++i) {
-        empties.push_back(sims_.back().CaptureSession(25, std::nullopt, rng_));
-      }
-      det.CalibrateThreshold(empties);
-      detectors_.push_back(std::move(det));
-    }
-  }
-
-  std::vector<std::vector<wifi::CsiPacket>> Windows(
-      const std::optional<propagation::HumanBody>& human) {
-    std::vector<std::vector<wifi::CsiPacket>> windows;
-    for (auto& sim : sims_) {
-      windows.push_back(sim.CaptureSession(25, human, rng_));
-    }
-    return windows;
-  }
-
-  Rng rng_;
-  std::vector<nic::ChannelSimulator> sims_;
-  std::vector<Detector> detectors_;
-};
-
-TEST_F(FusionTest, AnyRuleDetectsWhenOneLinkSees) {
-  MultiLinkDetector fused(FusionRule::kAny);
-  fused.AddLink(detectors_[0]);
-  fused.AddLink(detectors_[1]);
-  ASSERT_EQ(fused.NumLinks(), 2u);
-
-  // A person on link 1's LOS but far from link 2.
-  propagation::HumanBody body;
-  body.position = {4.5, 4.0};
-  EXPECT_TRUE(fused.Detect(Windows(body)));
-  // Empty room: quiet.
-  EXPECT_FALSE(fused.Detect(Windows(std::nullopt)));
-}
-
-TEST_F(FusionTest, NormalizedScoresUseLinkThresholds) {
-  MultiLinkDetector fused(FusionRule::kMeanScore);
-  fused.AddLink(detectors_[0]);
-  fused.AddLink(detectors_[1]);
-  const auto scores = fused.NormalizedScores(Windows(std::nullopt));
-  ASSERT_EQ(scores.size(), 2u);
-  for (double s : scores) {
-    EXPECT_GE(s, 0.0);
-    EXPECT_LT(s, 1.5);  // empty windows sit near/below each link's threshold
-  }
-}
-
-TEST_F(FusionTest, MaxScoreRuleMatchesStrongestLink) {
-  MultiLinkDetector fused(FusionRule::kMaxScore);
-  fused.AddLink(detectors_[0]);
-  fused.AddLink(detectors_[1]);
-  const auto windows = Windows(std::nullopt);
-  const auto scores = fused.NormalizedScores(windows);
-  EXPECT_NEAR(fused.FusedScore(windows),
-              std::max(scores[0], scores[1]), 1e-12);
-}
-
-TEST_F(FusionTest, RequiresThresholdedLinks) {
-  MultiLinkDetector fused(FusionRule::kAny);
-  DetectorConfig config;
-  auto raw = Detector::Calibrate(
-      sims_[0].CaptureSession(50, std::nullopt, rng_), sims_[0].band(),
-      sims_[0].array(), config);
-  EXPECT_THROW(fused.AddLink(raw), PreconditionError);
-}
-
-TEST_F(FusionTest, WindowCountMustMatchLinks) {
-  MultiLinkDetector fused(FusionRule::kAny);
-  fused.AddLink(detectors_[0]);
-  fused.AddLink(detectors_[1]);
-  std::vector<std::vector<wifi::CsiPacket>> one;
-  one.push_back(sims_[0].CaptureSession(25, std::nullopt, rng_));
-  EXPECT_THROW(fused.Detect(one), PreconditionError);
 }
 
 }  // namespace

@@ -203,7 +203,13 @@ TEST(Integration, WalkAcrossLinkShowsClearEvent) {
   // with ~1.5 s of dwell inside the link's sensitivity region.
   const auto packets = sim.CaptureWalk(400, body, trace.from, trace.to, 0.5,
                                        rng);
-  const auto scores = detector.ScoreSession(packets);
+  // Consecutive non-overlapping windows of 25 packets.
+  std::vector<double> scores;
+  core::DetectorScratch scratch;
+  const std::span<const wifi::CsiPacket> walk(packets);
+  for (std::size_t start = 0; start + 25 <= walk.size(); start += 25) {
+    scores.push_back(detector.Score(walk.subspan(start, 25), scratch));
+  }
   ASSERT_EQ(scores.size(), 16u);
   // Peak score lands in the middle windows (the crossing).
   std::size_t best = 0;

@@ -747,7 +747,7 @@ TEST_F(EngineParityTest, PreparedFactorsScoreMatchesRecompute) {
                       recompute_scratch.sanitize);
 
     const double direct =
-        detector.ScoreSanitized(std::span(sanitized), recompute_scratch);
+        detector.ScorePrepared(std::span(sanitized), {}, recompute_scratch);
 
     // Derive the factors exactly as the engine's ingest path does: one mu
     // row + median per packet.
@@ -765,7 +765,7 @@ TEST_F(EngineParityTest, PreparedFactorsScoreMatchesRecompute) {
     Detector::PreparedWindowFactors factors;
     factors.mu_rows = std::span<const double* const>(rows);
     factors.medians = std::span<const double>(medians);
-    const double prepared = detector.ScoreSanitizedPrepared(
+    const double prepared = detector.ScorePrepared(
         std::span(sanitized), factors, prepared_scratch);
 
     EXPECT_EQ(direct, prepared) << (human ? "human" : "empty");
