@@ -68,8 +68,8 @@ def check_engine(doc):
     # The named pipeline stages must all be present in the breakdown.
     stage_names = (
         "guard_classify", "ingest_sanitize", "subcarrier_weighting",
-        "music_path_weighting", "score", "hmm_filter", "fusion",
-        "calibrate", "capture", "case",
+        "music_path_weighting", "score", "hmm_filter", "calibrate",
+        "capture", "case",
     )
     stages = doc.get("stages", {})
     for name in stage_names:
@@ -79,8 +79,7 @@ def check_engine(doc):
                     f"stage '{name}' lost '{key}'")
 
     # With obs compiled in, the hot stages must actually have samples (the
-    # HMM and fusion stages legitimately stay zero: micro_core runs hmm off,
-    # single link).
+    # HMM stage legitimately stays zero: micro_core runs hmm off).
     if doc.get("obs_enabled"):
         for name in ("score", "ingest_sanitize", "music_path_weighting"):
             require(stages.get(name, {}).get("count", 0) > 0,

@@ -39,8 +39,7 @@ cd "$(dirname "$0")/.."
 
 # Every first-party TU; the compilation database filters out anything that
 # is not part of the build (GTest mains etc. come via their own TUs).
-mapfile -t FILES < <(find src tools examples bench \
-  -name '*.cpp' -not -path 'tools/mulink-lint/*' | sort)
+mapfile -t FILES < <(find src tools examples bench -name '*.cpp' | sort)
 
 if command -v run-clang-tidy >/dev/null 2>&1; then
   # The parallel driver that ships with clang-tidy.

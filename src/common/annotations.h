@@ -3,12 +3,11 @@
 //
 // Two annotation families live here:
 //
-//  * MULINK_HOT marks a function as part of the per-decision hot path.
-//    tools/mulink-analyze treats every MULINK_HOT function — and everything
-//    it reaches through calls inside the hot-path directories — as a
-//    no-allocation zone (rule hot-path-alloc), superseding the directory-
-//    granular token scan in tools/mulink-lint. On GCC/Clang it also maps to
-//    [[gnu::hot]] so the optimizer groups the marked functions.
+//  * MULINK_HOT marks a function as part of the per-decision hot path. It
+//    is a codegen hint only: on GCC/Clang it maps to [[gnu::hot]] so the
+//    optimizer groups the marked functions. The no-allocation contract is
+//    enforced TU-wide by tools/mulink-analyze (rule hot-path-alloc), not
+//    through this marker.
 //
 //  * The MULINK_CAPABILITY / MULINK_GUARDED_BY / MULINK_REQUIRES /
 //    MULINK_ACQUIRE / MULINK_RELEASE family wires Clang's -Wthread-safety
@@ -34,7 +33,7 @@
 #include <mutex>
 
 // ---------------------------------------------------------------------------
-// Hot-path marker (consumed by tools/mulink-analyze, rule hot-path-alloc).
+// Hot-path marker (codegen hint).
 // ---------------------------------------------------------------------------
 
 #if defined(__GNUC__) || defined(__clang__)

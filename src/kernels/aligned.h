@@ -2,7 +2,7 @@
 //
 // The scoring hot path pre-sizes these during calibration / the first
 // window; Ensure() on an already-large-enough buffer is a branch and a
-// store, so steady-state decisions never allocate (mulink-lint fences the
+// store, so steady-state decisions never allocate (mulink-analyze fences the
 // directories this is used from).
 #pragma once
 

@@ -18,8 +18,6 @@ const char* ToString(Stage stage) {
       return "score";
     case Stage::kHmmFilter:
       return "hmm_filter";
-    case Stage::kFusion:
-      return "fusion";
     case Stage::kCalibrate:
       return "calibrate";
     case Stage::kCapture:

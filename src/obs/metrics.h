@@ -47,13 +47,12 @@ enum class Stage : std::uint8_t {
   kMusicPathWeighting,   // covariances, spectra, Eq. 17 path weighting
   kScore,                // the remaining distance / statistic computation
   kHmmFilter,            // temporal posterior update
-  kFusion,               // multi-link score fusion
   kCalibrate,            // Detector::Calibrate (campaign / setup)
   kCapture,              // simulator session capture (campaign)
   kCase,                 // one whole campaign case, end to end
 };
 
-inline constexpr std::size_t kNumStages = 10;
+inline constexpr std::size_t kNumStages = 9;
 
 const char* ToString(Stage stage);
 
@@ -222,14 +221,14 @@ class Registry {
 };
 
 // Recording macros — the only way library code (src/** outside src/obs) may
-// record observability data. tools/mulink-lint enforces this statically
-// (rule `obs-macro`): direct Add/Set/RecordStageNs/ScopedStageTimer calls in
-// library TUs fail CI. Routing every recording call through one macro family
-// guarantees three things at once: the null-registry no-op check is never
-// forgotten, the MULINK_OBS compile-time kill switch reaches every call site
-// (the macros expand to the same empty inlines when recording is compiled
-// out), and a grep for MULINK_OBS_ finds the complete instrumentation
-// surface of the pipeline.
+// record observability data. tools/mulink-analyze enforces this statically
+// (rule `obs-discipline`): direct Add/Set/RecordStageNs/ScopedStageTimer
+// calls in library TUs fail CI. Routing every recording call through one
+// macro family guarantees three things at once: the null-registry no-op
+// check is never forgotten, the MULINK_OBS compile-time kill switch reaches
+// every call site (the macros expand to the same empty inlines when
+// recording is compiled out), and a grep for MULINK_OBS_ finds the complete
+// instrumentation surface of the pipeline.
 //
 // `counter` / `gauge` / `stage` are bare enumerator names (kDecisions, not
 // obs::Counter::kDecisions); the macros qualify them.

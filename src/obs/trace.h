@@ -111,9 +111,10 @@ class TraceSpan {
 
 }  // namespace mulink::obs
 
-// Declare a named RAII trace span — the lint-enforced counterpart of the
-// MULINK_OBS_* recording macros in obs/metrics.h (tools/mulink-lint rule
-// `obs-macro`). `stage` is a bare enumerator name; a null ring is a no-op.
+// Declare a named RAII trace span — the checker-enforced counterpart of the
+// MULINK_OBS_* recording macros in obs/metrics.h (tools/mulink-analyze
+// rule `obs-discipline`). `stage` is a bare enumerator name; a null ring
+// is a no-op.
 #define MULINK_OBS_TRACE_SPAN(name, ring_ptr, stage, scope)                \
   ::mulink::obs::TraceSpan name((ring_ptr), ::mulink::obs::Stage::stage,   \
                                 (scope))

@@ -144,12 +144,12 @@ TEST(Registry, IngestSamplingIsDeterministicPerShard) {
 
 TEST(Registry, ScopedStageTimerRecordsOnlyWithASink) {
   obs::Registry r;
-  { obs::ScopedStageTimer timer(&r, obs::Stage::kFusion); }
-  { obs::ScopedStageTimer timer(nullptr, obs::Stage::kFusion); }
+  { obs::ScopedStageTimer timer(&r, obs::Stage::kCapture); }
+  { obs::ScopedStageTimer timer(nullptr, obs::Stage::kCapture); }
   if constexpr (obs::kEnabled) {
-    EXPECT_EQ(r.StageLatency(obs::Stage::kFusion).count, 1u);
+    EXPECT_EQ(r.StageLatency(obs::Stage::kCapture).count, 1u);
   } else {
-    EXPECT_EQ(r.StageLatency(obs::Stage::kFusion).count, 0u);
+    EXPECT_EQ(r.StageLatency(obs::Stage::kCapture).count, 0u);
   }
 }
 

@@ -1,58 +1,51 @@
 #!/usr/bin/env python3
-"""mulink-analyze — AST-grade enforcement of mulink's semantic contracts.
+"""mulink-analyze — static enforcement of mulink's source contracts.
 
-tools/mulink-lint pins the *textual* form of the repo's invariants: token
-regexes over stripped source. That catches careless edits but misses whole
-defect classes — an allocation reached through a helper the hot function
-calls, a seq_cst atomic hiding behind operator syntax, an unordered-map
-iteration whose order leaks into a serialized artifact. This tool closes
-that gap with semantic rules over a real token stream and a recovered
-function/call-graph structure, optionally sharpened by libclang.
+The engine's headline guarantees are behavioural: an allocation-free
+per-decision hot path, bit-identical scores across backends, threads and
+shards (DESIGN.md §14–15), silent library code, observability recording
+that compiles out with the MULINK_OBS kill switch, and vector code confined
+to the kernel layer. Runtime tests exercise those properties on the inputs
+they happen to run; this tool makes the source form of each contract a CI
+failure, so a careless edit cannot silently reintroduce a heap allocation
+or an ambient RNG that the tests never see.
 
-Engines
--------
-micro    Always available (stdlib only). A full C++ lexer (comments,
-         strings, raw strings, char literals, digit separators,
-         preprocessor lines) feeding a single-pass structural parser that
-         recovers namespaces, classes, function definitions (including
-         out-of-line `T C::f(...) const { ... }` and constructors with
-         initializer lists), per-function call sites, and per-function
-         rule facts. Rules run over that structure — so a comment or
-         string can never trip a rule, and findings carry the enclosing
-         function.
+Engine
+------
+A full C++ lexer (comments, strings, raw strings, char literals, digit
+separators, preprocessor lines) feeds one scan over each file's whole token
+stream — namespace scope, class bodies, constructors and function bodies
+alike — so a comment or string can never trip a rule and nothing outside a
+function body escapes one. A light structural pass recovers the enclosing
+function of each finding for the report.
 
-cindex   libclang via Python `clang.cindex`, when importable AND a
-         libclang shared object loads. Sharpens hot-path-alloc (call graph
-         by cursor reference rather than name match) and atomics (member
-         calls typed against std::atomic). Soft-skips to `micro` when
-         unavailable — exactly like clang-tidy's soft-skip — unless
-         MULINK_REQUIRE_CINDEX=1 (CI) or --backend cindex demands it.
+Files scanned: src, tools, examples and bench (default), or the files named
+on the command line.
 
 Rules
 -----
-hot-path-alloc   Functions marked MULINK_HOT (src/common/annotations.h) —
-                 and every function they transitively reach inside the
-                 hot-path directories (src/core, src/kernels, src/dsp,
-                 src/linalg, src/serve) — form a no-allocation zone:
-                 operator new, malloc-family calls, growth calls on std
-                 containers/strings (push_back, resize, reserve, insert,
-                 emplace, append, assign, ...), make_unique/make_shared,
-                 std::function construction and std::to_string are
-                 findings unless carrying the reviewed
-                 `// mulink-lint: allow(alloc): <why>` annotation (the
-                 same annotation currency the lint already uses).
+hot-path-alloc   Every non-cold TU under the hot-path directories (src/core,
+                 src/kernels, src/dsp, src/linalg, src/serve) is a
+                 no-allocation zone, constructors included: operator new,
+                 malloc-family calls, growth calls on std containers/strings
+                 (push_back, push_front, resize, reserve, insert, emplace,
+                 append, assign, ...), make_unique/make_shared, std::function
+                 and std::to_string are findings unless they carry the
+                 reviewed `// mulink-lint: allow(alloc): <why>` annotation —
+                 a claim that the allocation is setup-path or
+                 capacity-reserved, not a per-decision cost.
 
-determinism      Bit-identical scores across backends/threads/shards
-                 (DESIGN.md §14–15) leave no room for: std::fma calls
-                 outside src/kernels (the kernel layer owns the FP
-                 contraction policy; -ffp-contract=off everywhere else),
-                 range-for iteration over unordered containers (iteration
-                 order is unspecified and must never feed serialized
-                 output — sort first, like ServeCore::MergedDecisionLog),
-                 or wall-clock/ambient randomness (std::time, time(...),
-                 system_clock, std::rand, random_device, mt19937, ...)
-                 outside src/common/rng. Monotonic clocks (steady_clock)
-                 are fine: they time stages, they never feed scores.
+determinism      No std::fma calls outside src/kernels (the kernel layer owns
+                 the FP contraction policy; -ffp-contract=off everywhere
+                 else), no range-for iteration over unordered containers
+                 (iteration order is unspecified and must never feed
+                 serialized output — sort first, like
+                 ServeCore::MergedDecisionLog), and no wall-clock or ambient
+                 randomness (std::time, time(NULL), system_clock, std::rand,
+                 random_device, mt19937, ...) outside src/common/rng — every
+                 stochastic draw flows through the seeded, forkable
+                 mulink::Rng. Monotonic clocks (steady_clock) are fine: they
+                 time stages, they never feed scores.
 
 atomics          Every std::atomic access must say its memory_order out
                  loud: .load()/.store()/exchange/fetch_* without an
@@ -66,19 +59,27 @@ atomics          Every std::atomic access must say its memory_order out
                  (spsc_ring.h's cell seeding).
 
 obs-discipline   Library code (src/** minus src/obs) records metrics and
-                 traces only through the MULINK_OBS_* macros. The lint's
-                 token rule survives here in lexer-accurate form: direct
-                 Registry::Add/Set/RecordStageNs/SampleIngestTick calls
-                 and direct obs::ScopedStageTimer / obs::TraceSpan
-                 construction are findings.
+                 traces only through the MULINK_OBS_* macros: direct
+                 Registry::Add/Set/RecordStageNs/SampleIngestTick calls and
+                 direct obs::ScopedStageTimer / obs::TraceSpan construction
+                 are findings.
 
-Annotations (inside comments; `mulink-analyze:` and `mulink-lint:`
-prefixes are interchangeable so existing annotations keep working):
+stdout           Library code (src/**) may not write to stdout (std::cout,
+                 printf, puts, anything naming `stdout`); presentation
+                 belongs to tools/, examples/ and bench/. Serializers that
+                 take an std::ostream& are fine — the caller picks the sink.
+
+intrinsics       SIMD intrinsics (<immintrin.h>/<x86intrin.h> includes,
+                 _mm*_* calls, __m128/__m256/__m512 types) appear only in
+                 src/kernels, behind runtime dispatch with a scalar twin, so
+                 the scalar/AVX2 parity tests cover every vectorized path.
+
+Annotations (inside comments, so the compiler never sees them):
   // mulink-lint: allow(<tag>): reason     same or preceding line
-  // mulink-lint: cold-tu(reason)          first 30 lines of a TU
+  // mulink-lint: cold-tu(reason)          first 30 lines of a TU; opts it
+                                           out of hot-path-alloc
 
-Tags: alloc, determinism, atomics, obs (matching the lint where rules
-overlap).
+Tags: alloc, determinism, atomics, obs, stdout, intrinsics.
 
 Baseline
 --------
@@ -88,11 +89,10 @@ findings; the file exists so a future emergency has a mechanism, and CI
 fails if anyone quietly grows it). --write-baseline FILE records the
 current findings.
 
-Exit codes (same table as mulink-lint and the mulink CLI):
+Exit codes (same table as the mulink CLI):
   0  clean
   1  findings
-  2  usage error (unknown flag/rule, unreadable path, backend demanded
-     but unavailable)
+  2  usage error (unknown flag/rule, unreadable path)
 """
 
 from __future__ import annotations
@@ -100,7 +100,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -110,25 +109,29 @@ EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 
 SOURCE_SUFFIXES = {".cpp", ".h", ".hpp", ".cc"}
+SOURCE_DIRS = ("src", "tools", "examples", "bench")
 
 HOT_PATH_DIRS = ("src/core", "src/linalg", "src/dsp", "src/kernels",
                  "src/serve")
 KERNEL_DIR = "src/kernels"
-RNG_HOME = re.compile(r"^src/common/rng\.(h|cpp)$")
+LIBRARY_DIR = "src"
 OBS_DIR = "src/obs"
+RNG_HOME = re.compile(r"^src/common/rng\.(h|cpp)$")
 
-RULES = ("hot-path-alloc", "determinism", "atomics", "obs-discipline")
+RULES = ("hot-path-alloc", "determinism", "atomics", "obs-discipline",
+         "stdout", "intrinsics")
 
-# Annotation tag each rule honours (shared currency with mulink-lint).
+# Annotation tag each rule honours.
 RULE_TAG = {
     "hot-path-alloc": "alloc",
     "determinism": "determinism",
     "atomics": "atomics",
     "obs-discipline": "obs",
+    "stdout": "stdout",
+    "intrinsics": "intrinsics",
 }
 
-ANNOTATION_RE = re.compile(
-    r"//\s*mulink-(?:lint|analyze):\s*(allow|cold-tu)\(([^)]*)\)")
+ANNOTATION_RE = re.compile(r"//\s*mulink-lint:\s*(allow|cold-tu)\(([^)]*)\)")
 
 CPP_KEYWORDS = frozenset("""
 alignas alignof and and_eq asm auto bitand bitor bool break case catch char
@@ -143,18 +146,11 @@ typeid typename union unsigned using virtual void volatile wchar_t while
 xor xor_eq final override
 """.split())
 
-# Tokens that may sit between a function's `)` and its `{` body.
-FUNC_QUALIFIERS = frozenset(
-    ("const", "noexcept", "override", "final", "mutable", "volatile", "&",
-     "&&", "throw", "try"))
-
 ALLOC_MEMBER_CALLS = frozenset(
     ("resize", "push_back", "emplace_back", "reserve", "insert", "emplace",
-     "emplace_front", "push_front", "shrink_to_fit", "assign", "append",
-     "clear_and_shrink"))
+     "emplace_front", "push_front", "shrink_to_fit", "assign", "append"))
 ALLOC_FREE_CALLS = frozenset(
-    ("malloc", "calloc", "realloc", "aligned_alloc", "strdup", "make_unique",
-     "make_shared", "to_string"))
+    ("malloc", "calloc", "realloc", "aligned_alloc", "strdup", "to_string"))
 
 AMBIENT_RNG_NAMES = frozenset(
     ("rand", "srand", "random_device", "mt19937", "mt19937_64",
@@ -174,6 +170,12 @@ MEMORY_ORDERS = frozenset(
 UNORDERED_TYPES = frozenset(
     ("unordered_map", "unordered_set", "unordered_multimap",
      "unordered_multiset"))
+
+DEFINE_RE = re.compile(r"#\s*define\b")
+INTRINSICS_INCLUDE_RE = re.compile(
+    r"#\s*include\s*<((?:immintrin|x86intrin)\.h)>")
+INTRINSICS_CALL_RE = re.compile(r"_mm\d*_\w+")
+INTRINSICS_TYPE_RE = re.compile(r"__m(?:128|256|512)[di]?")
 
 
 class UsageError(Exception):
@@ -204,14 +206,15 @@ _PUNCTS = ("->*", "<<=", ">>=", "...", "::", "->", "++", "--", "<<", ">>",
            "&=", "|=", "^=")
 
 
-def lex(text: str):
-    """Tokenize C++ source. Returns (tokens, comments) where comments is a
-    list of (line, text) — the annotation scanner's input. Comments,
-    string/char literals (including raw strings spanning lines) and
-    preprocessor directives can therefore never produce rule tokens."""
+def lex(text: str, line: int = 1):
+    """Tokenize C++ source starting at `line`. Returns (tokens, comments)
+    where comments is a list of (line, text) — the annotation scanner's
+    input. Comments and string/char literals (including raw strings
+    spanning lines) can therefore never produce rule tokens; preprocessor
+    directives become single opaque tokens."""
     tokens: list[Tok] = []
     comments: list[tuple[int, str]] = []
-    i, line, n = 0, 1, len(text)
+    i, n = 0, len(text)
     at_line_start = True
     while i < n:
         c = text[i]
@@ -240,8 +243,10 @@ def lex(text: str):
             continue
         if c == "#" and at_line_start:
             # Preprocessor directive: consume to end of line, honouring
-            # backslash continuations. Kept as one opaque token.
+            # backslash continuations. Kept as one opaque token; a trailing
+            # `//` comment still reaches the annotation scanner.
             j = i
+            first_line = line
             while j < n:
                 k = text.find("\n", j)
                 k = n if k < 0 else k
@@ -251,7 +256,10 @@ def lex(text: str):
                     continue
                 j = k
                 break
-            tokens.append(Tok("pp", text[i:j], line))
+            seg = text[i:j]
+            tokens.append(Tok("pp", seg, first_line))
+            if "//" in seg:
+                comments.append((line, seg[seg.rfind("//"):]))
             i = j
             continue
         at_line_start = False
@@ -320,39 +328,29 @@ def allowed(notes, line: int, tag: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Micro parser: functions, calls, per-function rule facts
+# Scanner: rule facts over the whole token stream, plus function context
 # ---------------------------------------------------------------------------
 
-class FuncInfo:
-    __slots__ = ("name", "qname", "file", "line", "hot", "is_ctor", "calls",
-                 "facts")
+class Fact:
+    __slots__ = ("kind", "line", "detail", "func", "in_ctor")
 
-    def __init__(self, name, qname, file, line, hot, is_ctor):
-        self.name = name
-        self.qname = qname
-        self.file = file
+    def __init__(self, kind, line, detail):
+        # alloc / fma / unordered-iter / ambient-time / ambient-rng /
+        # atomic-noorder / atomic-op / atomic-load / atomic-store /
+        # obs-direct / stdout / intrinsics
+        self.kind = kind
         self.line = line
-        self.hot = hot
-        self.is_ctor = is_ctor
-        self.calls: set[str] = set()
-        # (kind, line, detail) raw facts for the rules:
-        #   alloc-new / alloc-call / alloc-member / alloc-function /
-        #   fma / unordered-iter / ambient-time / ambient-rng /
-        #   atomic-noorder / atomic-op / atomic-load / atomic-store /
-        #   obs-direct
-        self.facts: list[tuple[str, int, str]] = []
+        self.detail = detail
+        self.func = ""  # enclosing function; "" at namespace/class scope
+        self.in_ctor = False
 
 
 class FileFacts:
     def __init__(self, rel: str):
         self.rel = rel
-        self.functions: list[FuncInfo] = []
-        self.hot_decls: set[str] = set()  # MULINK_HOT on declarations
+        self.facts: list[Fact] = []
         self.notes: dict[int, set[str]] = {}
         self.cold_tu = False
-        # name -> set of orders seen, from atomics fact pass
-        self.atomic_loads: dict[str, list[tuple[str, int, bool]]] = {}
-        self.atomic_stores: dict[str, list[tuple[str, int, bool]]] = {}
 
 
 def _match_forward(tokens, start, open_p, close_p):
@@ -384,7 +382,6 @@ def _collect_decl_types(tokens, names: frozenset) -> set[str]:
                 and tokens[i + 1].text == "<":
             close = _match_angle(tokens, i + 1)
             j = close + 1
-            # skip alignas/attribute-ish ids? accept `> var` and `> var{...}`
             if j < n and tokens[j].kind == "id" \
                     and tokens[j].text not in CPP_KEYWORDS:
                 found.add(tokens[j].text)
@@ -424,10 +421,25 @@ def parse_file(rel: str, text: str) -> FileFacts:
     facts.notes = collect_annotations(comments)
     facts.cold_tu = any(
         "cold-tu" in facts.notes.get(line, set()) for line in range(1, 31))
-
     atomic_vars = _collect_decl_types(tokens, frozenset(("atomic",)))
     unordered_vars = _collect_decl_types(tokens, UNORDERED_TYPES)
+    scanned = _scan(tokens, atomic_vars, unordered_vars)
+    spans = _function_spans(tokens)
+    span = 0
+    for index, fact in scanned:
+        while span < len(spans) and spans[span][1] < index:
+            span += 1
+        if span < len(spans) and spans[span][0] <= index:
+            _, _, fact.func, fact.in_ctor = spans[span]
+        facts.facts.append(fact)
+    return facts
 
+
+def _function_spans(tokens):
+    """(first, last, qname, is_ctor) token spans of every function
+    definition at namespace or class scope — name through closing `}`, so
+    a constructor's initializer list belongs to it — in token order."""
+    spans = []
     n = len(tokens)
     scope: list[tuple[str, str]] = []  # (kind: ns|class|block, name)
     stmt_start = 0  # token index where the current statement began
@@ -445,23 +457,22 @@ def parse_file(rel: str, text: str) -> FileFacts:
             stmt_start = i
             continue
         if t.kind == "punct" and t.text == "{":
-            # What does this brace open? Look at the statement tokens.
-            head = tokens[stmt_start:i]
-            kind, name = _classify_brace(head)
-            scope.append((kind, name))
+            scope.append(_classify_brace(tokens[stmt_start:i]))
             i += 1
             stmt_start = i
             continue
         if t.kind == "id" and t.text not in CPP_KEYWORDS and i + 1 < n \
-                and tokens[i + 1].text == "(":
-            res = _try_function(tokens, i, stmt_start, scope, rel, facts,
-                                atomic_vars, unordered_vars)
+                and tokens[i + 1].text == "(" \
+                and not any(kind == "block" for kind, _ in scope):
+            res = _try_function(tokens, i, stmt_start, scope)
             if res is not None:
-                i, stmt_start = res, res
+                i, span = res
+                stmt_start = i
+                if span is not None:
+                    spans.append(span)
                 continue
         i += 1
-    _index_atomic_orders(facts)
-    return facts
+    return spans
 
 
 def _classify_brace(head):
@@ -486,20 +497,13 @@ def _classify_brace(head):
     return ("block", "")
 
 
-def _try_function(tokens, name_idx, stmt_start, scope, rel, facts,
-                  atomic_vars, unordered_vars):
-    """tokens[name_idx] is an identifier followed by `(`. If this is a
-    function DEFINITION, consume through its body (extracting facts) and
-    return the index after the closing `}`. If it is a declaration, consume
-    through `;` (recording MULINK_HOT names). Otherwise return None."""
-    # Functions only appear at namespace/class scope — a call inside a
-    # function body is handled by the body walker, and _try_function is only
-    # invoked from the top-level cursor, which skips whole bodies.
-    if any(kind == "block" for kind, _ in scope):
-        return None
+def _try_function(tokens, name_idx, stmt_start, scope):
+    """tokens[name_idx] is an identifier followed by `(` at namespace/class
+    scope. Returns (resume index, span) for a definition — span as in
+    _function_spans, resume after the closing `}` — or (index after `;`,
+    None) for a declaration; None when it is neither."""
     n = len(tokens)
-    open_paren = name_idx + 1
-    close_paren = _match_forward(tokens, open_paren, "(", ")")
+    close_paren = _match_forward(tokens, name_idx + 1, "(", ")")
     if close_paren >= n - 1:
         return None
 
@@ -511,259 +515,147 @@ def _try_function(tokens, name_idx, stmt_start, scope, rel, facts,
         qparts.insert(0, tokens[j - 1].text)
         j -= 2
 
-    head = tokens[stmt_start:name_idx]
-    head_ids = [t.text for t in head if t.kind == "id"]
-    hot = "MULINK_HOT" in head_ids
-
     # Scan past trailing qualifiers / attribute macros / ctor initializers.
     i = close_paren + 1
     depth = 0
     colon_state = False
     while i < n:
-        t = tokens[i]
-        text = t.text
+        text = tokens[i].text
         if depth == 0 and text == ";":
-            # Declaration. Remember hot names so headers can mark hot roots.
-            if hot:
-                facts.hot_decls.add(qparts[-1])
-            return i + 1
+            return i + 1, None
         if depth == 0 and text == "{":
             if colon_state and tokens[i - 1].kind == "id":
                 # Braced member initializer `a_{...}` — skip it.
                 i = _match_forward(tokens, i, "{", "}") + 1
                 continue
-            body_open = i
             break
+        if depth == 0 and text == "}":
+            return None
         if depth == 0 and text == ":":
             colon_state = True
         elif text == "(":
             depth += 1
         elif text == ")":
             depth -= 1
-        elif depth == 0 and text == "=":
-            # `= default` / `= delete` / `= 0` — declaration-like.
-            pass
-        elif depth == 0 and text in ("}",):
-            return None
-        elif depth == 0 and not colon_state and t.kind == "id" \
-                and text not in FUNC_QUALIFIERS and not text.isupper() \
-                and not text.startswith("MULINK_") and text not in ("->",):
-            # Trailing return types / unexpected ids: tolerate, keep going.
-            pass
         i += 1
     else:
         return None
 
-    body_close = _match_forward(tokens, body_open, "{", "}")
+    body_close = _match_forward(tokens, i, "{", "}")
     class_names = [name for kind, name in scope if kind == "class"]
     qname = "::".join([name for _, name in scope if name] + qparts)
     is_ctor = (len(qparts) >= 2 and qparts[-1] == qparts[-2]) or (
         bool(class_names) and qparts[-1] == class_names[-1])
-    fn = FuncInfo(qparts[-1], qname, rel, tokens[name_idx].line, hot, is_ctor)
-    _walk_body(tokens, body_open + 1, body_close, fn, atomic_vars,
-               unordered_vars)
-    facts.functions.append(fn)
-    return body_close + 1
+    return body_close + 1, (name_idx, body_close, qname, is_ctor)
 
 
-def _walk_body(tokens, start, end, fn: FuncInfo, atomic_vars,
-               unordered_vars):
-    """Extract call sites and rule facts from a function body."""
-    i = start
-    while i < end:
-        t = tokens[i]
-        nxt = tokens[i + 1] if i + 1 < end else None
-        prev = tokens[i - 1] if i > start else None
+def _scan(tokens, atomic_vars, unordered_vars):
+    """Rule facts over the whole token stream, as (token index, Fact)."""
+    out: list[tuple[int, Fact]] = []
+    n = len(tokens)
 
-        if t.kind == "id":
-            # new-expression (operator new) — `new T`, `new (place) T`.
-            if t.text == "new":
-                fn.facts.append(("alloc-new", t.line, "new"))
-                i += 1
-                continue
-            if t.text == "fma" and nxt is not None and nxt.text == "(":
-                fn.facts.append(("fma", t.line, "fma"))
-            if t.text == "system_clock":
-                fn.facts.append(("ambient-time", t.line, "system_clock"))
-            if t.text == "time" and nxt is not None and nxt.text == "(":
-                close = _match_forward(tokens, i + 1, "(", ")")
-                args = [u.text for u in tokens[i + 2:close]]
-                if args in (["NULL"], ["nullptr"], ["0"], []):
-                    fn.facts.append(("ambient-time", t.line, "time()"))
-            if t.text in AMBIENT_RNG_NAMES:
-                fn.facts.append(("ambient-rng", t.line, t.text))
-            if t.text in ("ScopedStageTimer", "TraceSpan") \
-                    and prev is not None and prev.text == "::":
-                fn.facts.append(("obs-direct", t.line, f"obs::{t.text}"))
+    def fact(kind, detail):
+        out.append((i, Fact(kind, t.line, detail)))
 
-            # Member access chains: `.name(` / `->name(`.
-            if prev is not None and prev.text in (".", "->") \
-                    and nxt is not None and nxt.text == "(":
-                recv = tokens[i - 2] if i - 2 >= start else None
-                recv_name = recv.text if recv is not None \
-                    and recv.kind == "id" else ""
-                close = _match_forward(tokens, i + 1, "(", ")")
-                arg_ids = [u.text for u in tokens[i + 2:close]
-                           if u.kind == "id"]
-                if t.text in ALLOC_MEMBER_CALLS and t.text != "clear_and_shrink":
-                    fn.facts.append(("alloc-member", t.line, t.text))
-                if t.text in ATOMIC_MEMBER_CALLS:
-                    is_atomic = recv_name in atomic_vars
-                    has_order = any(a in MEMORY_ORDERS for a in arg_ids)
-                    if is_atomic:
-                        kind = ("atomic-load" if t.text == "load" else
-                                "atomic-store" if t.text == "store" else
-                                "atomic-rmw")
-                        order = next((a for a in arg_ids
-                                      if a in MEMORY_ORDERS), "")
-                        if not has_order:
-                            fn.facts.append(
-                                ("atomic-noorder", t.line,
-                                 f"{recv_name}.{t.text}"))
-                        fn.facts.append(
-                            (kind, t.line, f"{recv_name}|{order}"))
-                if t.text == "Add" and tokens[i + 2:i + 5] and _is_obs_enum(
-                        tokens, i + 2, close, "Counter"):
-                    fn.facts.append(("obs-direct", t.line, "Registry::Add"))
-                if t.text == "Set" and _is_obs_enum(tokens, i + 2, close,
-                                                    "Gauge"):
-                    fn.facts.append(("obs-direct", t.line, "Registry::Set"))
-                if t.text in ("RecordStageNs", "SampleIngestTick"):
-                    fn.facts.append(
-                        ("obs-direct", t.line, f"Registry::{t.text}"))
+    for i, t in enumerate(tokens):
+        if t.kind == "pp":
+            m = INTRINSICS_INCLUDE_RE.match(t.text)
+            if m:
+                fact("intrinsics", f"<{m.group(1)}>")
+            elif DEFINE_RE.match(t.text):
+                # A macro body is code at every expansion site: scan it too.
+                body, _ = lex(t.text[1:], t.line)
+                out.extend((i, f) for _, f in
+                           _scan(body, atomic_vars, unordered_vars))
+            continue
+        if t.kind != "id":
+            continue
+        text = t.text
+        nxt = tokens[i + 1].text if i + 1 < n else ""
+        prev = tokens[i - 1] if i > 0 else None
+        prev_text = prev.text if prev is not None else ""
+        call = nxt == "("
 
-            # Call sites for the call graph: `name(` not preceded by
-            # `.`/`->` (member calls can't be hot-root helpers) and not a
-            # keyword/cast.
-            if nxt is not None and nxt.text == "(" \
-                    and t.text not in CPP_KEYWORDS:
-                fn.calls.add(t.text)
+        # Allocation tokens: `new T`, `new (place) T`, make_unique/shared
+        # wherever named, malloc-family / to_string calls, std::function.
+        if text in ("new", "make_unique", "make_shared") \
+                or (text in ALLOC_FREE_CALLS and call):
+            fact("alloc", text)
+        elif text == "function" and prev_text == "::" and nxt == "<":
+            fact("alloc", "std::function")
 
-            # std::function construction: `function<...> name` (declaring a
-            # type-erased callable allocates for captures).
-            if t.text == "function" and prev is not None \
-                    and prev.text == "::" and nxt is not None \
-                    and nxt.text == "<":
-                fn.facts.append(("alloc-function", t.line, "std::function"))
-            if t.text in ALLOC_FREE_CALLS and nxt is not None:
-                # `make_unique<T>(...)`: step over the template argument
-                # list before looking for the call's `(`.
-                call = i + 1
-                if nxt.text == "<":
-                    call = _match_angle(tokens, i + 1) + 1
-                if call < end and tokens[call].text == "(":
-                    fn.facts.append(("alloc-call", t.line, t.text))
+        if text == "fma" and call:
+            fact("fma", "fma")
+        elif text == "system_clock":
+            fact("ambient-time", "system_clock")
+        elif text == "time" and call:
+            close = _match_forward(tokens, i + 1, "(", ")")
+            args = [u.text for u in tokens[i + 2:close]]
+            # std::time takes exactly one argument: `time()` is some
+            # other function (a declaration, an accessor), not the clock.
+            if args in (["NULL"], ["nullptr"], ["0"]):
+                fact("ambient-time", "time()")
+        elif text in AMBIENT_RNG_NAMES:
+            fact("ambient-rng", text)
+        elif text in ("ScopedStageTimer", "TraceSpan") and prev_text == "::":
+            fact("obs-direct", f"obs::{text}")
+        elif text in ("cout", "stdout") \
+                or (text in ("printf", "puts") and call):
+            fact("stdout", text)
+        elif (INTRINSICS_CALL_RE.fullmatch(text) and call) \
+                or INTRINSICS_TYPE_RE.fullmatch(text):
+            fact("intrinsics", text)
 
-            # Atomic operator-form access: ++x / x++ / x op= / x = v.
-            if t.text in atomic_vars:
-                if (prev is not None and prev.text in ("++", "--")) or \
-                        (nxt is not None and nxt.text in ("++", "--")):
-                    fn.facts.append(("atomic-op", t.line, f"{t.text}++"))
-                elif nxt is not None and nxt.text in (
-                        "=", "+=", "-=", "&=", "|=", "^="):
-                    # Only statement-position assignments: `x = v;` after
-                    # `;`/`{`/`(`/`,`. A preceding identifier means `x` is
-                    # being *declared* (`std::size_t seq = ...` shadowing an
-                    # atomic member, as in spsc_ring.h) — not an atomic op.
-                    if prev is None or (prev.kind == "punct"
-                                        and prev.text in (";", "{", "}", "(",
-                                                          ",", ":")):
-                        fn.facts.append(
-                            ("atomic-op", t.line, f"{t.text} {nxt.text}"))
+        # Member calls: `.name(` / `->name(`.
+        if prev_text in (".", "->") and call:
+            recv_name = tokens[i - 2].text if i >= 2 \
+                and tokens[i - 2].kind == "id" else ""
+            close = _match_forward(tokens, i + 1, "(", ")")
+            arg_ids = [u.text for u in tokens[i + 2:close] if u.kind == "id"]
+            if text in ALLOC_MEMBER_CALLS:
+                fact("alloc", text)
+            if text in ATOMIC_MEMBER_CALLS and recv_name in atomic_vars:
+                order = next((a for a in arg_ids if a in MEMORY_ORDERS), "")
+                if not order:
+                    fact("atomic-noorder", f"{recv_name}.{text}")
+                if text in ("load", "store"):
+                    fact(f"atomic-{text}", f"{recv_name}|{order}")
+            if (text == "Add" and _is_obs_enum(arg_ids, "Counter")) or \
+                    (text == "Set" and _is_obs_enum(arg_ids, "Gauge")) or \
+                    text in ("RecordStageNs", "SampleIngestTick"):
+                fact("obs-direct", f"Registry::{text}")
 
-        if t.kind == "id" and t.text == "for":
-            # Range-for over an unordered container?
-            if nxt is not None and nxt.text == "(":
-                close = _match_forward(tokens, i + 1, "(", ")")
-                inner = tokens[i + 2:close]
-                colon = next((k for k, u in enumerate(inner)
-                              if u.text == ":" ), None)
-                if colon is not None:
-                    range_ids = {u.text for u in inner[colon + 1:]
-                                 if u.kind == "id"}
-                    if range_ids & unordered_vars:
-                        var = sorted(range_ids & unordered_vars)[0]
-                        fn.facts.append(("unordered-iter", t.line, var))
-        i += 1
+        # Atomic operator-form access: ++x / x++ / x op= / x = v.
+        if text in atomic_vars:
+            if prev_text in ("++", "--") or nxt in ("++", "--"):
+                fact("atomic-op", f"{text}++")
+            elif nxt in ("=", "+=", "-=", "&=", "|=", "^="):
+                # Only statement-position assignments: `x = v;` after
+                # `;`/`{`/`(`/`,`. A preceding identifier means `x` is
+                # being *declared* (`std::size_t seq = ...` shadowing an
+                # atomic member, as in spsc_ring.h) — not an atomic op.
+                if prev is None or (prev.kind == "punct" and prev_text in (
+                        ";", "{", "}", "(", ",", ":")):
+                    fact("atomic-op", f"{text} {nxt}")
+
+        # Range-for over an unordered container.
+        if text == "for" and call:
+            close = _match_forward(tokens, i + 1, "(", ")")
+            inner = tokens[i + 2:close]
+            colon = next((k for k, u in enumerate(inner) if u.text == ":"),
+                         None)
+            if colon is not None:
+                range_ids = {u.text for u in inner[colon + 1:]
+                             if u.kind == "id"}
+                if range_ids & unordered_vars:
+                    fact("unordered-iter",
+                         sorted(range_ids & unordered_vars)[0])
+    return out
 
 
-def _is_obs_enum(tokens, start, end, enum_name) -> bool:
-    ids = [t.text for t in tokens[start:min(end, start + 8)]]
+def _is_obs_enum(arg_ids, enum_name) -> bool:
+    ids = arg_ids[:8]
     return "obs" in ids and enum_name in ids
-
-
-def _index_atomic_orders(facts: FileFacts):
-    for fn in facts.functions:
-        for kind, line, detail in fn.facts:
-            if kind in ("atomic-load", "atomic-store"):
-                name, _, order = detail.partition("|")
-                target = (facts.atomic_loads if kind == "atomic-load"
-                          else facts.atomic_stores)
-                target.setdefault(name, []).append((order, line, fn.is_ctor))
-
-
-# ---------------------------------------------------------------------------
-# cindex backend (optional refinement; soft-skips when unavailable)
-# ---------------------------------------------------------------------------
-
-def load_cindex():
-    """Return the clang.cindex module with a working libclang, or None."""
-    try:
-        from clang import cindex  # type: ignore
-    except ImportError:
-        return None
-    try:
-        cindex.Index.create()
-        return cindex
-    except Exception:
-        # Module present but no loadable libclang — try well-known names.
-        for name in ("libclang.so", "libclang-14.so", "libclang.so.1",
-                     "libclang-15.so", "libclang-16.so"):
-            try:
-                cindex.Config.set_library_file(name)
-                cindex.Index.create()
-                return cindex
-            except Exception:
-                cindex.Config.loaded = False
-        return None
-
-
-def cindex_refine(cindex, root: Path, rel: str, micro: FileFacts):
-    """Re-derive the hot-path-alloc and atomics facts for one file with a
-    real AST, keeping the micro facts when parsing fails. The lexical rules
-    (determinism, obs-discipline) stay on the micro engine by design: they
-    are name-based and the lexer is already exact for them."""
-    try:
-        index = cindex.Index.create()
-        args = ["-x", "c++", "-std=c++20", f"-I{root / 'src'}",
-                "-I" + str(root / "tools")]
-        tu = index.parse(str(root / rel), args=args)
-    except Exception:
-        return micro
-
-    CursorKind = cindex.CursorKind
-    by_line = {fn.line: fn for fn in micro.functions}
-
-    def enclosing(fn_cursor):
-        return by_line.get(fn_cursor.location.line)
-
-    try:
-        for cursor in tu.cursor.walk_preorder():
-            loc = cursor.location
-            if loc.file is None or Path(loc.file.name) != root / rel:
-                continue
-            if cursor.kind in (CursorKind.FUNCTION_DECL, CursorKind.CXX_METHOD,
-                               CursorKind.CONSTRUCTOR):
-                fn = by_line.get(loc.line)
-                if fn is not None and cursor.is_definition():
-                    # USR-precise call edges sharpen the name-matched graph.
-                    for child in cursor.walk_preorder():
-                        if child.kind == CursorKind.CALL_EXPR \
-                                and child.referenced is not None:
-                            fn.calls.add(child.referenced.spelling)
-    except Exception:
-        pass
-    return micro
 
 
 # ---------------------------------------------------------------------------
@@ -796,153 +688,114 @@ def in_dirs(rel: str, dirs) -> bool:
     return any(rel.startswith(d + "/") for d in dirs)
 
 
-def rule_hot_path_alloc(all_facts: dict[str, FileFacts]) -> list[Finding]:
-    """Allocations reachable from MULINK_HOT functions. Reachability is the
-    fixpoint of name-matched (cindex: reference-matched) call edges,
-    restricted to functions defined in the hot-path directories."""
-    hot_names: set[str] = set()
-    for facts in all_facts.values():
-        hot_names |= facts.hot_decls
-        for fn in facts.functions:
-            if fn.hot:
-                hot_names.add(fn.name)
-
-    # name -> defs in hot dirs
-    defs: dict[str, list[tuple[FileFacts, FuncInfo]]] = {}
-    for facts in all_facts.values():
-        if not in_dirs(facts.rel, HOT_PATH_DIRS) or facts.cold_tu:
-            continue
-        for fn in facts.functions:
-            defs.setdefault(fn.name, []).append((facts, fn))
-
-    reachable: set[int] = set()
-    frontier = [fn for name in hot_names for _, fn in defs.get(name, ())]
-    while frontier:
-        fn = frontier.pop()
-        if id(fn) in reachable:
-            continue
-        reachable.add(id(fn))
-        for callee in fn.calls:
-            for _, target in defs.get(callee, ()):
-                if id(target) not in reachable:
-                    frontier.append(target)
-
+def _lexical(all_facts, rule, in_scope, messages) -> list[Finding]:
+    """Every fact whose kind has a message becomes a finding, unless its
+    file is out of the rule's scope or its line carries allow(<tag>)."""
+    tag = RULE_TAG[rule]
     out = []
     for facts in all_facts.values():
-        if not in_dirs(facts.rel, HOT_PATH_DIRS) or facts.cold_tu:
-            continue
-        for fn in facts.functions:
-            if id(fn) not in reachable or fn.is_ctor:
+        for f in facts.facts:
+            message = messages.get(f.kind)
+            if message is None or not in_scope(facts, f.kind) \
+                    or allowed(facts.notes, f.line, tag):
                 continue
-            for kind, line, detail in fn.facts:
-                if not kind.startswith("alloc-"):
-                    continue
-                if allowed(facts.notes, line, "alloc"):
-                    continue
-                out.append(Finding(
-                    "hot-path-alloc", facts.rel, line, fn.qname,
-                    f"`{detail}` allocates on a MULINK_HOT-reachable path — "
-                    "hoist to setup or annotate "
-                    "`// mulink-lint: allow(alloc): <why>`"))
+            out.append(Finding(rule, facts.rel, f.line, f.func,
+                               message.format(f.detail)))
     return out
 
 
-def rule_determinism(all_facts: dict[str, FileFacts]) -> list[Finding]:
-    out = []
-    for facts in all_facts.values():
-        in_kernels = facts.rel.startswith(KERNEL_DIR + "/")
-        is_rng_home = bool(RNG_HOME.match(facts.rel))
-        for fn in facts.functions:
-            for kind, line, detail in fn.facts:
-                if allowed(facts.notes, line, "determinism"):
-                    continue
-                if kind == "fma" and not in_kernels:
-                    out.append(Finding(
-                        "determinism", facts.rel, line, fn.qname,
-                        "std::fma outside src/kernels — the kernel layer "
-                        "owns the FP-contraction policy (DESIGN.md §14); "
-                        "contracted rounding breaks cross-backend "
-                        "bit-equality"))
-                elif kind == "unordered-iter":
-                    out.append(Finding(
-                        "determinism", facts.rel, line, fn.qname,
-                        f"range-for over unordered container `{detail}` — "
-                        "iteration order is unspecified; sort or use an "
-                        "ordered mirror before anything serialized"))
-                elif kind == "ambient-time" and not is_rng_home:
-                    out.append(Finding(
-                        "determinism", facts.rel, line, fn.qname,
-                        f"wall-clock source `{detail}` in library code — "
-                        "scores and artifacts must derive only from inputs "
-                        "and seeds (steady_clock timing is fine)"))
-                elif kind == "ambient-rng" and not is_rng_home:
-                    out.append(Finding(
-                        "determinism", facts.rel, line, fn.qname,
-                        f"ambient RNG `{detail}` outside src/common/rng — "
-                        "draw through the forkable mulink::Rng"))
-    return out
+def rule_hot_path_alloc(all_facts):
+    return _lexical(
+        all_facts, "hot-path-alloc",
+        lambda facts, _: in_dirs(facts.rel, HOT_PATH_DIRS)
+        and not facts.cold_tu,
+        {"alloc": "`{}` allocates in a hot-path TU — hoist to setup or "
+                  "annotate `// mulink-lint: allow(alloc): <why>`"})
 
 
-def rule_atomics(all_facts: dict[str, FileFacts]) -> list[Finding]:
-    out = []
+def _determinism_scope(facts, kind):
+    if kind == "fma":
+        return not facts.rel.startswith(KERNEL_DIR + "/")
+    if kind.startswith("ambient-"):
+        return not RNG_HOME.match(facts.rel)
+    return True
+
+
+def rule_determinism(all_facts):
+    return _lexical(all_facts, "determinism", _determinism_scope, {
+        "fma": "std::fma outside src/kernels — the kernel layer owns the "
+               "FP-contraction policy (DESIGN.md §14); contracted rounding "
+               "breaks cross-backend bit-equality",
+        "unordered-iter": "range-for over unordered container `{}` — "
+                          "iteration order is unspecified; sort or use an "
+                          "ordered mirror before anything serialized",
+        "ambient-time": "wall-clock source `{}` — scores and artifacts must "
+                        "derive only from inputs and seeds (steady_clock "
+                        "timing is fine)",
+        "ambient-rng": "ambient RNG `{}` outside src/common/rng — draw "
+                       "through the forkable mulink::Rng",
+    })
+
+
+def rule_atomics(all_facts):
+    out = _lexical(all_facts, "atomics", lambda facts, _: True, {
+        "atomic-noorder": "`{}` without an explicit memory_order — "
+                          "seq_cst-by-default hides the intended ordering; "
+                          "say it out loud",
+        "atomic-op": "operator-form atomic access `{}` is seq_cst by "
+                     "definition — use fetch_add/store/load with an "
+                     "explicit order",
+    })
+    # Mixed-order analysis: relaxed store outside a ctor to a member that
+    # has acquire/seq_cst loads in the same file — the release edge is
+    # missing.
     for facts in all_facts.values():
-        for fn in facts.functions:
-            for kind, line, detail in fn.facts:
-                if allowed(facts.notes, line, "atomics"):
-                    continue
-                if kind == "atomic-noorder":
-                    out.append(Finding(
-                        "atomics", facts.rel, line, fn.qname,
-                        f"`{detail}` without an explicit memory_order — "
-                        "seq_cst-by-default hides the intended ordering; "
-                        "say it out loud"))
-                elif kind == "atomic-op":
-                    out.append(Finding(
-                        "atomics", facts.rel, line, fn.qname,
-                        f"operator-form atomic access `{detail}` is "
-                        "seq_cst by definition — use "
-                        "fetch_add/store/load with an explicit order"))
-        # Mixed-order analysis: relaxed store outside a ctor to a member
-        # that has acquire/seq_cst loads — the release edge is missing.
-        for name, stores in facts.atomic_stores.items():
-            loads = facts.atomic_loads.get(name, [])
-            acquire_loaded = any(
-                order in ("memory_order_acquire", "acquire",
-                          "memory_order_seq_cst", "seq_cst")
-                for order, _, _ in loads)
-            if not acquire_loaded:
+        acquire_loaded = {
+            f.detail.partition("|")[0] for f in facts.facts
+            if f.kind == "atomic-load" and f.detail.partition("|")[2] in (
+                "memory_order_acquire", "acquire", "memory_order_seq_cst",
+                "seq_cst")}
+        for f in facts.facts:
+            name, _, order = f.detail.partition("|")
+            if f.kind != "atomic-store" or f.in_ctor \
+                    or name not in acquire_loaded \
+                    or order not in ("memory_order_relaxed", "relaxed") \
+                    or allowed(facts.notes, f.line, "atomics"):
                 continue
-            for order, line, in_ctor in stores:
-                if in_ctor or order not in ("memory_order_relaxed",
-                                            "relaxed"):
-                    continue
-                if allowed(facts.notes, line, "atomics"):
-                    continue
-                out.append(Finding(
-                    "atomics", facts.rel, line, "",
-                    f"relaxed store to `{name}`, which is acquire-loaded "
-                    "elsewhere in this file — the acquire has no release "
-                    "edge to pair with (constructor seeding is exempt)"))
+            out.append(Finding(
+                "atomics", facts.rel, f.line, "",
+                f"relaxed store to `{name}`, which is acquire-loaded "
+                "elsewhere in this file — the acquire has no release "
+                "edge to pair with (constructor seeding is exempt)"))
     return out
 
 
-def rule_obs_discipline(all_facts: dict[str, FileFacts]) -> list[Finding]:
-    out = []
-    for facts in all_facts.values():
-        if facts.rel.startswith(OBS_DIR + "/"):
-            continue
-        for fn in facts.functions:
-            for kind, line, detail in fn.facts:
-                if kind != "obs-direct":
-                    continue
-                if allowed(facts.notes, line, "obs"):
-                    continue
-                out.append(Finding(
-                    "obs-discipline", facts.rel, line, fn.qname,
-                    f"direct obs recording `{detail}` — route through the "
-                    "MULINK_OBS_* macros so the null-sink check and the "
-                    "MULINK_OBS kill switch stay total"))
-    return out
+def rule_obs_discipline(all_facts):
+    return _lexical(
+        all_facts, "obs-discipline",
+        lambda facts, _: in_dirs(facts.rel, (LIBRARY_DIR,))
+        and not in_dirs(facts.rel, (OBS_DIR,)),
+        {"obs-direct": "direct obs recording `{}` — route through the "
+                       "MULINK_OBS_* macros so the null-sink check and the "
+                       "MULINK_OBS kill switch stay total"})
+
+
+def rule_stdout(all_facts):
+    return _lexical(
+        all_facts, "stdout",
+        lambda facts, _: in_dirs(facts.rel, (LIBRARY_DIR,)),
+        {"stdout": "stdout write `{}` in library code — return data or take "
+                   "an std::ostream&; printing belongs to "
+                   "tools/examples/bench"})
+
+
+def rule_intrinsics(all_facts):
+    return _lexical(
+        all_facts, "intrinsics",
+        lambda facts, _: not in_dirs(facts.rel, (KERNEL_DIR,)),
+        {"intrinsics": "SIMD intrinsic `{}` outside src/kernels — the "
+                       "kernel layer owns vector code so scalar/AVX2 parity "
+                       "stays testable"})
 
 
 RULE_FNS = {
@@ -950,6 +803,8 @@ RULE_FNS = {
     "determinism": rule_determinism,
     "atomics": rule_atomics,
     "obs-discipline": rule_obs_discipline,
+    "stdout": rule_stdout,
+    "intrinsics": rule_intrinsics,
 }
 
 
@@ -976,11 +831,11 @@ def collect_files(root: Path, args_files: list[str]) -> list[Path]:
             files.append(p)
         return files
     files = []
-    base = root / "src"
-    if base.is_dir():
-        for p in sorted(base.rglob("*")):
-            if p.suffix in SOURCE_SUFFIXES and p.is_file():
-                files.append(p)
+    for top in SOURCE_DIRS:
+        base = root / top
+        if base.is_dir():
+            files.extend(p for p in sorted(base.rglob("*"))
+                         if p.suffix in SOURCE_SUFFIXES and p.is_file())
     return files
 
 
@@ -993,15 +848,13 @@ def run(argv, stdout=sys.stdout, stderr=sys.stderr) -> int:
                         help="run only this rule (repeatable; default: all)")
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("--json", action="store_true", help="machine output")
-    parser.add_argument("--backend", choices=("auto", "micro", "cindex"),
-                        default="auto",
-                        help="auto = cindex when importable, else micro")
     parser.add_argument("--baseline", help="filter findings against this "
                         "baseline JSON (accepted debt; ships empty)")
     parser.add_argument("--write-baseline", metavar="FILE",
                         help="write current findings as the new baseline")
     parser.add_argument("files", nargs="*",
-                        help="files to analyze (default: src tree)")
+                        help="files to analyze (default: "
+                        + ", ".join(SOURCE_DIRS) + ")")
     try:
         opts = parser.parse_args(argv)
     except SystemExit as err:
@@ -1018,17 +871,6 @@ def run(argv, stdout=sys.stdout, stderr=sys.stderr) -> int:
         return EXIT_USAGE
     active = tuple(opts.rule) if opts.rule else RULES
 
-    cindex = None
-    if opts.backend in ("auto", "cindex"):
-        cindex = load_cindex()
-    require = os.environ.get("MULINK_REQUIRE_CINDEX") == "1"
-    if cindex is None and (opts.backend == "cindex" or require):
-        print("mulink-analyze: clang.cindex/libclang unavailable but "
-              "demanded (--backend cindex or MULINK_REQUIRE_CINDEX=1)",
-              file=stderr)
-        return EXIT_USAGE
-    backend = "cindex" if cindex is not None else "micro"
-
     try:
         files = collect_files(root, opts.files)
     except UsageError as err:
@@ -1043,10 +885,7 @@ def run(argv, stdout=sys.stdout, stderr=sys.stderr) -> int:
         except OSError as err:
             print(f"mulink-analyze: cannot read {path}: {err}", file=stderr)
             return EXIT_USAGE
-        facts = parse_file(rel, text)
-        if cindex is not None:
-            facts = cindex_refine(cindex, root, rel, facts)
-        all_facts[rel] = facts
+        all_facts[rel] = parse_file(rel, text)
 
     findings: list[Finding] = []
     for rule in active:
@@ -1079,7 +918,6 @@ def run(argv, stdout=sys.stdout, stderr=sys.stderr) -> int:
 
     if opts.json:
         json.dump({
-            "backend": backend,
             "files_scanned": len(files),
             "findings": [f.as_dict() for f in findings],
         }, stdout, indent=2)
@@ -1087,7 +925,7 @@ def run(argv, stdout=sys.stdout, stderr=sys.stderr) -> int:
     else:
         for f in findings:
             print(str(f), file=stdout)
-        print(f"mulink-analyze[{backend}]: {len(files)} files, "
+        print(f"mulink-analyze: {len(files)} files, "
               f"{len(findings)} finding(s)", file=stdout)
     return EXIT_FINDINGS if findings else EXIT_CLEAN
 

@@ -3,23 +3,22 @@
 
 Everything runs in-process through mulink_analyze.run() — the same entry
 the CLI uses — so the exit-code contract (0 clean / 1 findings / 2 usage
-error, the table mulink-lint and tools/cli.h also follow) is pinned where
-it is implemented.
+error, the table tools/cli.h also follows) is pinned where it is
+implemented.
 
-Each rule class carries planted-defect tests (the acceptance demo): a
-helper allocation reached transitively from a MULINK_HOT root, an fma in
-library code, an order-less atomic access, a direct obs Registry call —
-every one must exit non-zero. The negative space is tested just as hard:
-constructors, annotated sites, cold TUs, the rng home, shadowing locals
-(the spsc_ring.h `const std::size_t seq = ...` pattern), and allocation
-tokens buried in comments / strings / multi-line raw strings must all stay
-clean. These run on the always-available micro backend; the cindex backend
-soft-skip contract is tested in both directions.
+Each rule class carries planted-defect tests (the acceptance demo): an
+allocation anywhere in a hot-path TU (constructors and namespace scope
+included), an fma in library code, an ambient RNG in any scanned
+directory, an order-less atomic access, a direct obs Registry call, a
+printf in library code, an intrinsic outside src/kernels — every one must
+exit non-zero. The negative space is tested just as hard: annotated sites,
+cold TUs, the rng home, presentation code that may print, shadowing locals
+(the spsc_ring.h `const std::size_t seq = ...` pattern), and rule tokens
+buried in comments / strings / multi-line raw strings must all stay clean.
 """
 
 import io
 import json
-import os
 import sys
 import tempfile
 import unittest
@@ -45,12 +44,20 @@ class AnalyzeHarness(unittest.TestCase):
     def analyze_tree(self, files: dict[str, str], extra_argv=()):
         with tempfile.TemporaryDirectory() as tmp:
             make_tree(Path(tmp), files)
-            return self.run_analyze(
-                ["--root", tmp, "--backend", "micro", *extra_argv])
+            return self.run_analyze(["--root", tmp, *extra_argv])
+
+    def assert_each_fails(self, cases, rule, argv=()):
+        """Each (file, content, expected location) tree on its own must
+        yield a `rule` finding at that location."""
+        for rel, content, where in cases:
+            with self.subTest(rel=rel, where=where):
+                code, out, _ = self.analyze_tree({rel: content}, argv)
+                self.assertEqual(code, mulink_analyze.EXIT_FINDINGS, out)
+                self.assertIn(f"{where}: [{rule}]", out)
 
 
 class ExitCodeContract(AnalyzeHarness):
-    """Exit codes 0/1/2, same table as mulink-lint and tools/cli.h."""
+    """Exit codes 0/1/2, same table as tools/cli.h."""
 
     def test_clean_tree_exits_0(self):
         code, out, _ = self.analyze_tree({
@@ -103,55 +110,32 @@ class ExitCodeContract(AnalyzeHarness):
 
 
 class HotPathAllocRule(AnalyzeHarness):
-    """Allocation reachability from MULINK_HOT roots — the semantic upgrade
-    over the lint's per-TU token rule."""
+    """Every allocation token in a non-cold hot-path TU needs a reviewed
+    allow(alloc) annotation — whether or not a MULINK_HOT function calls
+    it, and wherever it sits in the file."""
 
     def test_direct_allocation_in_hot_function_fails(self):
-        code, out, _ = self.analyze_tree({
-            "src/core/score.cpp":
-            "MULINK_HOT double Score(int n) {\n"
-            "  double* p = new double[8];\n"
-            "  return p[0] * n;\n"
-            "}\n"
-        }, ["--rule", "hot-path-alloc"])
-        self.assertEqual(code, mulink_analyze.EXIT_FINDINGS)
-        self.assertIn("hot-path-alloc", out)
-        self.assertIn("`new`", out)
-
-    def test_transitive_allocation_through_helper_fails(self):
-        # The lint cannot see this: the helper carries no MULINK_HOT marker
-        # and lives in a different TU. Reachability through the call graph
-        # is the whole point of the analyzer.
-        code, out, _ = self.analyze_tree({
-            "src/core/score.cpp":
-            "MULINK_HOT double Score(std::vector<double>& v) {\n"
-            "  return Helper(v);\n"
-            "}\n",
-            "src/core/helper.cpp":
-            "double Helper(std::vector<double>& v) {\n"
-            "  v.push_back(1.0);\n"
-            "  return v.back();\n"
-            "}\n",
-        }, ["--rule", "hot-path-alloc"])
-        self.assertEqual(code, mulink_analyze.EXIT_FINDINGS)
-        self.assertIn("helper.cpp", out)
-        self.assertIn("push_back", out)
-
-    def test_hot_marker_on_header_declaration_roots_the_definition(self):
-        code, out, _ = self.analyze_tree({
-            "src/core/api.h":
-            "#pragma once\n"
-            "MULINK_HOT double Score(int n);\n",
-            "src/core/api.cpp":
-            "#include \"core/api.h\"\n"
-            "double Score(int n) {\n"
-            "  std::vector<double> tmp;\n"
-            "  tmp.reserve(static_cast<std::size_t>(n));\n"
-            "  return 0.0;\n"
-            "}\n",
-        }, ["--rule", "hot-path-alloc"])
-        self.assertEqual(code, mulink_analyze.EXIT_FINDINGS)
-        self.assertIn("reserve", out)
+        self.assert_each_fails([
+            ("src/core/score.cpp",
+             "MULINK_HOT double Score(int n) {\n"
+             "  double* p = new double[8];\n"
+             "  return p[0] * n;\n"
+             "}\n", "src/core/score.cpp:2"),
+            ("src/core/detector.cpp",
+             "void Score() {\n"
+             "  double* tmp = new double[64];\n"
+             "  delete[] tmp;\n"
+             "}\n", "src/core/detector.cpp:2"),
+            ("src/linalg/solve.cpp",
+             "void F(V& v) { v.push_back(1.0); }\n",
+             "src/linalg/solve.cpp:1"),
+            # The kernel layer is a hot-path directory too.
+            ("src/kernels/scratch.cpp",
+             "void F(V& v) { v.resize(8); }\n",
+             "src/kernels/scratch.cpp:1"),
+            ("src/core/table.cpp",
+             "int* kTable = new int[4];\n", "src/core/table.cpp:1"),
+        ], "hot-path-alloc", ["--rule", "hot-path-alloc"])
 
     def test_templated_make_unique_and_make_shared_fail(self):
         # The template argument list sits between the name and the call's
@@ -170,43 +154,66 @@ class HotPathAllocRule(AnalyzeHarness):
         self.assertIn("engine.cpp:3", out)
         self.assertIn("`make_shared`", out)
 
-    def test_unreachable_allocation_is_clean(self):
-        # Same allocation, no path from any hot root: setup code is allowed
-        # to allocate. This is the false-positive class the token rule
-        # could only handle with blanket cold-tu annotations.
-        code, _, _ = self.analyze_tree({
-            "src/core/setup.cpp":
-            "void BuildTables(std::vector<double>& v) {\n"
-            "  v.resize(1024);\n"
-            "}\n"
-        }, ["--rule", "hot-path-alloc"])
-        self.assertEqual(code, mulink_analyze.EXIT_CLEAN)
+    def test_every_allocation_token_fails(self):
+        self.assert_each_fails([
+            ("src/serve/a.cpp", "void F(D& d) { d.push_front(1); }\n",
+             "src/serve/a.cpp:1"),
+            ("src/serve/b.cpp", "void F(D& d) { d->emplace_front(1); }\n",
+             "src/serve/b.cpp:1"),
+            ("src/serve/c.cpp", "void* F() { return malloc(64); }\n",
+             "src/serve/c.cpp:1"),
+            ("src/serve/d.h", "struct S {\n  std::function<void()> cb;\n};\n",
+             "src/serve/d.h:2"),
+            ("src/serve/e.cpp",
+             "auto F(int x) { return std::to_string(x); }\n",
+             "src/serve/e.cpp:1"),
+        ], "hot-path-alloc", ["--rule", "hot-path-alloc"])
 
-    def test_constructors_are_exempt(self):
-        # Hot objects allocate in their constructors (slab reservation is
-        # the repo-wide idiom); reachability must not walk into ctors.
-        code, _, _ = self.analyze_tree({
-            "src/serve/slab.h":
-            "class Slab {\n"
-            " public:\n"
-            "  Slab() { storage_.resize(4096); }\n"
-            "  MULINK_HOT double* Get() { return storage_.data(); }\n"
-            " private:\n"
-            "  std::vector<double> storage_;\n"
-            "};\n"
-        }, ["--rule", "hot-path-alloc"])
-        self.assertEqual(code, mulink_analyze.EXIT_CLEAN)
+    def test_setup_allocation_in_hot_tu_fails(self):
+        # No MULINK_HOT function reaches it, but the TU sits under a hot
+        # directory: setup allocations there carry an allow(alloc) claim.
+        self.assert_each_fails([
+            ("src/core/setup.cpp",
+             "void BuildTables(std::vector<double>& v) {\n"
+             "  v.resize(1024);\n"
+             "}\n", "src/core/setup.cpp:2"),
+        ], "hot-path-alloc", ["--rule", "hot-path-alloc"])
+
+    def test_constructor_allocation_fails(self):
+        self.assert_each_fails([
+            ("src/serve/slab.h",
+             "class Slab {\n"
+             " public:\n"
+             "  Slab() { storage_.resize(4096); }\n"
+             "  MULINK_HOT double* Get() { return storage_.data(); }\n"
+             " private:\n"
+             "  std::vector<double> storage_;\n"
+             "};\n", "src/serve/slab.h:3"),
+            ("src/core/ring.cpp",
+             "Ring::Ring(int n) : cells_(n) {\n"
+             "  cells_.push_back(0);\n"
+             "}\n", "src/core/ring.cpp:2"),
+        ], "hot-path-alloc", ["--rule", "hot-path-alloc"])
 
     def test_allow_annotation_suppresses(self):
-        code, _, _ = self.analyze_tree({
-            "src/core/score.cpp":
-            "MULINK_HOT double Score(std::vector<double>& v) {\n"
-            "  // mulink-lint: allow(alloc): amortized growth, measured\n"
-            "  v.push_back(1.0);\n"
-            "  return v.back();\n"
-            "}\n"
-        }, ["--rule", "hot-path-alloc"])
-        self.assertEqual(code, mulink_analyze.EXIT_CLEAN)
+        for files in (
+            {"src/core/score.cpp":
+             "MULINK_HOT double Score(std::vector<double>& v) {\n"
+             "  // mulink-lint: allow(alloc): amortized growth, measured\n"
+             "  v.push_back(1.0);\n"
+             "  return v.back();\n"
+             "}\n"},
+            {"src/dsp/fft.cpp":
+             "void Setup(V& v, int n) {\n"
+             "  // mulink-lint: allow(alloc): ctor, setup path\n"
+             "  v.reserve(n);\n"
+             "  v.resize(n);  // mulink-lint: allow(alloc): warm\n"
+             "}\n"},
+        ):
+            with self.subTest(files=list(files)):
+                code, out, _ = self.analyze_tree(
+                    files, ["--rule", "hot-path-alloc"])
+                self.assertEqual(code, mulink_analyze.EXIT_CLEAN, out)
 
     def test_cold_tu_marker_opts_out(self):
         code, _, _ = self.analyze_tree({
@@ -214,7 +221,10 @@ class HotPathAllocRule(AnalyzeHarness):
             "// mulink-lint: cold-tu(report generation, not on any hot path)\n"
             "MULINK_HOT void Oddball(std::vector<double>& v) {\n"
             "  v.push_back(1.0);\n"
-            "}\n"
+            "}\n",
+            "src/core/roc.cpp":
+            "// mulink-lint: cold-tu(offline analysis)\n"
+            "void Build(V& v) { v.push_back(1); }\n",
         }, ["--rule", "hot-path-alloc"])
         self.assertEqual(code, mulink_analyze.EXIT_CLEAN)
 
@@ -223,7 +233,9 @@ class HotPathAllocRule(AnalyzeHarness):
             "src/experiments/campaign.cpp":
             "MULINK_HOT void Run(std::vector<double>& v) {\n"
             "  v.push_back(1.0);\n"
-            "}\n"
+            "}\n",
+            "src/wifi/csi.cpp": "void F(V& v) { v.push_back(1); }\n",
+            "tools/cli.cpp": "int* p = new int[4];\n",
         }, ["--rule", "hot-path-alloc"])
         self.assertEqual(code, mulink_analyze.EXIT_CLEAN)
 
@@ -241,14 +253,17 @@ class LexerFidelity(AnalyzeHarness):
             "  const char* msg = \"calls malloc( under the hood\";\n"
             "  (void)msg;\n"
             "  return 1.0 * n;\n"
-            "}\n"
+            "}\n",
+            "src/core/detector.cpp":
+            "// the newest window wins; we never resize( here\n"
+            "/* malloc( would be bad */\n"
+            "const char* kDoc = \"call v.push_back(x) upstream\";\n",
         })
         self.assertEqual(code, mulink_analyze.EXIT_CLEAN)
 
     def test_multiline_raw_string_is_opaque(self):
-        # The regression class the token linter historically leaked on:
-        # a raw string spanning lines whose body mentions allocation and
-        # atomic tokens.
+        # A raw string spanning lines whose body mentions allocation,
+        # atomic and intrinsic tokens — plain or with a delimiter.
         code, _, _ = self.analyze_tree({
             "src/core/doc.cpp":
             "MULINK_HOT const char* Usage() {\n"
@@ -256,11 +271,37 @@ class LexerFidelity(AnalyzeHarness):
             "    push_back( onto the queue; allocates via new int[4]\n"
             "    counter.fetch_add(1) bumps the total\n"
             "  )\";\n"
-            "}\n"
+            "}\n",
+            "src/core/usage.cpp":
+            "const char* kUsage = R\"(usage:\n"
+            "  push_back( frames onto the ring; new int[4] per slab\n"
+            "  _mm256_add_pd( is kernel-layer only\n"
+            ")\";\n"
+            "void After(V& v) { (void)v; }\n",
+            "src/core/json.cpp":
+            "const char* kJson = R\"json({\n"
+            "  \"hint\": \"resize( the pool)\"\n"
+            "})json\";\n",
         })
         self.assertEqual(code, mulink_analyze.EXIT_CLEAN)
 
-    def test_preprocessor_lines_are_opaque(self):
+    def test_code_after_raw_string_close_is_scanned(self):
+        # Lexing resumes right after `)"`: a real allocation on the same
+        # line as the close is still caught.
+        self.assert_each_fails([
+            ("src/core/usage.cpp",
+             "const char* kDoc = R\"(doc\n"
+             "text)\"; int* p = new int[4];\n", "src/core/usage.cpp:2"),
+        ], "hot-path-alloc")
+
+    def test_macro_bodies_are_scanned(self):
+        # A #define body is code at every expansion site, continuation
+        # lines included; a bare name in it is not a call.
+        self.assert_each_fails([
+            ("src/core/config.h",
+             "#define GROW(v) \\\n"
+             "  (v).push_back(0)\n", "src/core/config.h:2"),
+        ], "hot-path-alloc")
         code, _, _ = self.analyze_tree({
             "src/core/config.cpp":
             "#define SCRATCH_HINT push_back\n"
@@ -324,26 +365,41 @@ class DeterminismRule(AnalyzeHarness):
             "long Mono() {\n"
             "  return std::chrono::steady_clock::now()"
             ".time_since_epoch().count();\n"
-            "}\n"
+            "}\n",
+            "src/core/clock.h":
+            "struct Clock {\n  double time() const;\n};\n",
         }, ["--rule", "determinism"])
         self.assertEqual(code, mulink_analyze.EXIT_FINDINGS)
         self.assertIn("system_clock", out)
         self.assertNotIn("steady_clock`", out)
+        self.assertNotIn("clock.h", out)
 
     def test_ambient_rng_outside_home_fails(self):
-        code, out, _ = self.analyze_tree({
-            "src/dsp/jitter.cpp":
-            "double Jitter() {\n"
-            "  static std::mt19937 gen(std::random_device{}());\n"
-            "  return static_cast<double>(gen());\n"
-            "}\n"
-        }, ["--rule", "determinism"])
-        self.assertEqual(code, mulink_analyze.EXIT_FINDINGS)
-        self.assertIn("mt19937", out)
+        rng_tu = "#include <random>\nstd::mt19937 gen(std::rand());\n"
+        self.assert_each_fails([
+            ("src/dsp/jitter.cpp",
+             "double Jitter() {\n"
+             "  static std::mt19937 gen(std::random_device{}());\n"
+             "  return static_cast<double>(gen());\n"
+             "}\n", "src/dsp/jitter.cpp:2"),
+            ("src/nic/sim.cpp", rng_tu, "src/nic/sim.cpp:2"),
+            ("tools/x.cpp", rng_tu, "tools/x.cpp:2"),
+            ("bench/micro.cpp", rng_tu, "bench/micro.cpp:2"),
+        ], "determinism", ["--rule", "determinism"])
+
+    def test_namespace_scope_rng_fails(self):
+        self.assert_each_fails([
+            ("src/core/seed.cpp",
+             "namespace mulink {\n"
+             "static std::mt19937 g;\n"
+             "}  // namespace mulink\n", "src/core/seed.cpp:2"),
+        ], "determinism", ["--rule", "determinism"])
 
     def test_rng_home_is_exempt(self):
         code, _, _ = self.analyze_tree({
             "src/common/rng.cpp":
+            "// PCG32, no std::mt19937 needed\n"
+            "std::uint32_t x = std::random_device{}();\n"
             "unsigned Draw() {\n"
             "  static std::mt19937_64 gen(0xBEEF);\n"
             "  return static_cast<unsigned>(gen());\n"
@@ -352,17 +408,23 @@ class DeterminismRule(AnalyzeHarness):
         self.assertEqual(code, mulink_analyze.EXIT_CLEAN)
 
     def test_time_null_seed_fails(self):
-        code, _, _ = self.analyze_tree({
-            "src/experiments/seed.cpp":
-            "long Seed() { return time(nullptr); }\n"
-        }, ["--rule", "determinism"])
-        self.assertEqual(code, mulink_analyze.EXIT_FINDINGS)
+        self.assert_each_fails([
+            ("src/experiments/seed.cpp",
+             "long Seed() { return time(nullptr); }\n",
+             "src/experiments/seed.cpp:1"),
+            ("src/nic/sim.cpp", "auto seed = time(nullptr);\n",
+             "src/nic/sim.cpp:1"),
+            ("tools/seed.cpp", "auto seed = time(NULL);\n",
+             "tools/seed.cpp:1"),
+            ("bench/seed.cpp", "auto seed = std::time(NULL);\n",
+             "bench/seed.cpp:1"),
+        ], "determinism", ["--rule", "determinism"])
 
     def test_allow_annotation_suppresses(self):
         code, _, _ = self.analyze_tree({
             "src/obs/clock.cpp":
             "long Wall() {\n"
-            "  // mulink-analyze: allow(determinism): artifact timestamps\n"
+            "  // mulink-lint: allow(determinism): artifact timestamps\n"
             "  return std::chrono::system_clock::now()"
             ".time_since_epoch().count();\n"
             "}\n"
@@ -459,7 +521,7 @@ class AtomicsRule(AnalyzeHarness):
             "src/serve/ring.cpp":
             ATOMIC_DECL +
             "void Bump() {\n"
-            "  // mulink-analyze: allow(atomics): sc fence intended here\n"
+            "  // mulink-lint: allow(atomics): sc fence intended here\n"
             "  head_.fetch_add(1);\n"
             "}\n"
         }, ["--rule", "atomics"])
@@ -468,14 +530,15 @@ class AtomicsRule(AnalyzeHarness):
 
 class ObsDisciplineRule(AnalyzeHarness):
     def test_direct_registry_call_fails(self):
-        code, out, _ = self.analyze_tree({
-            "src/core/engine.cpp":
-            "void Tick(obs::Registry& metrics) {\n"
-            "  metrics.Add(obs::Counter::kFramesIngested, 1);\n"
-            "}\n"
-        }, ["--rule", "obs-discipline"])
-        self.assertEqual(code, mulink_analyze.EXIT_FINDINGS)
-        self.assertIn("MULINK_OBS_", out)
+        self.assert_each_fails([
+            ("src/core/engine.cpp",
+             "void Tick(obs::Registry& metrics) {\n"
+             "  metrics.Add(obs::Counter::kFramesIngested, 1);\n"
+             "}\n", "src/core/engine.cpp:2"),
+            ("src/core/engine.cpp",
+             "void F(R* m) { m->Add(obs::Counter::kDecisions); }\n",
+             "src/core/engine.cpp:1"),
+        ], "obs-discipline", ["--rule", "obs-discipline"])
 
     def test_direct_timer_construction_fails(self):
         code, _, _ = self.analyze_tree({
@@ -497,7 +560,7 @@ class ObsDisciplineRule(AnalyzeHarness):
         }, ["--rule", "obs-discipline"])
         self.assertEqual(code, mulink_analyze.EXIT_CLEAN)
 
-    def test_obs_subsystem_itself_is_exempt(self):
+    def test_obs_subsystem_and_presentation_code_are_exempt(self):
         code, _, _ = self.analyze_tree({
             "src/obs/registry.cpp":
             "void Registry::Add(obs::Counter c, std::uint64_t d) {\n"
@@ -506,8 +569,76 @@ class ObsDisciplineRule(AnalyzeHarness):
             "}\n"
             "void Forward(Registry& r) {\n"
             "  r.Add(obs::Counter::kFramesIngested, 1);\n"
-            "}\n"
+            "}\n",
+            "bench/micro.cpp":
+            "void Probe(obs::Registry& r) {\n"
+            "  r.RecordStageNs(obs::Stage::kScore, 10);\n"
+            "}\n",
         }, ["--rule", "obs-discipline"])
+        self.assertEqual(code, mulink_analyze.EXIT_CLEAN)
+
+
+class StdoutRule(AnalyzeHarness):
+    def test_printing_in_library_fails(self):
+        self.assert_each_fails([
+            ("src/obs/export.cpp", 'void P() { std::cout << "hi"; }\n',
+             "src/obs/export.cpp:1"),
+            ("src/core/engine.cpp", 'void P() { printf("x"); }\n',
+             "src/core/engine.cpp:1"),
+            ("src/nic/dump.cpp", 'void P() { std::fputs("x", stdout); }\n',
+             "src/nic/dump.cpp:1"),
+        ], "stdout")
+
+    def test_tools_examples_bench_may_print(self):
+        code, _, _ = self.analyze_tree({
+            "tools/cli.cpp": 'void P() { std::cout << "ok"; }\n',
+            "examples/quickstart.cpp": 'void Q() { printf("ok"); }\n',
+            "bench/micro.cpp": 'void R() { puts("ok"); }\n',
+        })
+        self.assertEqual(code, mulink_analyze.EXIT_CLEAN)
+
+
+class IntrinsicsRule(AnalyzeHarness):
+    """Vector code lives only in src/kernels, behind the dispatch layer."""
+
+    VECTOR_FN = ("void F(double* p) {\n"
+                 "  __m256d v = _mm256_loadu_pd(p);\n"
+                 "  _mm256_storeu_pd(p, v);\n"
+                 "}\n")
+
+    def test_intrinsics_outside_kernels_fail(self):
+        self.assert_each_fails([
+            ("src/core/detector.cpp", "#include <immintrin.h>\n",
+             "src/core/detector.cpp:1"),
+            ("src/dsp/filter.cpp", self.VECTOR_FN, "src/dsp/filter.cpp:2"),
+            ("src/dsp/filter.cpp", self.VECTOR_FN, "src/dsp/filter.cpp:3"),
+            ("bench/micro.cpp", self.VECTOR_FN, "bench/micro.cpp:2"),
+            ("tools/x.cpp", self.VECTOR_FN, "tools/x.cpp:3"),
+        ], "intrinsics")
+
+    def test_kernels_dir_is_exempt(self):
+        code, _, _ = self.analyze_tree({
+            "src/kernels/kernels_avx2.cpp":
+            "#include <immintrin.h>\n"
+            "void F(double* p) { _mm256_storeu_pd(p, _mm256_setzero_pd()); }\n"
+        })
+        self.assertEqual(code, mulink_analyze.EXIT_CLEAN)
+
+    def test_annotated_intrinsic_is_allowed(self):
+        code, _, _ = self.analyze_tree({
+            "src/dsp/fft.cpp":
+            "// mulink-lint: allow(intrinsics): prefetch hint only\n"
+            "void F(const double* p) { _mm_prefetch(p, 1); }\n"
+            "#include <x86intrin.h>  // mulink-lint: allow(intrinsics): rdtsc\n"
+        })
+        self.assertEqual(code, mulink_analyze.EXIT_CLEAN)
+
+    def test_intrinsic_tokens_in_comments_ignored(self):
+        code, _, _ = self.analyze_tree({
+            "src/core/detector.cpp":
+            "// the kernels layer uses _mm256_fmadd_pd( internally\n"
+            "const char* kDoc = \"__m256d lanes\";\n"
+        })
         self.assertEqual(code, mulink_analyze.EXIT_CLEAN)
 
 
@@ -525,16 +656,14 @@ class BaselineMechanism(AnalyzeHarness):
             make_tree(Path(tmp), self.DEFECT)
             base = Path(tmp) / "baseline.json"
             code, _, _ = self.run_analyze(
-                ["--root", tmp, "--backend", "micro",
-                 "--write-baseline", str(base)])
+                ["--root", tmp, "--write-baseline", str(base)])
             self.assertEqual(code, mulink_analyze.EXIT_FINDINGS)
             payload = json.loads(base.read_text())
             self.assertEqual(len(payload["findings"]), 1)
             # With the baseline applied, the accepted finding is filtered
             # and the run is clean.
             code, out, _ = self.run_analyze(
-                ["--root", tmp, "--backend", "micro",
-                 "--baseline", str(base)])
+                ["--root", tmp, "--baseline", str(base)])
             self.assertEqual(code, mulink_analyze.EXIT_CLEAN)
             self.assertIn("0 finding(s)", out)
 
@@ -542,15 +671,13 @@ class BaselineMechanism(AnalyzeHarness):
         with tempfile.TemporaryDirectory() as tmp:
             make_tree(Path(tmp), self.DEFECT)
             base = Path(tmp) / "baseline.json"
-            self.run_analyze(["--root", tmp, "--backend", "micro",
-                              "--write-baseline", str(base)])
+            self.run_analyze(["--root", tmp, "--write-baseline", str(base)])
             make_tree(Path(tmp), {
                 "src/core/fresh.cpp":
                 "MULINK_HOT void Fresh() { int* p = new int[4]; (void)p; }\n"
             })
             code, out, _ = self.run_analyze(
-                ["--root", tmp, "--backend", "micro",
-                 "--baseline", str(base)])
+                ["--root", tmp, "--baseline", str(base)])
             self.assertEqual(code, mulink_analyze.EXIT_FINDINGS)
             self.assertIn("fresh.cpp", out)
             self.assertNotIn("score.cpp", out)
@@ -567,8 +694,7 @@ class BaselineMechanism(AnalyzeHarness):
             bad = Path(tmp) / "bad.json"
             bad.write_text("{not json", encoding="utf-8")
             code, _, err = self.run_analyze(
-                ["--root", tmp, "--backend", "micro",
-                 "--baseline", str(bad)])
+                ["--root", tmp, "--baseline", str(bad)])
         self.assertEqual(code, mulink_analyze.EXIT_USAGE)
         self.assertIn("malformed baseline", err)
 
@@ -580,60 +706,6 @@ class BaselineMechanism(AnalyzeHarness):
         self.assertEqual(payload["findings"], [])
 
 
-class BackendContract(AnalyzeHarness):
-    """cindex soft-skips to micro like clang-tidy; demanding it when it is
-    absent is a usage error (exit 2), never a silent pass."""
-
-    def cindex_available(self):
-        return mulink_analyze.load_cindex() is not None
-
-    def test_micro_backend_always_runs(self):
-        code, out, _ = self.analyze_tree(
-            {"src/core/empty.cpp": "void Nothing() {}\n"})
-        self.assertEqual(code, mulink_analyze.EXIT_CLEAN)
-        self.assertIn("[micro]", out)
-
-    def test_demanded_cindex_without_libclang_exits_2(self):
-        if self.cindex_available():
-            self.skipTest("clang.cindex is available here")
-        with tempfile.TemporaryDirectory() as tmp:
-            make_tree(Path(tmp), {"src/core/empty.cpp": "void N() {}\n"})
-            code, _, err = self.run_analyze(
-                ["--root", tmp, "--backend", "cindex"])
-        self.assertEqual(code, mulink_analyze.EXIT_USAGE)
-        self.assertIn("unavailable", err)
-
-    def test_require_env_without_libclang_exits_2(self):
-        if self.cindex_available():
-            self.skipTest("clang.cindex is available here")
-        old = os.environ.get("MULINK_REQUIRE_CINDEX")
-        os.environ["MULINK_REQUIRE_CINDEX"] = "1"
-        try:
-            with tempfile.TemporaryDirectory() as tmp:
-                make_tree(Path(tmp), {"src/core/empty.cpp": "void N() {}\n"})
-                code, _, _ = self.run_analyze(["--root", tmp])
-        finally:
-            if old is None:
-                os.environ.pop("MULINK_REQUIRE_CINDEX", None)
-            else:
-                os.environ["MULINK_REQUIRE_CINDEX"] = old
-        self.assertEqual(code, mulink_analyze.EXIT_USAGE)
-
-    def test_cindex_backend_matches_micro_on_planted_defect(self):
-        if not self.cindex_available():
-            self.skipTest("clang.cindex unavailable (soft-skip, like "
-                          "clang-tidy)")
-        code, out, _ = self.analyze_tree({
-            "src/core/score.cpp":
-            "MULINK_HOT double Score(int n) {\n"
-            "  double* p = new double[8];\n"
-            "  return p[0] * n;\n"
-            "}\n"
-        }, ["--backend", "cindex", "--rule", "hot-path-alloc"])
-        self.assertEqual(code, mulink_analyze.EXIT_FINDINGS)
-        self.assertIn("hot-path-alloc", out)
-
-
 class CliSurface(AnalyzeHarness):
     def test_rule_filter_runs_only_that_rule(self):
         files = {
@@ -642,11 +714,18 @@ class CliSurface(AnalyzeHarness):
             "double Blend(double a, double b, double c) {\n"
             "  return std::fma(a, b, c);\n"
             "}\n"
+            "void Say() { printf(\"x\"); }\n"
+            "#include <immintrin.h>\n"
         }
-        code, out, _ = self.analyze_tree(files, ["--rule", "determinism"])
-        self.assertEqual(code, mulink_analyze.EXIT_FINDINGS)
-        self.assertIn("fma", out)
-        self.assertNotIn("hot-path-alloc", out)
+        for rule, token in (("determinism", "fma"), ("stdout", "printf"),
+                            ("intrinsics", "immintrin")):
+            with self.subTest(rule=rule):
+                code, out, _ = self.analyze_tree(files, ["--rule", rule])
+                self.assertEqual(code, mulink_analyze.EXIT_FINDINGS)
+                self.assertIn(token, out)
+                for other in mulink_analyze.RULES:
+                    if other != rule:
+                        self.assertNotIn(f"[{other}]", out)
 
     def test_json_output_is_machine_readable(self):
         code, out, _ = self.analyze_tree({
@@ -655,11 +734,12 @@ class CliSurface(AnalyzeHarness):
         }, ["--json"])
         self.assertEqual(code, mulink_analyze.EXIT_FINDINGS)
         payload = json.loads(out)
-        self.assertEqual(payload["backend"], "micro")
+        self.assertEqual(payload["files_scanned"], 1)
         self.assertEqual(len(payload["findings"]), 1)
         finding = payload["findings"][0]
         self.assertEqual(finding["rule"], "hot-path-alloc")
         self.assertEqual(finding["file"], "src/core/score.cpp")
+        self.assertEqual(finding["function"], "Hot")
 
     def test_explicit_file_list_restricts_scan(self):
         files = {
@@ -670,7 +750,7 @@ class CliSurface(AnalyzeHarness):
         with tempfile.TemporaryDirectory() as tmp:
             make_tree(Path(tmp), files)
             code, _, _ = self.run_analyze(
-                ["--root", tmp, "--backend", "micro", "src/core/good.cpp"])
+                ["--root", tmp, "src/core/good.cpp"])
         self.assertEqual(code, mulink_analyze.EXIT_CLEAN)
 
 
