@@ -215,9 +215,6 @@ void LinkCalibrator::Configure(const Detector& detector,
   if (!config_.enabled) return;
   MULINK_REQUIRE(config_.forgetting > 0.0 && config_.forgetting <= 1.0,
                  "LinkCalibrator: forgetting must be in (0,1]");
-  MULINK_REQUIRE(config_.recalibration_forgetting > 0.0 &&
-                     config_.recalibration_forgetting <= 1.0,
-                 "LinkCalibrator: recalibration_forgetting must be in (0,1]");
   MULINK_REQUIRE(config_.quiet_posterior_max >= 0.0 &&
                      config_.quiet_posterior_max <= 1.0,
                  "LinkCalibrator: quiet_posterior_max must be in [0,1]");
@@ -226,8 +223,6 @@ void LinkCalibrator::Configure(const Detector& detector,
                  "LinkCalibrator: drift_ewma_alpha must be in (0,1]");
   MULINK_REQUIRE(config_.drift_confirm_windows >= 1,
                  "LinkCalibrator: drift_confirm_windows must be >= 1");
-  MULINK_REQUIRE(config_.drift_ewma_sigma > 0.0,
-                 "LinkCalibrator: drift_ewma_sigma must be > 0");
   MULINK_REQUIRE(config_.recalibration_quiet_windows >= 1,
                  "LinkCalibrator: recalibration_quiet_windows must be >= 1");
   MULINK_REQUIRE(config_.threshold_sigma > 0.0,
@@ -244,18 +239,14 @@ void LinkCalibrator::Configure(const Detector& detector,
       detector.has_threshold() && score_posterior_.Mean() > 0.0
           ? detector.threshold() / score_posterior_.Mean()
           : 0.0;
-  stage_packets_ = config_.staged_quiet_packets > 0;
   refresh_angular_ =
       detector.config().scheme ==
           DetectionScheme::kSubcarrierAndPathWeighting &&
       detector.num_antennas() >= 2;
-  staged_.clear();
-  if (stage_packets_) {
-    wifi::CsiPacket slot;
-    slot.csi.Resize(detector.num_antennas(), detector.num_subcarriers());
-    // mulink-lint: allow(alloc): Configure, setup path
-    staged_.assign(config_.staged_quiet_packets, slot);
-  }
+  wifi::CsiPacket slot;
+  slot.csi.Resize(detector.num_antennas(), detector.num_subcarriers());
+  // mulink-lint: allow(alloc): Configure, setup path
+  staged_.assign(kStagedQuietPackets, slot);
 }
 
 void LinkCalibrator::TransitionTo(LadderState next) {
@@ -265,8 +256,7 @@ void LinkCalibrator::TransitionTo(LadderState next) {
   MULINK_OBS_COUNT(metrics, kLadderTransitions);
 }
 
-void LinkCalibrator::EnterRecalibrating(bool agc_path) {
-  (void)agc_path;  // the AGC path differs only in how it was entered
+void LinkCalibrator::EnterRecalibrating() {
   // A confirmed change point: the posterior history describes the OLD
   // channel. Cap the stale evidence at one window's worth of prior mass so
   // the recalibration_quiet_windows collected next dominate the swap —
@@ -311,8 +301,7 @@ void LinkCalibrator::AbortRecalibration() {
 
 bool LinkCalibrator::AgcRebaselineDue(
     const CalibrationWindowContext& context) const {
-  return config_.agc_fast_rebaseline &&
-         context.agc_frames >= config_.agc_frames_min &&
+  return context.agc_frames >= config_.agc_frames_min &&
          (state_ == LadderState::kHealthy ||
           state_ == LadderState::kDriftSuspected);
 }
@@ -321,7 +310,7 @@ bool LinkCalibrator::NeedsWindowPackets(
     const CalibrationWindowContext& context) const {
   // Staging happens only in Recalibrating — already there, or entered by
   // this decision's AGC re-baseline.
-  return config_.enabled && stage_packets_ &&
+  return config_.enabled &&
          (state_ == LadderState::kRecalibrating || AgcRebaselineDue(context));
 }
 
@@ -330,13 +319,14 @@ void LinkCalibrator::StageQuietPackets(
   MULINK_REQUIRE(!window.empty(),
                  "LinkCalibrator: staging needs the window's packets (see "
                  "NeedsWindowPackets)");
-  const std::size_t per =
-      std::min(config_.staged_packets_per_window, window.size());
+  // Packets staged per quiet window (evenly spaced inside the window).
+  constexpr std::size_t kStagedPacketsPerWindow = 4;
+  const std::size_t per = std::min(kStagedPacketsPerWindow, window.size());
   for (std::size_t i = 0; i < per; ++i) {
     const std::size_t idx = i * window.size() / per;
     staged_[staged_write_] = window[idx];  // copy-assign reuses CSI buffer
-    staged_write_ = (staged_write_ + 1) % config_.staged_quiet_packets;
-    if (staged_count_ < config_.staged_quiet_packets) ++staged_count_;
+    staged_write_ = (staged_write_ + 1) % kStagedQuietPackets;
+    if (staged_count_ < kStagedQuietPackets) ++staged_count_;
   }
 }
 
@@ -353,8 +343,7 @@ void LinkCalibrator::ApplySwap(Detector& detector, DetectorScratch& scratch) {
   detector.ApplyProfile(profile_posterior_.power(),
                         profile_posterior_.amplitude(),
                         profile_posterior_.variance());
-  if (refresh_angular_ && staged_count_ > 0 &&
-      staged_count_ >= std::min<std::size_t>(8, config_.staged_quiet_packets)) {
+  if (refresh_angular_ && staged_count_ >= 8) {
     detector.RefreshAngularProfile(
         std::span<const wifi::CsiPacket>(staged_.data(), staged_count_),
         scratch);
@@ -395,7 +384,7 @@ void LinkCalibrator::ApplySwap(Detector& detector, DetectorScratch& scratch) {
     score_posterior_.ReseedScaled(rebased);
     new_threshold = rebased * baseline_threshold_ratio_;
   } else {
-    // No staged evidence to rebase on (staging disabled or a degenerate
+    // No level to rebase on (no calibration prior, or a degenerate
     // collection): fall back to the posterior's own predictive threshold.
     new_threshold = score_posterior_.Threshold(config_.threshold_sigma);
   }
@@ -482,7 +471,7 @@ bool LinkCalibrator::ObserveDecision(double score, double posterior,
   if (AgcRebaselineDue(context)) {
     ++agc_rebaselines_;
     MULINK_OBS_COUNT(metrics, kAgcRebaselines);
-    EnterRecalibrating(/*agc_path=*/true);
+    EnterRecalibrating();
   }
 
   // Quiet evidence: a clean decision the HMM/detector is confident is
@@ -556,9 +545,12 @@ bool LinkCalibrator::ObserveDecision(double score, double posterior,
     if (learn) {
       ++quiet_windows_;
       MULINK_OBS_COUNT(metrics, kQuietWindows);
-      const double forgetting = staged_gate
-                                    ? config_.recalibration_forgetting
-                                    : config_.forgetting;
+      // While Recalibrating (including the AGC re-baseline path) and
+      // through probation a fast factor lets fresh evidence dominate the
+      // stale prior.
+      constexpr double kRecalibrationForgetting = 0.75;
+      const double forgetting =
+          staged_gate ? kRecalibrationForgetting : config_.forgetting;
       score_posterior_.Observe(score, forgetting);
       // The plane lives in the scoring scratch; it is consumed here, before
       // any swap below rescores staged packets through the same scratch.
@@ -582,18 +574,20 @@ bool LinkCalibrator::ObserveDecision(double score, double posterior,
             detector.has_threshold() && detector.threshold() > 0.0
                 ? config_.drift_score_fraction * detector.threshold()
                 : 0.0;
-        // The sigma level is anchored at the quiet statistics the last
-        // (re)calibration installed, NOT the live posterior — the posterior
-        // keeps absorbing slow drift in steady state, so a reference built
-        // on it would rise with the EWMA and never fire. It is computed in
-        // LOG-sigma coordinates: the HMM's empty emission is a log-Gaussian
-        // fit of the same scores and flips its decisions a fixed number of
-        // log-sigmas out, so this trigger tracks each link's own quiet
-        // spread and stays a fixed fraction below the flip point.
+        // The sigma level is exp(log_anchor + kDriftEwmaSigma * log_sigma),
+        // anchored at the quiet statistics the last (re)calibration
+        // installed, NOT the live posterior — the posterior keeps absorbing
+        // slow drift in steady state, so a reference built on it would rise
+        // with the EWMA and never fire. It is computed in LOG-sigma
+        // coordinates: the HMM's empty emission is a log-Gaussian fit of
+        // the same scores and flips its decisions a fixed number of
+        // log-sigmas above the quiet mean (well below the linear
+        // threshold), so this trigger tracks each link's own quiet spread
+        // and sits at a fixed fraction of the flip point on EVERY link.
+        constexpr double kDriftEwmaSigma = 1.5;
         if (drift_log_sigma_ > 0.0) {
-          const double sigma_level =
-              std::exp(drift_log_anchor_ +
-                       config_.drift_ewma_sigma * drift_log_sigma_);
+          const double sigma_level = std::exp(
+              drift_log_anchor_ + kDriftEwmaSigma * drift_log_sigma_);
           reference =
               reference > 0.0 ? std::min(reference, sigma_level) : sigma_level;
         }
@@ -619,7 +613,7 @@ bool LinkCalibrator::ObserveDecision(double score, double posterior,
           }
         } else {  // kDriftSuspected
           if (drift_streak_ >= config_.drift_confirm_windows) {
-            EnterRecalibrating(/*agc_path=*/false);
+            EnterRecalibrating();
           } else if (calm_streak_ >= config_.drift_confirm_windows) {
             drift_streak_ = calm_streak_ = 0;
             TransitionTo(LadderState::kHealthy);
@@ -628,7 +622,7 @@ bool LinkCalibrator::ObserveDecision(double score, double posterior,
         break;
       }
       case LadderState::kRecalibrating: {
-        if (stage_packets_) StageQuietPackets(window);
+        StageQuietPackets(window);
         if (++recal_collected_ >= config_.recalibration_quiet_windows) {
           ApplySwap(detector, scratch);
           swapped = true;
@@ -655,7 +649,7 @@ bool LinkCalibrator::ObserveDecision(double score, double posterior,
        state_ == LadderState::kDegraded) &&
       config_.blackout_windows > 0 &&
       blackout_streak_ >= config_.blackout_windows) {
-    EnterRecalibrating(/*agc_path=*/false);
+    EnterRecalibrating();
   }
 
   // Timeouts and backoffs run on every decision.
@@ -665,7 +659,7 @@ bool LinkCalibrator::ObserveDecision(double score, double posterior,
   }
   if (state_ == LadderState::kDegraded &&
       degraded_elapsed_ >= config_.degraded_backoff_windows) {
-    EnterRecalibrating(/*agc_path=*/false);
+    EnterRecalibrating();
   }
 
   MULINK_OBS_GAUGE(metrics, kLadderState,
@@ -679,9 +673,9 @@ void LinkCalibrator::FillHealth(nic::LinkHealth& health) const {
   health.quiet_windows = quiet_windows_;
   health.profile_swaps = profile_swaps_;
   health.adaptive_threshold = adaptive_threshold_;
-  // The ladder owns the drift flag when enabled: raised from
-  // DriftSuspected on, and — unlike the legacy flag-only watchdog —
-  // cleared again by a successful recalibration or a drift walk-back.
+  // The ladder is the link's one drift detector: the flag is raised from
+  // DriftSuspected on and cleared again by a successful recalibration or a
+  // drift walk-back.
   health.profile_drift = drift_flagged();
   health.empty_score_ewma = score_ewma_;
 }

@@ -2,8 +2,8 @@
 //
 // The paper's 92%/4.5% operating point assumes a fresh static profile s(0),
 // but deployments drift for weeks: thermal gain ramps, furniture moves, AGC
-// retrains. The profile-drift watchdog in core/engine only raises a flag;
-// this subsystem acts on it. Following the empirical-fading Bayesian
+// retrains. This subsystem is the engine's one profile-drift detector, and
+// it acts on what it detects. Following the empirical-fading Bayesian
 // calibration of Schmidhammer et al. (arXiv:2205.05331) with link-level fade
 // statistics in the spirit of Yiğitler et al. (arXiv:1405.7237), each link
 // maintains
@@ -32,7 +32,7 @@
 //
 //   Healthy -> DriftSuspected -> Recalibrating -> Degraded -> Frozen
 //
-// replacing the flag-only watchdog: a persistent quiet-score EWMA excursion
+// and owns LinkHealth::profile_drift: a persistent quiet-score EWMA excursion
 // toward the threshold suspects drift, confirmation switches the posteriors
 // to a fast forgetting factor and collects quiet evidence, and the swap
 // installs the staged profile, threshold and HMM emission in place — double
@@ -63,9 +63,8 @@ namespace mulink::core {
 using LadderState = nic::CalibrationLadder;
 
 struct CalibrationConfig {
-  // Master switch. Off: the LinkCalibrator is inert and the legacy
-  // flag-only watchdog in SensingEngine's LinkState keeps sole ownership of
-  // LinkHealth::profile_drift.
+  // Master switch. Off: the LinkCalibrator is inert and the link reports no
+  // profile drift (LinkHealth::profile_drift stays false).
   bool enabled = false;
 
   // Quiet-evidence gate: a clean decision with posterior at or below this
@@ -73,11 +72,9 @@ struct CalibrationConfig {
   double quiet_posterior_max = 0.1;
 
   // Forgetting factor per quiet window for both posteriors in steady state
-  // (effective memory ~ 1/(1 - forgetting) windows)...
+  // (effective memory ~ 1/(1 - forgetting) windows); Recalibrating uses a
+  // fixed fast factor instead (see ObserveDecision).
   double forgetting = 0.98;
-  // ...and the fast factor used while Recalibrating (including the AGC
-  // re-baseline path), so fresh evidence dominates the stale prior.
-  double recalibration_forgetting = 0.75;
 
   // Adaptive threshold margin, reapplied on swap:
   // threshold = posterior mean + threshold_sigma * predictive std.
@@ -90,17 +87,10 @@ struct CalibrationConfig {
   // DriftSuspected -> Recalibrating. The same count of calm quiet windows
   // walks DriftSuspected back to Healthy. The reference is the MORE
   // sensitive of two levels: drift_score_fraction x the active threshold,
-  // and the anchored quiet level shifted by drift_ewma_sigma LOG-sigmas —
-  // exp(log_anchor + drift_ewma_sigma * log_sigma), both anchored at the
-  // last (re)calibration. The log-sigma level matters with an HMM in front:
-  // its emissions are log-Gaussian fits of the same quiet scores and its
-  // decisions flip a fixed number of log-sigmas above the quiet mean (well
-  // below the linear threshold), so a trigger in the same coordinates sits
-  // at a fixed fraction of the flip point on EVERY link, whatever its
-  // spread.
+  // and the quiet level anchored at the last (re)calibration shifted by a
+  // fixed number of LOG-sigmas (see ObserveDecision).
   double drift_ewma_alpha = 0.1;
   double drift_score_fraction = 0.9;
-  double drift_ewma_sigma = 1.5;
   std::size_t drift_confirm_windows = 4;
 
   // Quiet windows of fast-forgetting evidence collected in Recalibrating
@@ -167,18 +157,7 @@ struct CalibrationConfig {
   // RSSI-outlier frames land in one hop, jump straight to Recalibrating
   // with the fast forgetting factor instead of waiting out drift
   // confirmation (a confirmed gain step obsoletes the profile at once).
-  bool agc_fast_rebaseline = true;
   std::size_t agc_frames_min = 6;
-
-  // Quiet packets (in the detector's expected sanitization state) staged
-  // while Recalibrating; 0 disables staging. A swap scores them against the
-  // FRESHLY installed profile to re-anchor the posterior and threshold on
-  // the new operating point (the pre-swap scores were measured against the
-  // old profile and carry its scale), and — combined scheme only — feeds
-  // them to the angular-profile refresh. Cold-path cost.
-  std::size_t staged_quiet_packets = 32;
-  // Packets staged per quiet window (evenly spaced inside the window).
-  std::size_t staged_packets_per_window = 4;
 };
 
 // Exponentially forgotten Gaussian sufficient statistics (weight, mean, M2)
@@ -306,6 +285,14 @@ struct CalibrationWindowContext {
 // the decision scored.
 class LinkCalibrator {
  public:
+  // Quiet packets (in the detector's expected sanitization state) staged
+  // while Recalibrating. A swap scores them against the FRESHLY installed
+  // profile to re-anchor the posterior and threshold on the new operating
+  // point (the pre-swap scores were measured against the old profile and
+  // carry its scale), and — combined scheme only — feeds them to the
+  // angular-profile refresh. Cold-path cost.
+  static constexpr std::size_t kStagedQuietPackets = 32;
+
   LinkCalibrator() = default;
 
   // Wire the calibrator to a link at AddLink time. Allocates every buffer
@@ -343,7 +330,7 @@ class LinkCalibrator {
   bool NeedsWindowPackets(const CalibrationWindowContext& context) const;
 
   LadderState state() const { return state_; }
-  // Drift flag the ladder exposes in place of the legacy watchdog: set from
+  // The link's profile-drift flag (LinkHealth::profile_drift): set from
   // DriftSuspected on, cleared by a successful swap or a walk-back.
   bool drift_flagged() const {
     return state_ != LadderState::kHealthy;
@@ -382,7 +369,7 @@ class LinkCalibrator {
   // A confirmed AGC step this decision re-baselines through Recalibrating.
   bool AgcRebaselineDue(const CalibrationWindowContext& context) const;
   void TransitionTo(LadderState next);
-  void EnterRecalibrating(bool agc_path) MULINK_REQUIRES(owner_role_);
+  void EnterRecalibrating() MULINK_REQUIRES(owner_role_);
   // A recalibration attempt ended without a swap (quiet evidence never
   // materialized): degrade, or freeze on the second degradation.
   void AbortRecalibration();
@@ -393,7 +380,6 @@ class LinkCalibrator {
       MULINK_REQUIRES(owner_role_);
 
   CalibrationConfig config_;
-  bool stage_packets_ = false;    // staged_quiet_packets > 0
   bool refresh_angular_ = false;  // combined scheme with a usable ULA
   LadderState state_ = LadderState::kHealthy;
   // threshold / quiet-score-mean at Configure time: the calibrated margin a

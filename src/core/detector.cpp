@@ -483,7 +483,12 @@ void Detector::RebuildAngularProfile(DetectorScratch& scratch) {
   SampleCovarianceInto(retained, {}, scratch.monitor_cov, scratch.music);
   ComputeMusicSpectrumInto(scratch.monitor_cov, array_, band_, config_.music,
                            scratch.monitor_spectrum, scratch.music);
-  SmoothSpectrumInto(scratch.monitor_spectrum, config_.spectrum_smoothing_deg,
+  // Gaussian smoothing (degrees) of the pseudospectrum before it is
+  // inverted into Eq. 17 weights. Roughly the 3-antenna array's angular
+  // resolution; keeps the weights stable under the +-1 grid-point peak
+  // jitter of finite-sample MUSIC.
+  constexpr double kSpectrumSmoothingDeg = 6.0;
+  SmoothSpectrumInto(scratch.monitor_spectrum, kSpectrumSmoothingDeg,
                      static_spectrum_, scratch.music.smoothing_kernel);
   ComputePathWeightsInto(static_spectrum_, config_.path_weighting,
                          path_weights_);

@@ -67,12 +67,6 @@ struct DetectorConfig {
   // Monitoring window length M in packets (paper: ~0.5 s at 50 pkt/s).
   std::size_t window_packets = 25;
 
-  // Gaussian smoothing (degrees) applied to pseudospectra before they are
-  // compared / inverted into Eq. 17 weights. Roughly the 3-antenna array's
-  // angular resolution; keeps the spectrum distance stable under the +-1
-  // grid-point peak jitter of finite-sample MUSIC.
-  double spectrum_smoothing_deg = 6.0;
-
   // How many sanitized calibration packets to retain for re-weighted
   // pseudospectrum computation (evenly subsampled from the session).
   std::size_t retained_calibration_packets = 128;

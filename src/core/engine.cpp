@@ -53,13 +53,6 @@ struct SensingEngine::LinkState {
       hmm = PresenceHmm::FitFromEmptyScores(empty_scores, config.hmm);
       filter.emplace(*hmm);  // mulink-lint: allow(alloc): ctor, setup path
     }
-    // Seed the drift watchdog's EWMA at the expected quiet score so the
-    // first windows after construction or Reset cannot spuriously trip the
-    // flag.
-    if (!empty_scores.empty()) {
-      quiet_score_seed = dsp::Mean(empty_scores);
-      empty_score_ewma = quiet_score_seed;
-    }
     calibrator.Configure(*view, std::span<const double>(empty_scores),
                          config.calibration);
     // One flat block for the ring: at fleet scale the window read is the
@@ -80,7 +73,7 @@ struct SensingEngine::LinkState {
 
   const Detector& det() const { return *view; }
 
-  // Guard, ring, hop, score, HMM, watchdog and ladder for one packet. The
+  // Guard, ring, hop, score, HMM and ladder for one packet. The
   // per-packet maps are computed ONCE on ingest (phase sanitize + multipath
   // factors for sanitized schemes, the amplitude distance for the
   // baseline), so overlapping windows reuse window-hop rows instead of
@@ -152,10 +145,9 @@ struct SensingEngine::LinkState {
                           : full_mask;
     MULINK_OBS_GAUGE(sink, kLiveAntennas,
                      static_cast<double>(std::popcount(live_mask)));
-    if (live_mask == 0 ||
-        (live_mask != full_mask && !config.degraded_fallback)) {
-      // Every chain dead, or fallback disabled while one is: pause
-      // decisions until the chain revives (the belief holds).
+    if (live_mask == 0) {
+      // Every chain dead: pause decisions until one revives (the belief
+      // holds).
       MULINK_OBS_COUNT(sink, kDecisionsSuppressed);
       return std::nullopt;
     }
@@ -202,17 +194,13 @@ struct SensingEngine::LinkState {
       if (filter.has_value()) {
         MULINK_OBS_STAGE_TIMER(hmm_timer, sink, kHmmFilter);
         decision.posterior = filter->Update(decision.score);
-        decision.occupied =
-            decision.posterior >= config.decision_probability ||
-            (config.hmm_threshold_fusion && detector.has_threshold() &&
-             decision.score >= detector.threshold());
+        decision.occupied = decision.posterior >= config.decision_probability;
         MULINK_OBS_COUNT(sink, kHmmUpdates);
       } else {
         decision.occupied = decision.score >= detector.threshold();
         decision.posterior = decision.occupied ? 1.0 : 0.0;
       }
       degraded = false;
-      ObserveWatchdog(decision, sink);
     }
     if (calibrator.enabled()) {
       CalibrationWindowContext context;
@@ -244,9 +232,6 @@ struct SensingEngine::LinkState {
         hmm->RefitEmptyEmission(calibrator.quiet_log_mean(),
                                 calibrator.quiet_log_sigma());
       }
-      // The ladder owns the drift flag when enabled — unlike the flag-only
-      // watchdog it can clear it again by recalibrating in place.
-      profile_drift = calibrator.drift_flagged();
     }
     repaired_since_decision = 0;
     agc_frames_since_decision = 0;
@@ -299,40 +284,13 @@ struct SensingEngine::LinkState {
     return report;
   }
 
-  // Legacy drift watchdog, fed by guarded links' clean decisions only
-  // (degraded windows score a different statistic on a different scale).
-  void ObserveWatchdog(const PresenceDecision& decision, obs::Registry* sink) {
-    if (!guard.has_value()) return;
-    if (decision.posterior > config.watchdog_empty_posterior) return;
-    if (empty_windows_seen == 0 && quiet_score_seed <= 0.0) {
-      // No calibration scores to seed from: legacy cold start, the first
-      // believed-empty window sets the EWMA outright.
-      empty_score_ewma = decision.score;
-    } else {
-      // Seeded (at construction and after Reset the EWMA already sits at
-      // the expected quiet score), so early windows blend instead of
-      // jumping — a reset cannot spuriously trip profile_drift.
-      empty_score_ewma +=
-          config.watchdog_ewma_alpha * (decision.score - empty_score_ewma);
-    }
-    ++empty_windows_seen;
-    MULINK_OBS_GAUGE(sink, kEmptyScoreEwma, empty_score_ewma);
-    const Detector& detector = det();
-    if (detector.has_threshold() &&
-        empty_windows_seen >= config.watchdog_min_windows &&
-        empty_score_ewma >
-            config.watchdog_score_fraction * detector.threshold()) {
-      profile_drift = true;
-    }
-  }
-
+  // The ladder fills profile_drift and empty_score_ewma; without it they
+  // stay false / 0.
   nic::LinkHealth Health() const {
     nic::LinkHealth health;
     if (guard.has_value()) health = guard->health();
     health.degraded = degraded;
     health.degraded_decisions = degraded_decisions;
-    health.profile_drift = profile_drift;
-    health.empty_score_ewma = empty_score_ewma;
     calibrator.FillHealth(health);
     return health;
   }
@@ -386,13 +344,10 @@ struct SensingEngine::LinkState {
     posterior = 0.0;
     if (filter.has_value()) filter->Reset();
     // Guard counters included, so a reset link decides bit-identically to
-    // a fresh one fed the same tail; the cold-start seed survives.
+    // a fresh one fed the same tail.
     if (guard.has_value()) guard->Reset();
     degraded = false;
     degraded_decisions = 0;
-    empty_windows_seen = 0;
-    empty_score_ewma = quiet_score_seed;
-    profile_drift = false;
     repaired_since_decision = 0;
     agc_frames_since_decision = 0;
     calibrator.Reset(det());
@@ -413,15 +368,9 @@ struct SensingEngine::LinkState {
   // amplitude-only baseline must see raw packets).
   bool pre_sanitize = false;
   std::optional<nic::FrameGuard> guard;  // set iff config.guard_enabled
-  // Degraded-mode and legacy watchdog state (LinkHealth's sensing fields).
+  // Degraded-mode state (LinkHealth's sensing fields).
   bool degraded = false;  // last decision used the fallback statistic
   std::size_t degraded_decisions = 0;
-  std::size_t empty_windows_seen = 0;
-  double empty_score_ewma = 0.0;
-  bool profile_drift = false;
-  // Mean calibration empty score (0 when none were given): seeds
-  // empty_score_ewma at construction and on Reset.
-  double quiet_score_seed = 0.0;
   // Repaired frames — and the subset carrying the RSSI-outlier (AGC) fault
   // — admitted since the last decision; the calibration ladder's taint.
   std::size_t repaired_since_decision = 0;
@@ -521,7 +470,7 @@ void SensingEngine::WarmSharedScratch(const LinkState& link) {
   const std::size_t rescored =
       link.calibrator.enabled()
           ? std::max(link.config.window_packets,
-                     link.config.calibration.staged_quiet_packets)
+                     LinkCalibrator::kStagedQuietPackets)
           : link.config.window_packets;
   if (scratch.power_plane.size() < rescored * cells) {
     // mulink-lint: allow(alloc): AddLink, setup path

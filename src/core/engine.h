@@ -6,9 +6,10 @@
 // batches — the calibrated Detector (static profile, Eq. 15/17 weights,
 // threshold), the frame guard, the window ring of CSI slabs (packets are
 // rebuilt from it in the scratch when needed), the HMM state, the
-// degraded-mode and drift-watchdog state, the calibration ladder and every
-// scratch buffer of the scoring pipeline — so, once warm, ProcessBatch
-// turns CSI packets into decisions without heap allocations.
+// degraded-mode state, the calibration ladder (the one owner of
+// profile-drift detection) and every scratch buffer of the scoring
+// pipeline — so, once warm, ProcessBatch turns CSI packets into decisions
+// without heap allocations.
 //
 // Fleet mode (src/serve): links that share a channel configuration can be
 // registered against one immutable shared Detector (AddLink shared_ptr
@@ -53,16 +54,6 @@ struct StreamingConfig {
   HmmConfig hmm;
   // Posterior above which the room is declared occupied (HMM mode).
   double decision_probability = 0.5;
-  // Decision fusion (HMM mode): also declare occupied when the raw score
-  // crosses the detector's active threshold, even if the posterior stayed
-  // below decision_probability. With adaptive calibration the HMM's empty
-  // emission legitimately tracks the drifting quiet level, which makes
-  // weak presence — scores between the quiet fit's flip point and the
-  // calibrated threshold — read as vacant; the re-anchored threshold is
-  // the absolute operating point that still catches it. Off by default:
-  // without calibration a stale threshold under drift charges every
-  // vacant window above it as a false positive.
-  bool hmm_threshold_fusion = false;
 
   // Frame validation (nic::FrameGuard) in front of the ring. Quarantined
   // frames never reach a window; repairable frames are ingested with their
@@ -72,35 +63,19 @@ struct StreamingConfig {
   // the link's detector, so a mis-shaped frame is quarantined as
   // kShapeMismatch instead of locking the guard onto its shape. Off by
   // default — guarded ingest of a clean stream is bit-identical to
-  // unguarded ingest.
+  // unguarded ingest. While the guard holds an RX chain dead, the link
+  // keeps deciding on the surviving antennas (see PresenceDecision::
+  // degraded); only an all-dead array pauses decisions.
   bool guard_enabled = false;
   nic::FrameGuardConfig guard;
 
-  // When the guard confirms a dead RX chain, keep deciding on the surviving
-  // antennas with Detector::ScoreDegraded's statistic (the combined scheme
-  // falls back to subcarrier-only weighting; MUSIC needs the full array). When false,
-  // decisions pause until the chain revives. Degraded decisions bypass the
-  // HMM — its emission model was fitted to the primary statistic — and the
-  // filter resumes, state intact, on recovery.
-  bool degraded_fallback = true;
-
-  // Profile-drift watchdog: an EWMA of scores over windows the detector
-  // itself believes are empty (posterior at or below this bound). When the
-  // EWMA of believed-empty scores climbs to a fraction of the decision
-  // threshold, the static profile s(0) no longer matches the quiet channel
-  // and LinkHealth::profile_drift flags that recalibration (or
-  // Detector::UpdateProfile) is due.
-  double watchdog_empty_posterior = 0.2;
-  double watchdog_ewma_alpha = 0.1;
-  double watchdog_score_fraction = 0.9;
-  std::size_t watchdog_min_windows = 8;
-
   // Online Bayesian calibration (core/calibration): per-link posteriors
   // over the quiet profile and threshold plus the recalibration ladder
-  // Healthy -> DriftSuspected -> Recalibrating -> Degraded -> Frozen. When
-  // enabled, the ladder owns LinkHealth::profile_drift (it can clear the
-  // flag by recalibrating in place); the legacy watchdog above keeps
-  // feeding its EWMA either way. Off by default.
+  // Healthy -> DriftSuspected -> Recalibrating -> Degraded -> Frozen. The
+  // ladder is the only profile-drift detector: it owns
+  // LinkHealth::profile_drift and empty_score_ewma (and can clear the flag
+  // by recalibrating in place). Off by default, and with it off both stay
+  // false / 0.
   CalibrationConfig calibration;
 };
 
@@ -111,6 +86,11 @@ struct PresenceDecision {
   bool occupied = false;
   // Decided on the degraded (dead-chain fallback) statistic against the
   // fallback threshold; posterior is the hard 0/1 of that comparison.
+  // Detector::ScoreDegraded scores the surviving antennas (the combined
+  // scheme falls back to subcarrier-only weighting; MUSIC needs the full
+  // array). Degraded decisions bypass the HMM — its emission model was
+  // fitted to the primary statistic — and the filter resumes, state intact,
+  // when the chain revives.
   bool degraded = false;
 };
 
@@ -191,8 +171,9 @@ class SensingEngine {
   double posterior(std::size_t link) const;
 
   // Link health snapshot: frame-guard fault counters, dead-antenna mask,
-  // degraded-mode, profile-drift watchdog and calibration-ladder state.
-  // All-zero when the link's guard and adaptive calibration are disabled.
+  // degraded-mode and calibration-ladder state (the ladder's drift flag
+  // and quiet-score EWMA included). All-zero when the link's guard and
+  // adaptive calibration are disabled.
   nic::LinkHealth Health(std::size_t link) const;
 
   // Adaptive-calibration state for one link (inert when the link's

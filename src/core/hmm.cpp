@@ -25,6 +25,20 @@ double LogSumExp(double a, double b) {
   return hi + std::log1p(std::exp(lo - hi));
 }
 
+// Heavy-tail emission: each state's Gaussian log-likelihood `gauss` mixed
+// as (1 - kOutlierProb) * Gaussian + kOutlierProb * Uniform over
+// [kOutlierLogMin, kOutlierLogMax] in log-score. This is what lets the
+// model attribute a single interference-burst window to "outlier" rather
+// than to an occupancy change.
+double WithOutlierMixture(double gauss) {
+  constexpr double kOutlierProb = 0.02;
+  constexpr double kOutlierLogMin = -12.0;
+  constexpr double kOutlierLogMax = 4.0;
+  const double outlier = -std::log(kOutlierLogMax - kOutlierLogMin);
+  return LogSumExp(std::log1p(-kOutlierProb) + gauss,
+                   std::log(kOutlierProb) + outlier);
+}
+
 }  // namespace
 
 namespace {
@@ -75,10 +89,6 @@ PresenceHmm PresenceHmm::FitFromEmptyScores(
                  "PresenceHmm: occupied shift must be > 0");
   MULINK_REQUIRE(config.occupied_sigma_scale >= 1.0,
                  "PresenceHmm: occupied sigma scale must be >= 1");
-  MULINK_REQUIRE(config.outlier_prob >= 0.0 && config.outlier_prob < 1.0,
-                 "PresenceHmm: outlier prob must be in [0,1)");
-  MULINK_REQUIRE(config.outlier_log_max > config.outlier_log_min,
-                 "PresenceHmm: empty outlier log range");
   const auto [mean, sigma] = FitLogGaussian(empty_scores);
   return PresenceHmm(mean, sigma,
                      mean + config.occupied_shift_sigmas * sigma,
@@ -95,23 +105,14 @@ void PresenceHmm::RefitEmptyEmission(double log_mean, double log_sigma) {
 
 double PresenceHmm::LogLikelihoodEmpty(double score) const {
   const double x = std::log(std::max(score, kScoreFloor));
-  const double gauss = GaussianLogPdf(x, empty_log_mean_, empty_log_sigma_);
-  if (config_.outlier_prob <= 0.0) return gauss;
-  const double outlier =
-      -std::log(config_.outlier_log_max - config_.outlier_log_min);
-  return LogSumExp(std::log1p(-config_.outlier_prob) + gauss,
-                   std::log(config_.outlier_prob) + outlier);
+  return WithOutlierMixture(
+      GaussianLogPdf(x, empty_log_mean_, empty_log_sigma_));
 }
 
 double PresenceHmm::LogLikelihoodOccupied(double score) const {
   const double x = std::log(std::max(score, kScoreFloor));
-  const double gauss =
-      GaussianLogPdf(x, occupied_log_mean_, occupied_log_sigma_);
-  if (config_.outlier_prob <= 0.0) return gauss;
-  const double outlier =
-      -std::log(config_.outlier_log_max - config_.outlier_log_min);
-  return LogSumExp(std::log1p(-config_.outlier_prob) + gauss,
-                   std::log(config_.outlier_prob) + outlier);
+  return WithOutlierMixture(
+      GaussianLogPdf(x, occupied_log_mean_, occupied_log_sigma_));
 }
 
 std::vector<double> PresenceHmm::PosteriorOccupied(

@@ -18,16 +18,10 @@
 namespace mulink::core {
 
 struct HmmConfig {
-  // Per-window probability of the room changing occupancy state.
+  // Per-window probability of the room changing occupancy state. (Each
+  // state's emission also carries a fixed heavy-tail outlier mixture; see
+  // hmm.cpp.)
   double transition_prob = 0.02;
-  // Heavy-tail mixture weight: each state's emission is
-  // (1 - outlier_prob) * Gaussian + outlier_prob * Uniform over
-  // [outlier_log_min, outlier_log_max] in log-score. This is what lets the
-  // model attribute a single interference-burst window to "outlier" rather
-  // than to an occupancy change.
-  double outlier_prob = 0.02;
-  double outlier_log_min = -12.0;
-  double outlier_log_max = 4.0;
   // Occupied-state emission: mean log-score sits this many empty-state
   // sigmas above the empty mean...
   double occupied_shift_sigmas = 4.0;

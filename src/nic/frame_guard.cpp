@@ -106,11 +106,6 @@ LinkStatus Status(const LinkHealth& health) {
 FrameGuard::FrameGuard(FrameGuardConfig config) : config_(config) {
   MULINK_REQUIRE(config_.dead_antenna_packets >= 1,
                  "FrameGuard: dead_antenna_packets must be >= 1");
-  MULINK_REQUIRE(config_.rssi_outlier_sigma > 0.0,
-                 "FrameGuard: rssi_outlier_sigma must be > 0");
-  MULINK_REQUIRE(
-      config_.rssi_ewma_alpha > 0.0 && config_.rssi_ewma_alpha <= 1.0,
-      "FrameGuard: rssi_ewma_alpha must be in (0, 1]");
   locked_antennas_ = config_.expected_antennas;
   locked_subcarriers_ = config_.expected_subcarriers;
   // With the shape configured, size the streak counters now so the first
@@ -214,11 +209,13 @@ FrameReport FrameGuard::Inspect(const wifi::CsiPacket& packet) {
   have_sequence_ = true;
   last_sequence_ = packet.sequence;
 
-  // Dead RX chain: a row far below the strongest chain for N consecutive
-  // frames is declared dead; the same streak of live frames revives it.
+  // Dead RX chain: a row below kDeadAntennaRelPower x the strongest
+  // chain's energy for N consecutive frames is declared dead; the same
+  // streak of live frames revives it.
+  constexpr double kDeadAntennaRelPower = 1e-6;
   for (std::size_t m = 0; m < ants; ++m) {
     const bool silent =
-        row_power_buf[m] < config_.dead_antenna_rel_power * max_row_power;
+        row_power_buf[m] < kDeadAntennaRelPower * max_row_power;
     const std::uint32_t bit = 1u << m;
     if (silent) {
       live_streak_[m] = 0;
@@ -241,24 +238,37 @@ FrameReport FrameGuard::Inspect(const wifi::CsiPacket& packet) {
     report.verdict = FrameVerdict::kRepair;
   }
 
-  // RSSI outlier (AGC jump). The EWMA statistics update on every usable
+  // RSSI outlier (AGC jump): |rssi - EWMA mean| > kRssiOutlierSigma x the
+  // EWMA standard deviation, evaluated after rssi_warmup_packets frames.
+  // The absolute floor under the sigma gate: deviations below
+  // kRssiOutlierMinDb never flag, whatever the EWMA sigma says. Fading
+  // RSSI is heavy-tailed and temporally correlated — a deep-fade excursion
+  // of a few dB can run for several frames and would read as a burst of
+  // outliers against a tight sigma estimate — while genuine AGC steps come
+  // in half-dozen-dB quanta. The floor keeps the flag on gain steps and
+  // off channel dynamics.
+  constexpr double kRssiOutlierSigma = 6.0;
+  constexpr double kRssiOutlierMinDb = 6.0;
+  // The EWMA statistics (weight kRssiEwmaAlpha) update on every usable
   // frame, but a flagged outlier contributes a residual clamped to
-  // rssi_outlier_clamp_sigma x sigma (see FrameGuardConfig): folded in at
-  // full weight, one 12 dB excursion inflates the variance so much that
-  // the rest of an AGC burst sails under the sigma gate — the guard would
-  // flag exactly one frame per burst, too few for the calibration ladder's
-  // AGC fast re-baseline. With the clamp every frame of a short burst is
-  // flagged, while a persistent gain step still converges: each clamped
-  // update walks the mean toward the new level and widens sigma until the
-  // step is in-family, after which flagging stops.
+  // kRssiOutlierClampSigma x sigma (a Huber-style robust update): folded
+  // in at full weight, one 12 dB excursion inflates the variance so much
+  // that the rest of an AGC burst sails under the sigma gate — the guard
+  // would flag exactly one frame per burst, too few for the calibration
+  // ladder's AGC fast re-baseline. With the clamp every frame of a short
+  // burst is flagged, while a persistent gain step still converges: each
+  // clamped update walks the mean toward the new level and widens sigma
+  // (~alpha x clamp^2) until the step is in-family within a few tens of
+  // frames, after which flagging stops.
+  constexpr double kRssiOutlierClampSigma = 1.0;
+  constexpr double kRssiEwmaAlpha = 0.05;
   bool rssi_outlier = false;
   double rssi_clamp = 0.0;
   if (rssi_seen_ >= config_.rssi_warmup_packets) {
     const double sigma = std::sqrt(std::max(rssi_var_, 1e-12));
-    rssi_clamp = config_.rssi_outlier_clamp_sigma * sigma;
+    rssi_clamp = kRssiOutlierClampSigma * sigma;
     if (std::abs(packet.rssi_db - rssi_mean_) >
-        std::max(config_.rssi_outlier_sigma * sigma,
-                 config_.rssi_outlier_min_db)) {
+        std::max(kRssiOutlierSigma * sigma, kRssiOutlierMinDb)) {
       rssi_outlier = true;
       flag(FrameFault::kRssiOutlier);
       report.verdict = FrameVerdict::kRepair;
@@ -268,7 +278,7 @@ FrameReport FrameGuard::Inspect(const wifi::CsiPacket& packet) {
     rssi_mean_ = packet.rssi_db;
     rssi_var_ = 0.0;
   } else {
-    const double alpha = config_.rssi_ewma_alpha;
+    const double alpha = kRssiEwmaAlpha;
     double delta = packet.rssi_db - rssi_mean_;
     if (rssi_outlier) delta = std::clamp(delta, -rssi_clamp, rssi_clamp);
     rssi_mean_ += alpha * delta;

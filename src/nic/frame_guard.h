@@ -61,34 +61,13 @@ struct FrameGuardConfig {
   std::size_t expected_antennas = 0;
   std::size_t expected_subcarriers = 0;
 
-  // An antenna whose per-frame energy stays below dead_antenna_rel_power x
-  // the strongest chain's energy for dead_antenna_packets consecutive
-  // frames is declared dead; the same count of live frames revives it.
-  double dead_antenna_rel_power = 1e-6;
+  // An antenna whose per-frame energy stays far below the strongest
+  // chain's for dead_antenna_packets consecutive frames is declared dead;
+  // the same count of live frames revives it.
   std::size_t dead_antenna_packets = 10;
 
-  // RSSI outlier (AGC jump): |rssi - EWMA mean| > rssi_outlier_sigma x the
-  // EWMA standard deviation, evaluated after rssi_warmup_packets frames.
-  // A flagged frame's residual is folded into the EWMA clamped to
-  // rssi_outlier_clamp_sigma x sigma (a Huber-style robust update): at full
-  // weight one 12 dB excursion inflates the variance enough that the rest
-  // of an AGC burst passes under the gate, so a multi-frame burst would be
-  // flagged exactly once — too few flagged frames to ever drive the
-  // calibration ladder's AGC fast re-baseline. The clamp keeps a short
-  // burst out-of-family for its full length while a persistent gain step
-  // still converges (each clamped update widens sigma ~alpha x clamp^2, so
-  // the gate reaches the step within a few tens of frames).
-  // The absolute floor under the sigma gate: deviations below
-  // rssi_outlier_min_db never flag, whatever the EWMA sigma says. Fading
-  // RSSI is heavy-tailed and temporally correlated — a deep-fade excursion
-  // of a few dB can run for several frames and would read as a burst of
-  // outliers against a tight sigma estimate — while genuine AGC steps come
-  // in half-dozen-dB quanta. The floor keeps the flag on gain steps and
-  // off channel dynamics.
-  double rssi_outlier_sigma = 6.0;
-  double rssi_outlier_min_db = 6.0;
-  double rssi_outlier_clamp_sigma = 1.0;
-  double rssi_ewma_alpha = 0.05;
+  // RSSI outlier (AGC jump) detection against an EWMA of the link's RSSI
+  // starts after rssi_warmup_packets frames (see FrameGuard::Inspect).
   std::size_t rssi_warmup_packets = 20;
 
   // A sequence gap larger than this asks downstream consumers to flush
@@ -141,11 +120,12 @@ struct LinkHealth {
   // Filled by the sensing layer:
   bool degraded = false;         // last decision used the fallback statistic
   std::uint64_t degraded_decisions = 0;
-  bool profile_drift = false;    // watchdog: s(0) no longer matches empty air
-  double empty_score_ewma = 0.0; // watchdog state (quarantine-filtered)
 
-  // Filled by the adaptive-calibration ladder (core/calibration); all at
-  // their zero values when adaptive calibration is off.
+  // Filled by the adaptive-calibration ladder (core/calibration), the one
+  // profile-drift detector; all at their zero values when adaptive
+  // calibration is off.
+  bool profile_drift = false;    // s(0) no longer matches empty air
+  double empty_score_ewma = 0.0; // the ladder's quiet-score drift EWMA
   CalibrationLadder calibration_state = CalibrationLadder::kHealthy;
   std::uint64_t quiet_windows = 0;   // windows accepted as quiet evidence
   std::uint64_t profile_swaps = 0;   // in-place recalibrations applied

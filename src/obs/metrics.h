@@ -94,7 +94,7 @@ const char* ToString(Counter counter);
 enum class Gauge : std::uint8_t {
   kPosterior,       // last decision's P(occupied)
   kLastScore,       // last decision's raw statistic
-  kEmptyScoreEwma,  // profile-drift watchdog EWMA
+  kEmptyScoreEwma,  // calibration ladder's quiet-score drift EWMA
   kLiveAntennas,    // live RX chains at the last decision
   kLadderState,     // recalibration-ladder state (CalibrationLadder value)
   kAdaptiveThreshold,  // threshold installed by the last profile swap

@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "common/assert.h"
+#include "common/error.h"
 
 namespace mulink::serve {
 
@@ -129,6 +130,7 @@ struct ServeCore::Shard {
   std::uint64_t links_admitted MULINK_GUARDED_BY(worker_role) = 0;
   std::uint64_t links_evicted MULINK_GUARDED_BY(worker_role) = 0;
   std::uint64_t links_readmitted MULINK_GUARDED_BY(worker_role) = 0;
+  std::uint64_t links_failed MULINK_GUARDED_BY(worker_role) = 0;
   std::uint64_t depth_buckets[ShardStats::kDepthBuckets]
       MULINK_GUARDED_BY(worker_role) = {};
   std::uint64_t depth_samples MULINK_GUARDED_BY(worker_role) = 0;
@@ -328,7 +330,18 @@ void ServeCore::ProcessFrame(Shard& shard, const Frame& frame)
   ++entry.frames;
   shard.TouchLru(idx);
 
-  const auto decision = shard.engine.ProcessPacket(entry.slot, frame.packet);
+  std::optional<core::PresenceDecision> decision;
+  try {
+    decision = shard.engine.ProcessPacket(entry.slot, frame.packet);
+  } catch (const Error&) {
+    // A link whose pipeline throws (e.g. a ladder swap refusing a staged
+    // profile poisoned by non-finite CSI) is contained: it is evicted with
+    // the health cooldown and counted, and the shard keeps serving every
+    // other link.
+    ++shard.links_failed;
+    EvictEntry(shard, idx, config_.readmit_after_frames);
+    return;
+  }
   if (!decision.has_value()) return;
   ++shard.decisions;
   if (config_.collect_decision_log) {
@@ -452,6 +465,7 @@ std::vector<ShardStats> ServeCore::Stats() const
     s.links_admitted = shard->links_admitted;
     s.links_evicted = shard->links_evicted;
     s.links_readmitted = shard->links_readmitted;
+    s.links_failed = shard->links_failed;
     s.resident_links = shard->roster.size();
     for (std::size_t b = 0; b < ShardStats::kDepthBuckets; ++b) {
       s.depth_buckets[b] = shard->depth_buckets[b];

@@ -12,9 +12,10 @@
 // immutable calibrated Detector and, through the engine's shared scratch,
 // one warm scoring workspace per shard). A full roster evicts the
 // least-recently-used link; an unhealthy link (quarantine storm or an
-// all-dead antenna set) is evicted with a readmission cooldown counted in
-// ITS OWN frames, so the eviction point is a deterministic function of the
-// link's stream alone.
+// all-dead antenna set), or one whose pipeline throws on a frame, is
+// evicted with a readmission cooldown counted in ITS OWN frames, so the
+// eviction point is a deterministic function of the link's stream alone.
+// A throwing link never takes its shard down.
 //
 // Determinism contract: the demux preserves per-link frame order (one
 // producer, FIFO queues), and each link's decisions depend only on its own
@@ -61,7 +62,8 @@ struct ServeConfig {
   // Health-based eviction: links whose guard quarantined more than
   // max_quarantine_ratio of their frames (after health_check_min_frames),
   // or whose RX chains are all dead, are evicted and barred for
-  // readmit_after_frames of their OWN subsequent frames.
+  // readmit_after_frames of their OWN subsequent frames. The same bar
+  // applies, whatever evict_unhealthy says, to a link whose pipeline threw.
   bool evict_unhealthy = false;
   double max_quarantine_ratio = 0.5;
   std::uint64_t health_check_min_frames = 64;
@@ -94,6 +96,9 @@ struct ShardStats {
   std::uint64_t links_admitted = 0;
   std::uint64_t links_evicted = 0;
   std::uint64_t links_readmitted = 0;
+  // Links evicted because their pipeline threw a mulink::Error on a frame
+  // (also counted in links_evicted; readmitted after the health cooldown).
+  std::uint64_t links_failed = 0;
   std::size_t resident_links = 0;
   // Queue depth observed at each worker poll: log2 buckets (bucket i counts
   // polls with depth in [2^i, 2^(i+1)), bucket 0 includes depth 0..1) plus

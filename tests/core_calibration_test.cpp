@@ -2,10 +2,10 @@
 // sufficient statistics, the recalibration ladder's state machine
 // (drift confirmation, AGC fast re-baseline, blackout escape, starvation
 // fallback, timeout/backoff/freeze, swap-spacing de-escalation), the
-// legacy profile-drift watchdog's edge cases (reset, degraded windows,
-// dead-chain revive), and, with the ladder active under long-horizon drift
-// faults, every engine decision's score bit-identical to the offline score
-// of its raw window.
+// ladder as the one owner of LinkHealth::profile_drift (reset, dead-chain
+// stretches and revive, no drift flag without the ladder), and, with the
+// ladder active under long-horizon drift faults, every engine decision's
+// score bit-identical to the offline score of its raw window.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -517,88 +517,156 @@ TEST(RecalibrationLadder, FillHealthExportsTheLadder) {
   EXPECT_EQ(untouched.calibration_state, nic::CalibrationLadder::kHealthy);
 }
 
-// ------------------------------------- legacy watchdog edge cases --
+// ------------------------------------- one owner for profile_drift --
 
-core::StreamingConfig WatchdogConfig(const core::Detector& detector,
-                                     const std::vector<double>& empty_scores) {
+// The calibration ladder is the link's only drift detector:
+// LinkHealth::profile_drift mirrors LinkCalibrator::drift_flagged() at
+// every decision, and a link without the ladder never reports drift.
+
+// A guarded ladder link whose drift reference sits far below the quiet
+// level, so plain empty traffic confirms drift within a few windows — the
+// tests below pin WHEN the flag may move, not the detection margin itself.
+core::StreamingConfig HairTriggerLadderConfig() {
   core::StreamingConfig config;
   config.use_hmm = false;
   config.guard_enabled = true;
-  config.watchdog_min_windows = 4;
-  // Place the watchdog reference safely below the quiet level so plain
-  // empty traffic trips the flag after watchdog_min_windows — the tests
-  // below pin WHEN the flag may move, not the detection margin itself.
-  double mean = 0.0;
-  for (const double s : empty_scores) mean += s;
-  mean /= static_cast<double>(empty_scores.size());
-  config.watchdog_score_fraction = 0.8 * mean / detector.threshold();
+  config.calibration.enabled = true;
+  config.calibration.drift_score_fraction = 1e-3;
+  config.calibration.drift_confirm_windows = 2;
   return config;
 }
 
-TEST(ProfileDriftWatchdog, FlagAndEwmaSeedSurviveReset) {
+double MeanOf(const std::vector<double>& values) {
+  double mean = 0.0;
+  for (const double v : values) mean += v;
+  return mean / static_cast<double>(values.size());
+}
+
+// Feeds `packet` and, when it completes a window, checks that the health
+// snapshot's drift flag is the ladder's. Returns the flag after a decision.
+std::optional<bool> PushAndCheckFlag(core::SensingEngine& engine,
+                                     const wifi::CsiPacket& packet) {
+  if (!engine.ProcessPacket(0, packet).has_value()) return std::nullopt;
+  const bool flagged = engine.Health(0).profile_drift;
+  EXPECT_EQ(flagged, engine.Calibrator(0).drift_flagged());
+  return flagged;
+}
+
+TEST(ProfileDriftOwner, ResetClearsTheFlagAndReseedsTheEwma) {
   auto& f = Fixture();
   auto detector = f.Calibrated(core::DetectionScheme::kSubcarrierWeighting);
   const auto empty_scores = f.EmptyScores(detector);
-  const auto config = WatchdogConfig(detector, empty_scores);
-  double seed = 0.0;
-  for (const double s : empty_scores) seed += s;
-  seed /= static_cast<double>(empty_scores.size());
+  const double seed = MeanOf(empty_scores);
 
   core::SensingEngine engine;
-  engine.AddLink(std::move(detector), empty_scores, config);
-  // Before any window the EWMA sits at the calibration seed, not 0.
+  engine.AddLink(std::move(detector), empty_scores, HairTriggerLadderConfig());
+  // Before any window the EWMA sits at the calibration mean, not 0.
   EXPECT_DOUBLE_EQ(engine.Health(0).empty_score_ewma, seed);
+  EXPECT_FALSE(engine.Health(0).profile_drift);
 
-  for (const auto& packet : f.empty_session) engine.ProcessPacket(0, packet);
-  EXPECT_TRUE(engine.Health(0).profile_drift);
+  // Feed the empty session until the ladder flags drift; returns whether
+  // it did.
+  auto run_until_flagged = [&] {
+    for (const auto& packet : f.empty_session) {
+      if (PushAndCheckFlag(engine, packet).value_or(false)) return true;
+    }
+    return false;
+  };
+  ASSERT_TRUE(run_until_flagged());
 
   engine.Reset(0);
   EXPECT_FALSE(engine.Health(0).profile_drift);
-  // The cold-start seed survives the reset: the first windows after a
-  // reset blend into a warm EWMA instead of jumping from 0.
+  EXPECT_EQ(engine.Calibrator(0).state(), core::LadderState::kHealthy);
+  // The EWMA is re-seeded at the calibration mean: the first windows after
+  // a reset blend into a warm EWMA instead of jumping from 0.
   EXPECT_DOUBLE_EQ(engine.Health(0).empty_score_ewma, seed);
 
-  // And the same tail trips the flag again — reset does not blind it.
-  for (const auto& packet : f.empty_session) engine.ProcessPacket(0, packet);
-  EXPECT_TRUE(engine.Health(0).profile_drift);
+  // And the same stream flags drift again — reset does not blind it.
+  EXPECT_TRUE(run_until_flagged());
 }
 
-TEST(ProfileDriftWatchdog, DegradedWindowsAreIgnoredUntilTheChainRevives) {
+TEST(ProfileDriftOwner, DeadChainStretchNeverRaisesTheFlag) {
   auto& f = Fixture();
   auto detector = f.Calibrated(core::DetectionScheme::kSubcarrierWeighting);
   const auto empty_scores = f.EmptyScores(detector);
-  const auto config = WatchdogConfig(detector, empty_scores);
   core::SensingEngine engine;
-  engine.AddLink(std::move(detector), empty_scores, config);
+  engine.AddLink(std::move(detector), empty_scores, HairTriggerLadderConfig());
 
   // First half of the stream arrives with RX chain 2 silenced: the guard
-  // confirms the dead chain and every decision is degraded.
+  // confirms the dead chain and every decision is degraded. Degraded
+  // decisions score a different statistic on a different scale and are
+  // never quiet evidence, so the flag must not move however long the
+  // outage runs.
   const std::size_t half = f.empty_session.size() / 2;
   for (std::size_t i = 0; i < half; ++i) {
     wifi::CsiPacket killed = f.empty_session[i];
     for (std::size_t k = 0; k < killed.NumSubcarriers(); ++k) {
       killed.csi.At(2, k) = Complex(0.0, 0.0);
     }
-    engine.ProcessPacket(0, killed);
+    if (const auto flagged = PushAndCheckFlag(engine, killed)) {
+      EXPECT_FALSE(*flagged);
+    }
   }
   {
     const auto health = engine.Health(0);
     EXPECT_EQ(health.dead_antenna_mask, 1u << 2);
     EXPECT_GT(health.degraded_decisions, 0u);
-    // Degraded decisions score a different statistic on a different
-    // scale — the watchdog must not learn (or flag) from them, however
-    // long the outage runs.
     EXPECT_FALSE(health.profile_drift);
+    EXPECT_EQ(engine.Calibrator(0).quiet_windows(), 0u);
   }
 
-  // The chain revives: clean decisions resume feeding the watchdog and the
-  // (deliberately hair-triggered) flag now trips.
+  // The chain revives: clean decisions feed the ladder again and the
+  // (deliberately hair-triggered) flag rises.
+  bool flagged_after_revive = false;
   for (std::size_t i = half; i < f.empty_session.size(); ++i) {
-    engine.ProcessPacket(0, f.empty_session[i]);
+    flagged_after_revive |=
+        PushAndCheckFlag(engine, f.empty_session[i]).value_or(false);
   }
-  const auto health = engine.Health(0);
-  EXPECT_EQ(health.dead_antenna_mask, 0u);
-  EXPECT_TRUE(health.profile_drift);
+  EXPECT_EQ(engine.Health(0).dead_antenna_mask, 0u);
+  EXPECT_TRUE(flagged_after_revive);
+}
+
+// A slow front-end gain ramp under the variance scheme's HMM: a guarded
+// link at default settings without the ladder reports no drift (the
+// removed flag-only watchdog tripped on this stream at its defaults), and
+// the same link with the ladder flags it.
+TEST(ProfileDriftOwner, OnlyTheLadderFlagsAGainRamp) {
+  auto& f = Fixture();
+  nic::FaultInjectionConfig faults;
+  faults.enabled = true;
+  faults.seed = 77;
+  faults.drift_ramp_db_per_1k = 0.3;
+  auto sim_config = ex::DefaultSimConfig();
+  sim_config.faults = faults;
+  auto drifting = ex::MakeSimulator(f.link, sim_config);
+  Rng rng(909);
+  const auto session = drifting.CaptureSession(4000, std::nullopt, rng);
+
+  auto detector = f.Calibrated(core::DetectionScheme::kVarianceMobile);
+  const auto empty_scores = f.EmptyScores(detector);
+  core::StreamingConfig stream;
+  stream.guard_enabled = true;
+
+  core::SensingEngine plain;
+  plain.AddLink(detector, empty_scores, stream);
+  stream.calibration.enabled = true;
+  core::SensingEngine adaptive;
+  adaptive.AddLink(std::move(detector), empty_scores, stream);
+
+  std::size_t decisions = 0;
+  bool ladder_flagged = false;
+  for (const auto& packet : session) {
+    if (plain.ProcessPacket(0, packet).has_value()) {
+      ++decisions;
+      const auto health = plain.Health(0);
+      EXPECT_FALSE(health.profile_drift);
+      EXPECT_EQ(health.empty_score_ewma, 0.0);
+    }
+    ladder_flagged |= PushAndCheckFlag(adaptive, packet).value_or(false);
+  }
+  ASSERT_GT(decisions, 0u);
+  EXPECT_EQ(nic::Status(plain.Health(0)), nic::LinkStatus::kHealthy);
+  EXPECT_TRUE(ladder_flagged);
 }
 
 // ------------------------------------------ raw-window score oracle --

@@ -1,6 +1,6 @@
 // Degraded-mode sensing tests: guarded ingest equivalence on clean streams,
-// graceful fallback under injected NIC faults, the profile-drift watchdog,
-// and the CI fault-matrix hook (MULINK_FAULT_PRESET).
+// graceful fallback under injected NIC faults, and the CI fault-matrix hook
+// (MULINK_FAULT_PRESET).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -308,42 +308,6 @@ TEST(GuardedLink, AccuracyUnderFaultsWithinMarginOfCleanRun) {
   // The clean run itself must be sane, or the margins mean nothing.
   EXPECT_GT(clean_tp.positive_rate, 0.8);
   EXPECT_LT(clean_fp.positive_rate, 0.2);
-}
-
-// Watchdog: believed-empty windows whose scores climb toward the threshold
-// must trip profile_drift; with a generous fraction it must stay quiet.
-TEST(GuardedLink, ProfileDriftWatchdog) {
-  auto& f = Fixture();
-  core::StreamingConfig stream;
-  stream.use_hmm = false;
-  stream.guard_enabled = true;
-  stream.watchdog_min_windows = 4;
-
-  // A tiny fraction makes ordinary empty-room scores count as drift: the
-  // mechanism (EWMA over believed-empty windows, trip after min windows)
-  // is what's under test.
-  stream.watchdog_score_fraction = 0.01;
-  core::SensingEngine engine;
-  engine.AddLink(
-      f.Calibrated(core::DetectionScheme::kSubcarrierAndPathWeighting), {},
-      stream);
-  engine.ProcessBatch(0, std::span<const wifi::CsiPacket>(f.empty_session));
-  EXPECT_TRUE(engine.Health(0).profile_drift);
-  EXPECT_GT(engine.Health(0).empty_score_ewma, 0.0);
-
-  // Far above any empty score: never trips on a healthy profile.
-  stream.watchdog_score_fraction = 2.0;
-  core::SensingEngine quiet;
-  quiet.AddLink(
-      f.Calibrated(core::DetectionScheme::kSubcarrierAndPathWeighting), {},
-      stream);
-  quiet.ProcessBatch(0, std::span<const wifi::CsiPacket>(f.empty_session));
-  EXPECT_FALSE(quiet.Health(0).profile_drift);
-
-  // Reset clears the watchdog with the rest of the link state.
-  engine.Reset(0);
-  EXPECT_FALSE(engine.Health(0).profile_drift);
-  EXPECT_EQ(engine.Health(0).empty_score_ewma, 0.0);
 }
 
 // CI fault-matrix hook: MULINK_FAULT_PRESET=drop|reorder|corrupt cranks one

@@ -78,7 +78,7 @@ class ScoreOracle {
         (1u << static_cast<std::uint32_t>(detector.num_antennas())) - 1u;
     const std::uint32_t live =
         guard_.has_value() ? full & ~guard_->dead_antenna_mask() : full;
-    if (live == 0 || (live != full && !config_.degraded_fallback)) {
+    if (live == 0) {
       return std::nullopt;
     }
     const std::vector<wifi::CsiPacket> raw(window_.begin(), window_.end());

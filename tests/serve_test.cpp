@@ -1,17 +1,20 @@
-// Serving-tier tests: the SPSC ring's ordering/backpressure contract, the
-// link→shard routing, the admission/eviction ladder, and the headline
+// Serving-tier tests: the SPSC ring's ordering/backpressure contract (also
+// under a concurrent drop-oldest producer), the link→shard routing, the
+// admission/eviction ladder, containment of a throwing link, and the headline
 // determinism guarantee — per-link decision logs bit-identical across
 // 1/2/4 shards. The determinism cases double as the TSan campaign for the
 // demux/worker handoff (scripts/run_tsan.sh runs this suite under
 // -DMULINK_TSAN=ON).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <complex>
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -120,6 +123,46 @@ TEST(SpscRing, InPlaceProduceFailsWhenFullWithoutRunningWriter) {
   EXPECT_EQ(out, 3);
 }
 
+// Drop-oldest wrap with two dequeuers: the producer keeps a small ring
+// full, discarding the oldest frame whenever a push finds it full, while a
+// consumer thread pops concurrently. Every value leaves exactly once —
+// popped in push order, or discarded — whoever wins each race for a cell.
+TEST(SpscRing, ConcurrentDropOldestKeepsOrderAndAccounting) {
+  serve::SpscRing<std::uint64_t> ring(4);
+  constexpr std::uint64_t kPushed = 50000;
+  std::atomic<bool> done{false};
+  std::vector<std::uint64_t> popped;
+  popped.reserve(kPushed);
+  std::thread consumer([&] {
+    std::uint64_t value = 0;
+    for (;;) {
+      if (ring.TryPop(value)) {
+        popped.push_back(value);
+      } else if (done.load(std::memory_order_acquire)) {
+        // The producer is finished: drain what is left, then stop.
+        while (ring.TryPop(value)) popped.push_back(value);
+        return;
+      }
+    }
+  });
+  std::uint64_t discarded = 0;
+  for (std::uint64_t v = 0; v < kPushed; ++v) {
+    while (!ring.TryPush(v)) {
+      if (ring.DiscardOldest()) ++discarded;
+    }
+  }
+  done.store(true, std::memory_order_release);
+  consumer.join();
+
+  std::set<std::uint64_t> unique(popped.begin(), popped.end());
+  EXPECT_EQ(unique.size(), popped.size());  // none popped twice
+  for (std::size_t i = 1; i < popped.size(); ++i) {
+    ASSERT_LT(popped[i - 1], popped[i]) << "at pop " << i;
+  }
+  EXPECT_EQ(popped.size() + discarded, kPushed);
+  EXPECT_GT(popped.size(), 0u);
+}
+
 // ---- Shared serving fixture ----------------------------------------------
 
 struct ServeFixture {
@@ -130,10 +173,19 @@ struct ServeFixture {
   std::vector<double> empty_scores;
 
   ServeFixture() {
+    Calibrate(core::DetectionScheme::kSubcarrierAndPathWeighting, rng,
+              detector, empty_scores);
+  }
+
+  // A window-10 profile of `scheme` calibrated on a fresh empty capture,
+  // with its calibration windows' scores.
+  void Calibrate(core::DetectionScheme scheme, Rng& capture_rng,
+                 std::shared_ptr<const core::Detector>& out,
+                 std::vector<double>& scores) {
     core::DetectorConfig config;
-    config.scheme = core::DetectionScheme::kSubcarrierAndPathWeighting;
+    config.scheme = scheme;
     config.window_packets = 10;
-    const auto calibration = sim.CaptureSession(200, std::nullopt, rng);
+    const auto calibration = sim.CaptureSession(200, std::nullopt, capture_rng);
     auto d = core::Detector::Calibrate(calibration, sim.band(), sim.array(),
                                        config);
     std::vector<std::vector<wifi::CsiPacket>> windows;
@@ -145,10 +197,9 @@ struct ServeFixture {
     d.CalibrateThreshold(windows);
     core::DetectorScratch scratch;
     for (const auto& w : windows) {
-      empty_scores.push_back(
-          d.Score(std::span<const wifi::CsiPacket>(w), scratch));
+      scores.push_back(d.Score(std::span<const wifi::CsiPacket>(w), scratch));
     }
-    detector = std::make_shared<const core::Detector>(std::move(d));
+    out = std::make_shared<const core::Detector>(std::move(d));
   }
 
   core::StreamingConfig Stream() const {
@@ -288,6 +339,88 @@ TEST(ServeCore, RefusesMisShapedFrameWithoutAbort) {
     EXPECT_EQ(stats[0].frames_processed, frames);
     // Hop 1, window 10: one decision per frame once the window is full.
     EXPECT_EQ(stats[0].decisions, frames - 10 + 1);
+  }
+}
+
+// A link whose pipeline throws is contained. With per-link calibration of
+// a baseline-scheme profile, the guard off and a hair-trigger ladder, a
+// frame with a NaN cell lands in the window the ladder swaps on (the
+// baseline's window statistic stays finite, so the window reads as quiet
+// evidence), and Detector::ApplyProfile refuses the poisoned staged profile
+// with a PreconditionError on the shard worker. The shard evicts and
+// counts that link (with the readmission cooldown) and keeps serving:
+// another link's decisions are exactly those of a run without the failing
+// link.
+TEST(ServeCore, ThrowingLinkIsEvictedAndTheShardKeepsServing) {
+  auto& f = Fixture();
+  Rng calibration_rng(912);
+  std::shared_ptr<const core::Detector> baseline;
+  std::vector<double> baseline_scores;
+  f.Calibrate(core::DetectionScheme::kBaseline, calibration_rng, baseline,
+              baseline_scores);
+  const std::size_t frames = 40;
+  const auto streams = f.Streams(2, frames);
+  auto poisoned = streams[0];
+  poisoned[11].csi.At(0, 0) =
+      Complex(std::numeric_limits<double>::quiet_NaN(), 0.0);
+
+  struct Run {
+    serve::ShardStats stats;
+    std::vector<serve::DecisionRecord> log;
+  };
+  auto run = [&](bool with_failing_link) {
+    serve::ServeConfig config;
+    config.num_shards = 1;
+    config.queue_capacity = 64;
+    config.policy = serve::BackPressure::kBlock;
+    config.collect_decision_log = true;
+    config.readmit_after_frames = 1000;  // barred for the rest of the run
+    config.stream = f.Stream();
+    // Drift confirms on the first two quiet windows and one window of
+    // evidence swaps, so the third decision (frame 11) swaps.
+    config.stream.calibration.enabled = true;
+    config.stream.calibration.drift_score_fraction = 1e-6;
+    config.stream.calibration.drift_confirm_windows = 1;
+    config.stream.calibration.recalibration_quiet_windows = 1;
+    serve::ServeCore core(config);
+    const auto profile = core.RegisterProfile(baseline, baseline_scores,
+                                              /*per_link_calibration=*/true);
+    core.Start();
+    for (std::size_t p = 0; p < frames; ++p) {
+      if (with_failing_link) core.Submit(0, profile, poisoned[p]);
+      core.Submit(1, profile, streams[1][p]);
+    }
+    core.Stop();
+    return Run{core.Stats()[0], core.MergedDecisionLog()};
+  };
+  auto decisions_of = [](const Run& r, std::uint64_t link_id) {
+    std::vector<core::PresenceDecision> out;
+    for (const auto& record : r.log) {
+      if (record.link_id == link_id) out.push_back(record.decision);
+    }
+    return out;
+  };
+
+  const Run failing = run(true);
+  EXPECT_EQ(failing.stats.links_failed, 1u);
+  EXPECT_EQ(failing.stats.links_evicted, 1u);
+  EXPECT_EQ(failing.stats.links_admitted, 2u);
+  EXPECT_EQ(failing.stats.resident_links, 1u);
+  EXPECT_EQ(failing.stats.frames_processed, 2 * frames);
+  // Link 0 decided on frames 9 and 10, then failed on frame 11.
+  EXPECT_EQ(decisions_of(failing, 0).size(), 2u);
+
+  const Run clean = run(false);
+  EXPECT_EQ(clean.stats.links_failed, 0u);
+  const auto survivor = decisions_of(failing, 1);
+  const auto reference = decisions_of(clean, 1);
+  ASSERT_EQ(survivor.size(), frames - 10 + 1);
+  ASSERT_EQ(survivor.size(), reference.size());
+  for (std::size_t i = 0; i < survivor.size(); ++i) {
+    EXPECT_EQ(survivor[i].timestamp_s, reference[i].timestamp_s);
+    EXPECT_EQ(survivor[i].score, reference[i].score);
+    EXPECT_EQ(survivor[i].posterior, reference[i].posterior);
+    EXPECT_EQ(survivor[i].occupied, reference[i].occupied);
   }
 }
 

@@ -82,7 +82,7 @@ const std::vector<CommandSpec>& Specs() {
        "detect --calibration <file> --session <file>\n"
        "       [--scheme baseline|subcarrier|combined|variance] [--window n]\n"
        "       [--guard] [--guard-json] [--metrics] [--metrics-json]\n"
-       "       [--adaptive]",
+       "       [--adaptive]  (profile-drift flagging needs --adaptive)",
        {"calibration", "session", "scheme", "window"},
        {"guard", "guard-json", "metrics", "metrics-json", "adaptive"}},
       {"campaign",
@@ -418,6 +418,7 @@ int Detect(const Args& args, std::ostream& out) {
       out << "  degraded:   " << health.degraded_decisions
           << " decisions on the fallback statistic\n";
     }
+    // Raised only by the calibration ladder, i.e. with --adaptive.
     if (health.profile_drift) {
       out << "  WATCHDOG:   static profile drift detected — "
              "recalibration due\n";
