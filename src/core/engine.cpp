@@ -19,13 +19,13 @@ struct SensingEngine::LinkState {
       : owned_detector(std::move(owned)),
         shared_detector(std::move(shared)),
         view(owned_detector ? owned_detector.get() : shared_detector.get()),
-        config(cfg),
         pre_sanitize(view->UsesSanitizedInput()),
         scratch(engine_scratch != nullptr
                     ? engine_scratch
                     // mulink-lint: allow(alloc): ctor, setup path
                     : (own_scratch = std::make_unique<DetectorScratch>())
-                          .get()) {
+                          .get()),
+        config(cfg) {
     MULINK_REQUIRE(config.window_packets >= 2,
                    "SensingEngine: window must hold >= 2 packets");
     MULINK_REQUIRE(config.hop_packets >= 1 &&
@@ -82,7 +82,6 @@ struct SensingEngine::LinkState {
     const Detector& detector = det();
     obs::Registry* const sink = metrics_on ? &metrics : nullptr;
     scratch->metrics = sink;
-    calibrator.metrics = sink;
     // One deterministic sampling tick per frame: on a sampled frame every
     // per-frame stage (guard classify, ingest sanitize) is timed.
     obs::Registry* const timed = MULINK_OBS_SAMPLED(sink);
@@ -203,6 +202,7 @@ struct SensingEngine::LinkState {
       degraded = false;
     }
     if (calibrator.enabled()) {
+      calibrator.metrics = sink;
       CalibrationWindowContext context;
       context.degraded = decision.degraded;
       context.repaired_frames = repaired_since_decision;
@@ -243,17 +243,25 @@ struct SensingEngine::LinkState {
     return decision;
   }
 
-  // Inspect one arriving frame. nullopt means the frame is quarantined and
-  // must not reach the ring; otherwise the report's `resync` flag tells
-  // Push to flush the ring first. Verdict counters are exact; the
-  // inspection latency goes to `timed`, the frame's sampled sink (Push's
-  // 1-in-kIngestSampleEvery deterministic tick, so totals merge
-  // bit-identically across shards).
+  // Inspect one arriving frame. nullopt means the frame is quarantined (or,
+  // on an unguarded link, refused as non-finite) and must not reach the
+  // ring; otherwise the report's `resync` flag tells Push to flush the ring
+  // first. Verdict counters are exact; the inspection latency goes to
+  // `timed`, the frame's sampled sink (Push's 1-in-kIngestSampleEvery
+  // deterministic tick, so totals merge bit-identically across shards).
   std::optional<nic::FrameReport> Admit(const wifi::CsiPacket& packet,
                                         obs::Registry* sink,
                                         obs::Registry* timed) {
     MULINK_OBS_COUNT(sink, kPacketsIngested);
     if (!guard.has_value()) {
+      // Without a guard a non-finite value would still poison every window
+      // holding it (and, on a ladder link, the learned profile): refuse the
+      // frame before it reaches the ring, whose next slot on a full window
+      // still holds the oldest frame.
+      if (!nic::IsFinite(packet)) {
+        MULINK_OBS_COUNT(sink, kPacketsRefusedNonFinite);
+        return std::nullopt;
+      }
       MULINK_OBS_COUNT(sink, kPacketsAccepted);
       return nic::FrameReport{};
     }
@@ -357,32 +365,53 @@ struct SensingEngine::LinkState {
     result.posterior = 0.0;
   }
 
+  // Cache hints for a serving loop (SensingEngine::PrefetchLink).
+  void Prefetch(PrefetchStage stage) const {
+    if (stage == PrefetchStage::kState) {
+      // The ingest-hot block through config's window and hop, the guard,
+      // and the metrics shard's first line (sampling tick, ingest counters).
+      const auto* const hot_end =
+          reinterpret_cast<const char*>(&config.hop_packets + 1);
+      kernels::PrefetchRange(
+          this,
+          static_cast<std::size_t>(hot_end -
+                                   reinterpret_cast<const char*>(this)),
+          /*for_write=*/true);
+      if (guard.has_value()) {
+        kernels::PrefetchRange(&*guard, sizeof(nic::FrameGuard), true);
+      }
+      kernels::Prefetch(&metrics, true);
+      return;
+    }
+    // kSlot reads the fields kState fetched: the ring slot and metadata the
+    // next frame is written to, and the guard's streak counters.
+    kernels::PrefetchRange(slabs.data() + write_pos * slot_stride,
+                           slot_stride * sizeof(double), true);
+    kernels::Prefetch(&slot_meta[write_pos], true);
+    if (guard.has_value()) {
+      const auto streaks = guard->streaks();
+      kernels::PrefetchRange(streaks.data(), streaks.size_bytes(), true);
+    }
+  }
+
   // Exactly one of owned/shared is set; `view` is the scoring-side alias.
   // Calibration (which rewrites thresholds and profiles in place) is only
   // legal on owned links.
   std::unique_ptr<Detector> owned_detector;
   std::shared_ptr<const Detector> shared_detector;
   const Detector* view = nullptr;
-  StreamingConfig config;
+
+  // ---- ingest-hot block: with config's first line, the guard and the
+  // metrics shard's first line, what a frame that completes no window
+  // touches (kept together so Prefetch(kState) warms few lines) ----
   // Sanitize on ingest only when the scheme consumes sanitized windows (the
   // amplitude-only baseline must see raw packets).
   bool pre_sanitize = false;
-  std::optional<nic::FrameGuard> guard;  // set iff config.guard_enabled
-  // Degraded-mode state (LinkHealth's sensing fields).
-  bool degraded = false;  // last decision used the fallback statistic
-  std::size_t degraded_decisions = 0;
-  // Repaired frames — and the subset carrying the RSSI-outlier (AGC) fault
-  // — admitted since the last decision; the calibration ladder's taint.
-  std::size_t repaired_since_decision = 0;
-  std::size_t agc_frames_since_decision = 0;
-  LinkCalibrator calibrator;
-  std::optional<PresenceHmm> hmm;
-  std::optional<PresenceHmm::Filter> filter;  // references hmm; do not move
+  bool metrics_on = true;
   // The window ring: slot_stride doubles per slot — the stored packet's CSI
   // split antenna-major (num_antennas re rows, then im rows) and its mu row
   // — plus the metadata RebuildWindow restores and one cached scalar.
   // Sanitized schemes store the sanitized packet, the baseline the raw one.
-  // csi_window / mu_window / stat_window are the window-ordered views.
   struct SlotMeta {
     double timestamp_s, rssi_db;
     std::uint64_t sequence;
@@ -392,24 +421,39 @@ struct SensingEngine::LinkState {
   std::size_t num_antennas = 0;
   std::size_t num_subcarriers = 0;
   std::size_t slot_stride = 0;
-  std::vector<double> slabs;
-  std::vector<SlotMeta> slot_meta;
-  std::vector<const double*> csi_window;
-  std::vector<const double*> mu_window;
-  std::vector<double> stat_window;
   std::size_t write_pos = 0;
   std::size_t count = 0;
   std::size_t packets_since_decision = 0;
-  bool occupied = false;
-  double posterior = 0.0;
+  // Repaired frames — and the subset carrying the RSSI-outlier (AGC) fault
+  // — admitted since the last decision; the calibration ladder's taint.
+  std::size_t repaired_since_decision = 0;
+  std::size_t agc_frames_since_decision = 0;
   // Own scratch by default; engine-owned shared workspace in fleet mode
   // (`scratch` then aliases the engine's, `own_scratch` stays null).
   std::unique_ptr<DetectorScratch> own_scratch;
   DetectorScratch* scratch = nullptr;
-  BatchResult result;
+  std::vector<double> slabs;
+  std::vector<SlotMeta> slot_meta;
+  StreamingConfig config;                // window and hop lead it
+  std::optional<nic::FrameGuard> guard;  // set iff config.guard_enabled
   // Per-link observability shard; merged in link order by AggregateMetrics.
   obs::Registry metrics;
-  bool metrics_on = true;
+
+  // ---- decision-time state ----
+  // csi_window / mu_window / stat_window are the window-ordered views of
+  // the ring.
+  std::vector<const double*> csi_window;
+  std::vector<const double*> mu_window;
+  std::vector<double> stat_window;
+  // Degraded-mode state (LinkHealth's sensing fields).
+  bool degraded = false;  // last decision used the fallback statistic
+  std::size_t degraded_decisions = 0;
+  bool occupied = false;
+  double posterior = 0.0;
+  LinkCalibrator calibrator;
+  std::optional<PresenceHmm> hmm;
+  std::optional<PresenceHmm::Filter> filter;  // references hmm; do not move
+  BatchResult result;
 };
 
 SensingEngine::SensingEngine() = default;
@@ -592,6 +636,12 @@ const BatchResult& SensingEngine::ProcessBatch(
                  "SensingEngine: single-link ProcessBatch needs exactly one "
                  "registered link");
   return ProcessBatch(0, packets);
+}
+
+void SensingEngine::PrefetchLink(std::size_t link, PrefetchStage stage) const {
+  if (link < links_.size() && links_[link] != nullptr) {
+    links_[link]->Prefetch(stage);
+  }
 }
 
 std::optional<PresenceDecision> SensingEngine::ProcessPacket(

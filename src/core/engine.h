@@ -166,6 +166,15 @@ class SensingEngine {
   MULINK_HOT std::optional<PresenceDecision> ProcessPacket(
       std::size_t link, const wifi::CsiPacket& packet);
 
+  // Cache hint for serving loops that know which links their next frames
+  // belong to. kState starts loading the link's hot state (the fields,
+  // guard and metrics counters an ingest-only frame touches); kSlot, issued
+  // once those have arrived, the ring slot and metadata the next frame will
+  // be written to and the guard's streak counters. Never changes a value;
+  // a removed or out-of-range slot is ignored.
+  enum class PrefetchStage : std::uint8_t { kState, kSlot };
+  MULINK_HOT void PrefetchLink(std::size_t link, PrefetchStage stage) const;
+
   // Current belief per link (unoccupied before the first window).
   bool occupied(std::size_t link) const;
   double posterior(std::size_t link) const;

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "common/annotations.h"
 #include "common/constants.h"
@@ -176,5 +177,46 @@ MULINK_HOT void ColumnMoments(const double* plane, std::size_t rows,
 // lo = a < b ? a : b, hi = a < b ? b : a, so backends agree even on NaN.
 MULINK_HOT void ColumnMedians(double* plane, std::size_t rows, std::size_t cols,
                               std::size_t stride, double* median, double* mad);
+
+// ---- cache hints ---------------------------------------------------------
+
+// Start loading the cache line holding `p` into every cache level (with
+// intent to write when `for_write`), so a later access finds it cached. A
+// hint only: it never faults and never changes a value.
+//
+// On x86 the instruction is a volatile asm statement. GCC treats
+// __builtin_prefetch as free of side effects, so a function that only
+// prefetches is inferred `const` and a call to it that is not inlined is
+// deleted (GCC 12 at -O2 emptied SensingEngine::PrefetchLink that way).
+inline void Prefetch(const void* p, bool for_write = false) {
+#if defined(__x86_64__) || defined(__i386__)
+  // PREFETCHW runs as a NOP on x86 parts without it.
+  if (for_write) {
+    asm volatile("prefetchw %0" : : "m"(*static_cast<const char*>(p)));
+  } else {
+    asm volatile("prefetcht0 %0" : : "m"(*static_cast<const char*>(p)));
+  }
+#elif defined(__GNUC__) || defined(__clang__)
+  if (for_write) {
+    __builtin_prefetch(p, 1, 3);
+  } else {
+    __builtin_prefetch(p, 0, 3);
+  }
+#else
+  (void)p;
+  (void)for_write;
+#endif
+}
+
+// Prefetch every cache line that [p, p + bytes) touches.
+inline void PrefetchRange(const void* p, std::size_t bytes,
+                          bool for_write = false) {
+  constexpr std::uintptr_t kLine = 64;
+  const auto begin = reinterpret_cast<std::uintptr_t>(p);
+  for (std::uintptr_t line = begin & ~(kLine - 1); line < begin + bytes;
+       line += kLine) {
+    Prefetch(reinterpret_cast<const void*>(line), for_write);
+  }
+}
 
 }  // namespace mulink::kernels

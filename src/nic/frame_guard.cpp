@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 
 #include "common/assert.h"
@@ -20,7 +21,28 @@ std::size_t FaultIndex(FrameFault fault) {
   return index;
 }
 
+// 1 when x is Inf or NaN (all exponent bits set), else 0: scans OR these
+// instead of branching on every element.
+std::uint64_t NonFiniteBit(double x) {
+  constexpr std::uint64_t kExponent = 0x7ff0000000000000ULL;
+  return (std::bit_cast<std::uint64_t>(x) & kExponent) == kExponent ? 1u : 0u;
+}
+
+std::uint64_t NonFiniteMeta(const wifi::CsiPacket& packet) {
+  return NonFiniteBit(packet.timestamp_s) | NonFiniteBit(packet.rssi_db);
+}
+
 }  // namespace
+
+bool IsFinite(const wifi::CsiPacket& packet) {
+  const Complex* csi = packet.csi.raw();
+  const std::size_t cells = packet.csi.rows() * packet.csi.cols();
+  std::uint64_t non_finite = NonFiniteMeta(packet);
+  for (std::size_t i = 0; i < cells; ++i) {
+    non_finite |= NonFiniteBit(csi[i].real()) | NonFiniteBit(csi[i].imag());
+  }
+  return non_finite == 0;
+}
 
 const char* ToString(FrameFault fault) {
   switch (fault) {
@@ -111,9 +133,7 @@ FrameGuard::FrameGuard(FrameGuardConfig config) : config_(config) {
   // With the shape configured, size the streak counters now so the first
   // frame allocates nothing (a shape-locking guard sizes them on it).
   // mulink-lint: allow(alloc): ctor, setup path
-  dead_streak_.assign(locked_antennas_, 0);
-  // mulink-lint: allow(alloc): ctor, setup path
-  live_streak_.assign(locked_antennas_, 0);
+  streaks_.assign(locked_antennas_, AntennaStreak{});
 }
 
 void FrameGuard::Reset() {
@@ -123,8 +143,7 @@ void FrameGuard::Reset() {
   rssi_mean_ = 0.0;
   rssi_var_ = 0.0;
   rssi_seen_ = 0;
-  dead_streak_.assign(dead_streak_.size(), 0);
-  live_streak_.assign(live_streak_.size(), 0);
+  streaks_.assign(streaks_.size(), AntennaStreak{});
 }
 
 FrameReport FrameGuard::Inspect(const wifi::CsiPacket& packet) {
@@ -153,34 +172,35 @@ FrameReport FrameGuard::Inspect(const wifi::CsiPacket& packet) {
       scs == 0) {
     return quarantine(FrameFault::kShapeMismatch);
   }
-  if (dead_streak_.size() != ants) {
-    dead_streak_.assign(ants, 0);
-    live_streak_.assign(ants, 0);
+  if (streaks_.size() != ants) {
+    streaks_.assign(ants, AntennaStreak{});
   }
 
-  // Non-finite scan over the CSI and the metadata the pipeline consumes.
-  bool finite = std::isfinite(packet.timestamp_s) &&
-                std::isfinite(packet.rssi_db);
-  const Complex* csi = packet.csi.raw();
-  const std::size_t cells = ants * scs;
-  for (std::size_t i = 0; finite && i < cells; ++i) {
-    finite = std::isfinite(csi[i].real()) && std::isfinite(csi[i].imag());
-  }
-  if (!finite) {
-    return quarantine(FrameFault::kNonFinite);
-  }
-
-  // Per-antenna energy (reused for zero-energy and dead-chain checks).
-  double max_row_power = 0.0;
-  double total_power = 0.0;
+  // One branch-free pass over the CSI: the non-finite scan (with the
+  // metadata the pipeline consumes) and each antenna's energy, summed along
+  // its row in subcarrier order (reused for the zero-energy and dead-chain
+  // checks; a non-finite frame discards them).
   std::array<double, 64> row_power_buf{};
   MULINK_ASSERT_MSG(ants <= row_power_buf.size(),
                     "FrameGuard: more antennas than supported");
+  const Complex* csi = packet.csi.raw();
+  std::uint64_t non_finite = NonFiniteMeta(packet);
   for (std::size_t m = 0; m < ants; ++m) {
     double row = 0.0;
     const Complex* p = csi + m * scs;
-    for (std::size_t k = 0; k < scs; ++k) row += std::norm(p[k]);
+    for (std::size_t k = 0; k < scs; ++k) {
+      row += std::norm(p[k]);
+      non_finite |= NonFiniteBit(p[k].real()) | NonFiniteBit(p[k].imag());
+    }
     row_power_buf[m] = row;
+  }
+  if (non_finite != 0) {
+    return quarantine(FrameFault::kNonFinite);
+  }
+  double max_row_power = 0.0;
+  double total_power = 0.0;
+  for (std::size_t m = 0; m < ants; ++m) {
+    const double row = row_power_buf[m];
     total_power += row;
     if (row > max_row_power) max_row_power = row;
   }
@@ -217,18 +237,19 @@ FrameReport FrameGuard::Inspect(const wifi::CsiPacket& packet) {
     const bool silent =
         row_power_buf[m] < kDeadAntennaRelPower * max_row_power;
     const std::uint32_t bit = 1u << m;
+    AntennaStreak& streak = streaks_[m];
     if (silent) {
-      live_streak_[m] = 0;
-      if (dead_streak_[m] < config_.dead_antenna_packets) ++dead_streak_[m];
-      if (dead_streak_[m] >= config_.dead_antenna_packets &&
+      streak.live = 0;
+      if (streak.dead < config_.dead_antenna_packets) ++streak.dead;
+      if (streak.dead >= config_.dead_antenna_packets &&
           (health_.dead_antenna_mask & bit) == 0) {
         health_.dead_antenna_mask |= bit;
         report.antenna_died = static_cast<int>(m);
       }
     } else {
-      dead_streak_[m] = 0;
-      if (live_streak_[m] < config_.dead_antenna_packets) ++live_streak_[m];
-      if (live_streak_[m] >= config_.dead_antenna_packets) {
+      streak.dead = 0;
+      if (streak.live < config_.dead_antenna_packets) ++streak.live;
+      if (streak.live >= config_.dead_antenna_packets) {
         health_.dead_antenna_mask &= ~bit;
       }
     }

@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "wifi/csi.h"
@@ -143,8 +144,19 @@ const char* ToString(LinkStatus status);
 // drifted, or fallback scoring is active.
 LinkStatus Status(const LinkHealth& health);
 
+// True when the frame's timestamp, RSSI and every CSI component are finite
+// (the guard's non-finite test, for links that run without a guard). One
+// branch-free pass.
+bool IsFinite(const wifi::CsiPacket& packet);
+
 class FrameGuard {
  public:
+  // Consecutive silent (dead) and live frames of one RX chain.
+  struct AntennaStreak {
+    std::uint32_t dead = 0;
+    std::uint32_t live = 0;
+  };
+
   explicit FrameGuard(FrameGuardConfig config = {});
 
   // Classify one frame and update the health counters. Does not modify the
@@ -155,6 +167,9 @@ class FrameGuard {
   const LinkHealth& health() const { return health_; }
   std::uint32_t dead_antenna_mask() const { return health_.dead_antenna_mask; }
   const FrameGuardConfig& config() const { return config_; }
+  // Per-antenna streaks, updated by every usable frame (a serving loop
+  // prefetches them ahead of the frame).
+  std::span<const AntennaStreak> streaks() const { return streaks_; }
 
   // Forget sequence/RSSI/dead-chain state and zero the counters (matches a
   // link Reset; the locked frame shape is kept).
@@ -174,8 +189,7 @@ class FrameGuard {
   double rssi_var_ = 0.0;
   std::uint64_t rssi_seen_ = 0;
 
-  std::vector<std::uint32_t> dead_streak_;
-  std::vector<std::uint32_t> live_streak_;
+  std::vector<AntennaStreak> streaks_;
 };
 
 }  // namespace mulink::nic

@@ -84,6 +84,8 @@ const char* ToString(Counter counter) {
       return "links_evicted";
     case Counter::kLinksReadmitted:
       return "links_readmitted";
+    case Counter::kPacketsRefusedNonFinite:
+      return "packets_refused_non_finite";
   }
   return "unknown";
 }

@@ -85,9 +85,10 @@ enum class Counter : std::uint8_t {
   kLinksAdmitted,        // links admitted to a serving shard roster
   kLinksEvicted,         // links evicted (capacity or health)
   kLinksReadmitted,      // evicted links re-admitted after cooldown
+  kPacketsRefusedNonFinite,  // non-finite frames an unguarded link refused
 };
 
-inline constexpr std::size_t kNumCounters = 27;
+inline constexpr std::size_t kNumCounters = 28;
 
 const char* ToString(Counter counter);
 
@@ -213,10 +214,12 @@ class Registry {
   }
 
  private:
+  // The sampling tick leads, so it shares a cache line with the first
+  // counters — everything a frame that completes no window records.
+  std::uint64_t ingest_tick_ = 0;
   std::array<std::uint64_t, kNumCounters> counters_{};
   std::array<double, kNumGauges> gauges_{};
   std::uint32_t gauge_set_ = 0;
-  std::uint64_t ingest_tick_ = 0;
   std::array<LatencyHistogram, kNumStages> stages_{};
 };
 

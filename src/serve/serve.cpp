@@ -8,19 +8,12 @@
 
 #include "common/assert.h"
 #include "common/error.h"
+#include "kernels/kernels.h"
+#include "serve/roster.h"
 
 namespace mulink::serve {
 
 namespace {
-
-// splitmix64 finalizer: full-avalanche mix so structured link ids (dense
-// ranges, strided ids) still spread evenly over the shards.
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 std::size_t DepthBucket(std::size_t depth) {
   const std::size_t bucket =
@@ -29,6 +22,17 @@ std::size_t DepthBucket(std::size_t depth) {
 }
 
 constexpr std::uint32_t kNil = 0xffffffffu;
+
+// One worker claim takes up to kWorkerBatch frames off the ring, which
+// makes them private (spsc_ring.h), so the worker can start the cache
+// misses of the frames after the one it scores. Each frame's chain of
+// dependent loads is split into three stages run that many frames ahead:
+// the roster line, then (through it) the link's hot state, then (through
+// that) the ring slot the frame will be written to and the frame's CSI.
+constexpr std::size_t kWorkerBatch = 16;
+constexpr std::size_t kRosterAhead = 3;
+constexpr std::size_t kStateAhead = 2;
+constexpr std::size_t kSlotAhead = 1;
 
 }  // namespace
 
@@ -62,11 +66,11 @@ struct ServeCore::Shard {
     engine.UseSharedScratch();
   }
 
-  // Roster entry slab with an intrusive LRU list (head = most recent).
+  // Roster entry slab with an intrusive LRU list (head = most recent),
+  // indexed by engine slot: the engine hands a removed link's slot to the
+  // next admission, so entry and slot are recycled together.
   struct LinkEntry {
     std::uint64_t link_id = 0;
-    std::size_t slot = 0;  // engine slot
-    std::uint32_t profile = 0;
     std::uint64_t frames = 0;
     std::uint32_t prev = kNil;
     std::uint32_t next = kNil;
@@ -112,9 +116,7 @@ struct ServeCore::Shard {
 
   // ---- worker-owned ----
   std::vector<LinkEntry> entries MULINK_GUARDED_BY(worker_role);
-  std::vector<std::uint32_t> free_entries MULINK_GUARDED_BY(worker_role);
-  std::unordered_map<std::uint64_t, std::uint32_t> roster
-      MULINK_GUARDED_BY(worker_role);
+  FlatRoster roster MULINK_GUARDED_BY(worker_role);
   std::uint32_t lru_head MULINK_GUARDED_BY(worker_role) = kNil;
   std::uint32_t lru_tail MULINK_GUARDED_BY(worker_role) = kNil;
   // Health-evicted links barred from readmission for this many of their own
@@ -167,7 +169,7 @@ std::uint32_t ServeCore::RegisterProfile(
 }
 
 std::size_t ServeCore::ShardOf(std::uint64_t link_id) const {
-  return static_cast<std::size_t>(Mix64(link_id) % config_.num_shards);
+  return static_cast<std::size_t>(LinkHash(link_id) % config_.num_shards);
 }
 
 void ServeCore::Start() {
@@ -275,28 +277,36 @@ void ServeCore::WorkerLoop(std::stop_token stop, Shard& shard) {
   // This thread owns every worker_role-guarded field for its lifetime.
   ScopedRole worker(shard.worker_role);
   for (;;) {
-    // In-place consume: the frame is scored where it sits in the claimed
-    // cell (no pop copy). The CAS claim keeps the cell private until the
-    // sequence release, so the producer — including its drop-oldest
-    // dequeuer — cannot touch it mid-score.
-    const bool popped = shard.ring.TryConsume([&](const Frame& frame) {
-      // The lambda body is a fresh function to the thread-safety analysis;
-      // it runs on this worker thread, so re-assert the role it holds.
-      shard.worker_role.AssertHeld();
-      // Backlog remaining after this claim — the shard's instantaneous lag.
-      const std::size_t depth = shard.ring.ApproxSize();
-      shard.depth_buckets[DepthBucket(depth)] += 1;
-      ++shard.depth_samples;
-      if (depth > shard.max_depth) shard.max_depth = depth;
-      MULINK_OBS_GAUGE(&shard.metrics, kQueueDepth,
-                       static_cast<double>(depth));
-      ProcessFrame(shard, frame);
-    });
-    if (popped) {
-      ++shard.frames_processed_local;
-      shard.consumed.fetch_add(1, std::memory_order_release);
-      continue;
-    }
+    // In-place consume: each frame is scored where it sits in its claimed
+    // cell (no pop copy) and its cell goes back to the producer right after,
+    // oldest first. The claim keeps the producer — including its
+    // drop-oldest dequeuer — off every cell of the batch until then.
+    const std::size_t claimed = shard.ring.TryConsumeBatch(
+        kWorkerBatch, [&](SpscRing<Frame>::Batch& batch) {
+          // The lambda body is a fresh function to the thread-safety
+          // analysis; it runs on this worker thread, so re-assert the role.
+          shard.worker_role.AssertHeld();
+          // Backlog behind the batch's first frame, read once per claim;
+          // frame i's sample is that less i, the shard's instantaneous lag
+          // a poll right after claiming frame i alone would have seen (less
+          // any frame that arrived in between).
+          const std::size_t backlog =
+              shard.ring.ApproxSize() + batch.size() - 1;
+          for (std::size_t i = 0; i < batch.size(); ++i) {
+            const std::size_t depth = backlog - i;
+            shard.depth_buckets[DepthBucket(depth)] += 1;
+            ++shard.depth_samples;
+            if (depth > shard.max_depth) shard.max_depth = depth;
+            MULINK_OBS_GAUGE(&shard.metrics, kQueueDepth,
+                             static_cast<double>(depth));
+            PrefetchAhead(shard, batch, i);
+            ProcessFrame(shard, batch[i]);
+            batch.ReleaseFront();
+            ++shard.frames_processed_local;
+            shard.consumed.fetch_add(1, std::memory_order_release);
+          }
+        });
+    if (claimed > 0) continue;
     if (stop.stop_requested() &&
         shard.consumed.load(std::memory_order_acquire) ==
             shard.produced.load(std::memory_order_acquire)) {
@@ -306,11 +316,45 @@ void ServeCore::WorkerLoop(std::stop_token stop, Shard& shard) {
   }
 }
 
+// Hints only: every stage looks the roster up afresh and never changes a
+// value, so a frame whose link was evicted (or not yet admitted) since an
+// earlier stage simply warms nothing, and ProcessFrame still does every
+// lookup itself in frame order.
+void ServeCore::PrefetchAhead(Shard& shard,
+                              const SpscRing<Frame>::Batch& batch,
+                              std::size_t i)
+    MULINK_REQUIRES(shard.worker_role) {
+  const std::size_t n = batch.size();
+  // Frames [first, end) of a stage `ahead` frames ahead: frame i + ahead,
+  // and on the batch's first frame also those no earlier frame reached.
+  const auto first = [&](std::size_t ahead) { return i == 0 ? 0 : i + ahead; };
+  const auto end = [&](std::size_t ahead) {
+    return std::min(i + ahead + 1, n);
+  };
+  for (std::size_t j = first(kRosterAhead); j < end(kRosterAhead); ++j) {
+    shard.roster.Prefetch(batch[j].link_id);
+  }
+  for (std::size_t j = first(kStateAhead); j < end(kStateAhead); ++j) {
+    const std::uint32_t idx = shard.roster.Find(batch[j].link_id);
+    if (idx == FlatRoster::kNone) continue;
+    kernels::Prefetch(&shard.entries[idx], /*for_write=*/true);
+    shard.engine.PrefetchLink(idx, core::SensingEngine::PrefetchStage::kState);
+  }
+  for (std::size_t j = first(kSlotAhead); j < end(kSlotAhead); ++j) {
+    const wifi::CsiPacket& packet = batch[j].packet;
+    kernels::PrefetchRange(packet.csi.raw(),
+                           packet.csi.rows() * packet.csi.cols() *
+                               sizeof(Complex));
+    const std::uint32_t idx = shard.roster.Find(batch[j].link_id);
+    if (idx == FlatRoster::kNone) continue;
+    shard.engine.PrefetchLink(idx, core::SensingEngine::PrefetchStage::kSlot);
+  }
+}
+
 void ServeCore::ProcessFrame(Shard& shard, const Frame& frame)
     MULINK_REQUIRES(shard.worker_role) {
-  std::uint32_t idx;
-  const auto it = shard.roster.find(frame.link_id);
-  if (it == shard.roster.end()) {
+  std::uint32_t idx = shard.roster.Find(frame.link_id);
+  if (idx == FlatRoster::kNone) {
     const auto barred = shard.cooldown.find(frame.link_id);
     if (barred != shard.cooldown.end()) {
       if (barred->second > 0) {
@@ -321,10 +365,7 @@ void ServeCore::ProcessFrame(Shard& shard, const Frame& frame)
       }
       shard.cooldown.erase(barred);
     }
-    idx = static_cast<std::uint32_t>(
-        AdmitLink(shard, frame.link_id, frame.profile_id));
-  } else {
-    idx = it->second;
+    idx = AdmitLink(shard, frame.link_id, frame.profile_id);
   }
   Shard::LinkEntry& entry = shard.entries[idx];
   ++entry.frames;
@@ -332,12 +373,12 @@ void ServeCore::ProcessFrame(Shard& shard, const Frame& frame)
 
   std::optional<core::PresenceDecision> decision;
   try {
-    decision = shard.engine.ProcessPacket(entry.slot, frame.packet);
+    decision = shard.engine.ProcessPacket(idx, frame.packet);
   } catch (const Error&) {
-    // A link whose pipeline throws (e.g. a ladder swap refusing a staged
-    // profile poisoned by non-finite CSI) is contained: it is evicted with
-    // the health cooldown and counted, and the shard keeps serving every
-    // other link.
+    // A link whose pipeline throws (e.g. an unguarded link handed a frame
+    // shaped for another profile than the one it was admitted on) is
+    // contained: it is evicted with the health cooldown and counted, and
+    // the shard keeps serving every other link.
     ++shard.links_failed;
     EvictEntry(shard, idx, config_.readmit_after_frames);
     return;
@@ -350,9 +391,8 @@ void ServeCore::ProcessFrame(Shard& shard, const Frame& frame)
   }
   if (config_.evict_unhealthy &&
       entry.frames >= config_.health_check_min_frames) {
-    const nic::LinkHealth health = shard.engine.Health(entry.slot);
-    const std::size_t num_antennas =
-        shard.engine.detector(entry.slot).num_antennas();
+    const nic::LinkHealth health = shard.engine.Health(idx);
+    const std::size_t num_antennas = shard.engine.detector(idx).num_antennas();
     const bool all_dead =
         static_cast<std::size_t>(std::popcount(health.dead_antenna_mask)) >=
         num_antennas;
@@ -367,8 +407,8 @@ void ServeCore::ProcessFrame(Shard& shard, const Frame& frame)
   }
 }
 
-std::size_t ServeCore::AdmitLink(Shard& shard, std::uint64_t link_id,
-                                 std::uint32_t profile_id)
+std::uint32_t ServeCore::AdmitLink(Shard& shard, std::uint64_t link_id,
+                                   std::uint32_t profile_id)
     MULINK_REQUIRES(shard.worker_role) {
   if (config_.max_resident_per_shard != 0 &&
       shard.roster.size() >= config_.max_resident_per_shard) {
@@ -394,24 +434,13 @@ std::size_t ServeCore::AdmitLink(Shard& shard, std::uint64_t link_id,
         shard.engine.AddLink(profile.detector, profile.empty_scores, stream);
   }
 
-  std::uint32_t idx;
-  if (!shard.free_entries.empty()) {
-    idx = shard.free_entries.back();
-    shard.free_entries.pop_back();
-  } else {
-    idx = static_cast<std::uint32_t>(shard.entries.size());
+  const auto idx = static_cast<std::uint32_t>(slot);
+  if (idx >= shard.entries.size()) {
     // mulink-lint: allow(alloc): link admission, control plane
-    shard.entries.emplace_back();
+    shard.entries.resize(idx + 1);
   }
-  Shard::LinkEntry& entry = shard.entries[idx];
-  entry.link_id = link_id;
-  entry.slot = slot;
-  entry.profile = profile_id;
-  entry.frames = 0;
-  entry.prev = kNil;
-  entry.next = kNil;
-  // mulink-lint: allow(alloc): link admission, control plane
-  shard.roster.emplace(link_id, idx);
+  shard.entries[idx] = Shard::LinkEntry{link_id, 0, kNil, kNil};
+  shard.roster.Insert(link_id, idx);
   shard.TouchLru(idx);
 
   ++shard.links_admitted;
@@ -428,18 +457,16 @@ std::size_t ServeCore::AdmitLink(Shard& shard, std::uint64_t link_id,
 void ServeCore::EvictEntry(Shard& shard, std::uint32_t entry_idx,
                            std::uint64_t cooldown_frames)
     MULINK_REQUIRES(shard.worker_role) {
-  Shard::LinkEntry& entry = shard.entries[entry_idx];
-  shard.engine.RemoveLink(entry.slot);
+  const Shard::LinkEntry& entry = shard.entries[entry_idx];
+  shard.engine.RemoveLink(entry_idx);
   shard.Unlink(entry_idx);
-  shard.roster.erase(entry.link_id);
+  shard.roster.Erase(entry.link_id);
   if (cooldown_frames > 0) {
     // mulink-lint: allow(alloc): eviction bookkeeping, control plane
     shard.cooldown.emplace(entry.link_id, cooldown_frames);
   }
   // mulink-lint: allow(alloc): eviction bookkeeping, control plane
   shard.evicted_ever.insert(entry.link_id);
-  // mulink-lint: allow(alloc): eviction bookkeeping, control plane
-  shard.free_entries.push_back(entry_idx);
   ++shard.links_evicted;
   MULINK_OBS_COUNT_REF(shard.metrics, kLinksEvicted, 1);
   MULINK_OBS_GAUGE(&shard.metrics, kResidentLinks,

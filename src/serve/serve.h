@@ -174,9 +174,14 @@ class ServeCore {
   struct Shard;
 
   void WorkerLoop(std::stop_token stop, Shard& shard);
+  // Cache hints for the frames after batch[i] (see kWorkerBatch).
+  MULINK_HOT void PrefetchAhead(Shard& shard,
+                                const SpscRing<Frame>::Batch& batch,
+                                std::size_t i);
   MULINK_HOT void ProcessFrame(Shard& shard, const Frame& frame);
-  std::size_t AdmitLink(Shard& shard, std::uint64_t link_id,
-                        std::uint32_t profile_id);
+  // Returns the new link's roster entry (= its engine slot).
+  std::uint32_t AdmitLink(Shard& shard, std::uint64_t link_id,
+                          std::uint32_t profile_id);
   void EvictEntry(Shard& shard, std::uint32_t entry_idx,
                   std::uint64_t cooldown_frames);
 

@@ -11,7 +11,9 @@
 // discards the oldest frame to make room. That second dequeuer is why the
 // pop side uses a CAS on the tail cursor rather than a plain store — a
 // producer-side overwrite of a cell the consumer is mid-copy on would be a
-// data race; a CAS-claimed discard is not.
+// data race; a CAS-claimed discard is not. The worker claims a run of cells
+// with one CAS (TryConsumeBatch), which also makes the frames it has not
+// scored yet private, so it may read ahead of the one it is scoring.
 //
 // Cells hold T by value and are written with copy-assignment, so element
 // types that reuse heap capacity on assignment (wifi::CsiPacket) allocate
@@ -49,20 +51,14 @@ class SpscRing {
   // Producer only. False when the ring is full (caller picks the
   // back-pressure policy: reject, discard-oldest-and-retry, or spin).
   MULINK_HOT bool TryPush(const T& value) {
-    const std::size_t pos = head_.load(std::memory_order_relaxed);
-    Cell& cell = cells_[pos & mask_];
-    const std::size_t seq = cell.seq.load(std::memory_order_acquire);
-    if (seq != pos) return false;  // cell not yet released by dequeuers
-    cell.data = value;  // copy-assign: reuses the cell's heap capacity
-    cell.seq.store(pos + 1, std::memory_order_release);
-    head_.store(pos + 1, std::memory_order_release);
-    return true;
+    // copy-assign: reuses the cell's heap capacity
+    return TryProduce([&](T& cell) { cell = value; });
   }
 
   // In-place producer variant: instead of copy-assigning a caller-side
   // staging value into the cell, the writer callback fills the claimed
   // cell's T directly (reusing its heap capacity), saving one full copy of
-  // T per enqueue on the hot path. Same cell-sequence protocol as TryPush.
+  // T per enqueue on the hot path.
   template <typename Writer>
   MULINK_HOT bool TryProduce(Writer&& write) {
     const std::size_t pos = head_.load(std::memory_order_relaxed);
@@ -75,63 +71,83 @@ class SpscRing {
     return true;
   }
 
-  // Any dequeuer. False when empty.
-  MULINK_HOT bool TryPop(T& out) {
-    std::size_t pos = tail_.load(std::memory_order_relaxed);
-    for (;;) {
-      Cell& cell = cells_[pos & mask_];
-      const std::size_t seq = cell.seq.load(std::memory_order_acquire);
-      if (seq != pos + 1) return false;  // empty (or cell still being filled)
-      if (tail_.compare_exchange_weak(pos, pos + 1,
-                                      std::memory_order_relaxed)) {
-        out = cell.data;  // copy-assign into the caller's reusable slot
-        cell.seq.store(pos + mask_ + 1, std::memory_order_release);
-        return true;
-      }
-      // CAS failure reloaded pos; another dequeuer claimed the cell.
+  // A run of consecutive cells claimed by one TryConsumeBatch. The claim
+  // makes them private to this dequeuer — neither the producer nor the
+  // drop-oldest discarder can touch them — until each is released, front
+  // to back, so the consumer may read elements ahead of the one it works on.
+  class Batch {
+   public:
+    // One owner per claim: a copy would release its cells twice.
+    Batch(const Batch&) = delete;
+    Batch& operator=(const Batch&) = delete;
+
+    std::size_t size() const { return count_; }
+    // Element i of the run; only unreleased elements may be touched.
+    T& operator[](std::size_t i) const {
+      MULINK_DASSERT(i >= released_ && i < count_);
+      return ring_.cells_[(first_ + i) & ring_.mask_].data;
     }
+    // Hand the oldest unreleased cell back to the producer.
+    void ReleaseFront() {
+      MULINK_DASSERT(released_ < count_);
+      const std::size_t pos = first_ + released_++;
+      ring_.cells_[pos & ring_.mask_].seq.store(pos + ring_.mask_ + 1,
+                                                std::memory_order_release);
+    }
+
+   private:
+    friend class SpscRing;
+    Batch(SpscRing& ring, std::size_t first, std::size_t count)
+        : ring_(ring), first_(first), count_(count) {}
+    SpscRing& ring_;
+    std::size_t first_;
+    std::size_t count_;
+    std::size_t released_ = 0;
+  };
+
+  // Any dequeuer. One CAS on the tail claims up to `max_count` filled cells
+  // and runs `consume(batch)` on them in place; the callback releases cells
+  // with ReleaseFront as it finishes them, and whatever it leaves claimed is
+  // released when it returns. Returns the number claimed (0 when empty).
+  template <typename Consumer>
+  MULINK_HOT std::size_t TryConsumeBatch(std::size_t max_count,
+                                         Consumer&& consume) {
+    std::size_t pos = tail_.load(std::memory_order_relaxed);
+    std::size_t count = 0;
+    do {
+      // A filled cell stays filled until a dequeuer moves the tail past it,
+      // so the run counted here is still whole if the CAS below succeeds;
+      // a failed CAS (another dequeuer moved the tail) reloads pos.
+      count = 0;
+      while (count < max_count &&
+             cells_[(pos + count) & mask_].seq.load(
+                 std::memory_order_acquire) == pos + count + 1) {
+        ++count;
+      }
+      if (count == 0) return 0;  // empty (or oldest cell still being filled)
+    } while (!tail_.compare_exchange_weak(pos, pos + count,
+                                          std::memory_order_relaxed));
+    Batch batch(*this, pos, count);
+    consume(batch);
+    while (batch.released_ < count) batch.ReleaseFront();
+    return count;
   }
 
-  // In-place dequeuer variant: the consumer callback runs on the claimed
-  // cell's T before the cell is released, so the worker processes the frame
-  // where it sits instead of copying it out first. The CAS claim makes the
-  // cell private to this dequeuer for the callback's duration — the
-  // producer cannot reuse it until the sequence store below — so this is
-  // race-free even with the drop-oldest producer-side dequeuer active.
-  // Keep the callback short: the cell is unavailable to TryPush while it
-  // runs, effectively shrinking the ring by one.
+  // Single-cell dequeuers over TryConsumeBatch. False when empty.
+  // In place: `consume` runs on the claimed cell's T before its release.
   template <typename Consumer>
   MULINK_HOT bool TryConsume(Consumer&& consume) {
-    std::size_t pos = tail_.load(std::memory_order_relaxed);
-    for (;;) {
-      Cell& cell = cells_[pos & mask_];
-      const std::size_t seq = cell.seq.load(std::memory_order_acquire);
-      if (seq != pos + 1) return false;  // empty (or cell still being filled)
-      if (tail_.compare_exchange_weak(pos, pos + 1,
-                                      std::memory_order_relaxed)) {
-        consume(cell.data);
-        cell.seq.store(pos + mask_ + 1, std::memory_order_release);
-        return true;
-      }
-      // CAS failure reloaded pos; another dequeuer claimed the cell.
-    }
+    return TryConsumeBatch(1, [&](Batch& batch) { consume(batch[0]); }) == 1;
   }
-
+  // Copy-assigns into the caller's reusable slot.
+  MULINK_HOT bool TryPop(T& out) {
+    return TryConsume([&](T& cell) { out = cell; });
+  }
   // Dequeue-and-discard the oldest element without copying it out (the
-  // abandoned value is overwritten in place by a future TryPush). Used by
-  // the producer to implement drop-oldest back-pressure.
+  // abandoned value is overwritten in place by a future push). Used by the
+  // producer to implement drop-oldest back-pressure.
   MULINK_HOT bool DiscardOldest() {
-    std::size_t pos = tail_.load(std::memory_order_relaxed);
-    for (;;) {
-      Cell& cell = cells_[pos & mask_];
-      const std::size_t seq = cell.seq.load(std::memory_order_acquire);
-      if (seq != pos + 1) return false;
-      if (tail_.compare_exchange_weak(pos, pos + 1,
-                                      std::memory_order_relaxed)) {
-        cell.seq.store(pos + mask_ + 1, std::memory_order_release);
-        return true;
-      }
-    }
+    return TryConsume([](T&) {});
   }
 
   // Racy snapshot (monitoring only — cursors move under the reader).

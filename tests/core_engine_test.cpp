@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <complex>
 #include <optional>
 #include <span>
@@ -421,6 +422,61 @@ TEST(SensingEngine, GuardQuarantinesMisShapedFirstFrame) {
     EXPECT_EQ(after[i].occupied, reference.decisions[i].occupied);
   }
   EXPECT_EQ(engine.Health(0).quarantined, 1u);
+}
+
+// An unguarded link refuses a frame holding a non-finite value (CSI or the
+// metadata the pipeline reads) before it reaches the window ring, counts it,
+// and decides afterwards exactly as if the frame had never arrived — on the
+// baseline scheme, whose window statistic would otherwise turn the NaN into
+// a finite quiet-looking score, and on the combined scheme alike.
+TEST(SensingEngine, UnguardedLinkRefusesNonFiniteFrames) {
+  auto& f = Fixture();
+  constexpr std::size_t kNanFrame = 40;  // the ring is full by then
+  constexpr std::size_t kInfFrame = 97;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto poisoned = f.occupied_session;
+  poisoned[kNanFrame].csi.At(1, 7) = Complex(0.5, nan);
+  poisoned[kInfFrame].rssi_db = inf;
+  std::vector<wifi::CsiPacket> removed;
+  for (std::size_t i = 0; i < poisoned.size(); ++i) {
+    if (i != kNanFrame && i != kInfFrame) removed.push_back(poisoned[i]);
+  }
+  core::StreamingConfig config;
+  config.hop_packets = 5;
+
+  for (const auto scheme :
+       {core::DetectionScheme::kBaseline,
+        core::DetectionScheme::kSubcarrierAndPathWeighting}) {
+    SCOPED_TRACE(core::ToString(scheme));
+    auto detector = f.Calibrated(scheme);
+    const auto empty_scores = EmptyScores(f, detector);
+    detector.SetThreshold(1.0);
+    core::SensingEngine engine;
+    engine.AddLink(detector, empty_scores, config);
+    const std::vector<core::PresenceDecision> got(
+        engine.ProcessBatch(0, std::span<const wifi::CsiPacket>(poisoned))
+            .decisions);
+    core::SensingEngine reference_engine;
+    reference_engine.AddLink(std::move(detector), empty_scores, config);
+    const auto& reference = reference_engine.ProcessBatch(
+        0, std::span<const wifi::CsiPacket>(removed));
+
+    if constexpr (obs::kEnabled) {
+      const obs::Registry& metrics = engine.Metrics(0);
+      EXPECT_EQ(metrics.Get(obs::Counter::kPacketsRefusedNonFinite), 2u);
+      EXPECT_EQ(metrics.Get(obs::Counter::kPacketsIngested), poisoned.size());
+      EXPECT_EQ(metrics.Get(obs::Counter::kPacketsAccepted), removed.size());
+    }
+    ASSERT_FALSE(got.empty());
+    ASSERT_EQ(got.size(), reference.decisions.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].timestamp_s, reference.decisions[i].timestamp_s);
+      EXPECT_EQ(got[i].score, reference.decisions[i].score) << "decision " << i;
+      EXPECT_EQ(got[i].posterior, reference.decisions[i].posterior);
+      EXPECT_EQ(got[i].occupied, reference.decisions[i].occupied);
+    }
+  }
 }
 
 // The single-link convenience overload refuses multi-link engines.

@@ -7,6 +7,7 @@
 // -DMULINK_TSAN=ON).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <complex>
@@ -15,11 +16,13 @@
 #include <optional>
 #include <set>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/detector.h"
 #include "experiments/scenario.h"
+#include "serve/roster.h"
 #include "serve/serve.h"
 #include "serve/spsc_ring.h"
 
@@ -161,6 +164,224 @@ TEST(SpscRing, ConcurrentDropOldestKeepsOrderAndAccounting) {
   }
   EXPECT_EQ(popped.size() + discarded, kPushed);
   EXPECT_GT(popped.size(), 0u);
+}
+
+// A batch claim takes a run of filled cells with one CAS. Claimed cells are
+// private until released front to back: the producer cannot reuse one and
+// the drop-oldest dequeuer skips past the whole run.
+TEST(SpscRing, BatchClaimIsPrivateUntilReleasedFrontToBack) {
+  serve::SpscRing<int> ring(4);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(ring.TryPush(i));
+  std::vector<int> seen;
+  const std::size_t claimed = ring.TryConsumeBatch(
+      3, [&](serve::SpscRing<int>::Batch& batch) {
+        ASSERT_EQ(batch.size(), 3u);
+        // Read ahead of the front: every claimed cell holds its value.
+        EXPECT_EQ(batch[2], 2);
+        EXPECT_FALSE(ring.TryPush(4));  // the next cell is claimed
+        EXPECT_TRUE(ring.DiscardOldest());  // takes 3, not a claimed cell
+        EXPECT_FALSE(ring.DiscardOldest());
+        seen.push_back(batch[0]);
+        batch.ReleaseFront();
+        EXPECT_TRUE(ring.TryPush(4));  // cell 0 is back with the producer
+        EXPECT_FALSE(ring.TryPush(5));  // cell 1 is still claimed
+        seen.push_back(batch[1]);
+        seen.push_back(batch[2]);
+        // Cells left claimed are released when the callback returns.
+      });
+  EXPECT_EQ(claimed, 3u);
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2}));
+  EXPECT_TRUE(ring.TryPush(5));
+  EXPECT_TRUE(ring.TryPush(6));
+  std::vector<int> rest;
+  EXPECT_EQ(ring.TryConsumeBatch(8, [&](serve::SpscRing<int>::Batch& batch) {
+    for (std::size_t i = 0; i < batch.size(); ++i) rest.push_back(batch[i]);
+  }), 3u);
+  EXPECT_EQ(rest, (std::vector<int>{4, 5, 6}));
+  EXPECT_EQ(ring.TryConsumeBatch(8, [](serve::SpscRing<int>::Batch&) {
+    FAIL();
+  }), 0u);
+}
+
+// Batch claims against a drop-oldest producer on a small ring: the
+// consumer claims runs, reads each run ahead of the element it takes (as
+// the shard worker's prefetch does) and releases element by element. A
+// value read ahead is still there when its turn comes, values leave in push
+// order, none twice, and popped + discarded == pushed.
+TEST(SpscRing, ConcurrentBatchClaimAgainstDropOldest) {
+  serve::SpscRing<std::uint64_t> ring(8);
+  constexpr std::uint64_t kPushed = 50000;
+  std::atomic<bool> done{false};
+  std::vector<std::uint64_t> popped;
+  popped.reserve(kPushed);
+  std::uint64_t ahead_mismatches = 0;
+  std::thread consumer([&] {
+    const auto take = [&](serve::SpscRing<std::uint64_t>::Batch& batch) {
+      std::vector<std::uint64_t> ahead(batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) ahead[i] = batch[i];
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (batch[i] != ahead[i]) ++ahead_mismatches;
+        popped.push_back(batch[i]);
+        batch.ReleaseFront();
+      }
+    };
+    for (;;) {
+      if (ring.TryConsumeBatch(5, take) == 0 &&
+          done.load(std::memory_order_acquire)) {
+        while (ring.TryConsumeBatch(5, take) > 0) {
+        }
+        return;
+      }
+    }
+  });
+  std::uint64_t discarded = 0;
+  for (std::uint64_t v = 0; v < kPushed; ++v) {
+    while (!ring.TryPush(v)) {
+      if (ring.DiscardOldest()) ++discarded;
+    }
+  }
+  done.store(true, std::memory_order_release);
+  consumer.join();
+
+  EXPECT_EQ(ahead_mismatches, 0u);
+  std::set<std::uint64_t> unique(popped.begin(), popped.end());
+  EXPECT_EQ(unique.size(), popped.size());  // none popped twice
+  for (std::size_t i = 1; i < popped.size(); ++i) {
+    ASSERT_LT(popped[i - 1], popped[i]) << "at pop " << i;
+  }
+  EXPECT_EQ(popped.size() + discarded, kPushed);
+  EXPECT_GT(popped.size(), 0u);
+}
+
+// ---- FlatRoster -----------------------------------------------------------
+
+// `count` link ids (from 1 up) whose LinkHash shares its top `bits` bits
+// with the first one's, so they share one home slot at every roster
+// capacity up to 2^bits, and (shards > 1) that route to the same shard.
+std::vector<std::uint64_t> CollidingIds(std::size_t count, int bits,
+                                        std::uint64_t shards = 1) {
+  std::vector<std::uint64_t> ids;
+  const auto top = [bits](std::uint64_t id) {
+    return serve::LinkHash(id) >> (64 - bits);
+  };
+  for (std::uint64_t id = 1; ids.size() < count; ++id) {
+    if (ids.empty() ||
+        (top(id) == top(ids[0]) &&
+         serve::LinkHash(id) % shards == serve::LinkHash(ids[0]) % shards)) {
+      ids.push_back(id);
+    }
+  }
+  return ids;
+}
+
+// One probe run of colliding ids through two growths (16 -> 32 -> 64
+// slots), with ids homed inside the run behind it, then backward-shift
+// deletions from the run's front, middle and back: every present id stays
+// findable with its entry, no erased one is found, and no slot moves
+// before its home.
+TEST(FlatRoster, CollidingIdsSurviveGrowthAndBackwardShiftDeletion) {
+  const auto ids = CollidingIds(24, 10);
+  serve::FlatRoster roster;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    roster.Insert(ids[i], static_cast<std::uint32_t>(i));
+    for (std::size_t j = 0; j <= i; ++j) {
+      ASSERT_EQ(roster.Find(ids[j]), j) << "after inserting " << i;
+    }
+  }
+  EXPECT_EQ(roster.capacity(), 64u);
+  for (const auto id : ids) EXPECT_EQ(roster.Home(id), roster.Home(ids[0]));
+  // Ids homed one and two slots after the run's home land behind the run.
+  std::vector<std::uint64_t> neighbours;
+  for (std::uint64_t id = 1; neighbours.size() < 4; ++id) {
+    const std::size_t offset = (roster.Home(id) - roster.Home(ids[0])) & 63;
+    if (offset == 1 || offset == 2) neighbours.push_back(id);
+  }
+  for (std::size_t i = 0; i < neighbours.size(); ++i) {
+    roster.Insert(neighbours[i], static_cast<std::uint32_t>(100 + i));
+  }
+  std::vector<bool> present(ids.size(), true);
+  const auto check = [&] {
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+      ASSERT_EQ(roster.Find(ids[j]),
+                present[j] ? j : serve::FlatRoster::kNone)
+          << "id " << j;
+    }
+    for (std::size_t i = 0; i < neighbours.size(); ++i) {
+      ASSERT_EQ(roster.Find(neighbours[i]), 100 + i);
+    }
+  };
+  for (const std::size_t j : {0, 11, 23, 5, 6, 12, 1}) {
+    roster.Erase(ids[j]);
+    present[j] = false;
+    check();
+  }
+  EXPECT_EQ(roster.size(), ids.size() - 7 + neighbours.size());
+  roster.Erase(ids[0]);  // absent: a no-op
+  roster.Erase(999999);
+  EXPECT_EQ(roster.size(), ids.size() - 7 + neighbours.size());
+  for (const std::size_t j : {11, 0}) {
+    roster.Insert(ids[j], static_cast<std::uint32_t>(j));
+    present[j] = true;
+    check();
+  }
+  EXPECT_EQ(roster.capacity(), 64u);  // deletions never grew the table
+}
+
+// Long churn over heavily colliding and random ids against a reference
+// map: lookups always agree, and with no tombstones the table never grows
+// past what its peak population needs.
+TEST(FlatRoster, ChurnMatchesReferenceMapWithoutGrowing) {
+  auto pool = CollidingIds(48, 8);
+  Rng rng(2024);
+  for (int i = 0; i < 200; ++i) {
+    pool.push_back((static_cast<std::uint64_t>(rng.NextU32()) << 32) |
+                   rng.NextU32());
+  }
+  serve::FlatRoster roster;
+  std::unordered_map<std::uint64_t, std::uint32_t> reference;
+  for (std::uint32_t op = 0; op < 200000; ++op) {
+    const std::uint64_t id =
+        pool[static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<int>(pool.size()) - 1))];
+    if (reference.contains(id)) {
+      roster.Erase(id);
+      reference.erase(id);
+    } else if (reference.size() < 64) {
+      roster.Insert(id, op);
+      reference.emplace(id, op);
+    }
+    ASSERT_EQ(roster.size(), reference.size());
+    if (op % 4096 == 0) {
+      for (const auto probe : pool) {
+        const auto it = reference.find(probe);
+        ASSERT_EQ(roster.Find(probe),
+                  it == reference.end() ? serve::FlatRoster::kNone : it->second)
+            << "op " << op;
+      }
+    }
+  }
+  EXPECT_EQ(roster.capacity(), 128u);  // the 64-link peak, at half load
+}
+
+// The roster indexes with LinkHash's high bits: on a 2-shard core every id
+// of a shard has the same LinkHash low bit, yet its home slots cover odd
+// and even slots alike.
+TEST(FlatRoster, HighBitIndexSpreadsOneShardsIds) {
+  serve::FlatRoster roster;
+  std::size_t odd = 0;
+  std::uint32_t entry = 0;
+  for (std::uint64_t id = 0; entry < 512; ++id) {
+    if (serve::LinkHash(id) % 2 != 0) continue;
+    roster.Insert(id, entry++);
+  }
+  ASSERT_EQ(roster.capacity(), 1024u);
+  for (std::uint64_t id = 0, seen = 0; seen < 512; ++id) {
+    if (serve::LinkHash(id) % 2 != 0) continue;
+    ++seen;
+    odd += roster.Home(id) % 2;
+  }
+  EXPECT_GT(odd, 200u);
+  EXPECT_LT(odd, 312u);
 }
 
 // ---- Shared serving fixture ----------------------------------------------
@@ -342,27 +563,47 @@ TEST(ServeCore, RefusesMisShapedFrameWithoutAbort) {
   }
 }
 
-// A link whose pipeline throws is contained. With per-link calibration of
-// a baseline-scheme profile, the guard off and a hair-trigger ladder, a
-// frame with a NaN cell lands in the window the ladder swaps on (the
-// baseline's window statistic stays finite, so the window reads as quiet
-// evidence), and Detector::ApplyProfile refuses the poisoned staged profile
-// with a PreconditionError on the shard worker. The shard evicts and
-// counts that link (with the readmission cooldown) and keeps serving:
-// another link's decisions are exactly those of a run without the failing
-// link.
+// A link whose pipeline throws is contained. Submit checks a frame's shape
+// against the profile the frame names, but a resident link scores against
+// the profile it was admitted with: link 0, admitted on the fixture's
+// 3-antenna profile, receives frame 11 naming a 2-antenna profile (shaped
+// for it), and its unguarded engine throws a PreconditionError on the shard
+// worker. The shard evicts and counts that link (with the readmission
+// cooldown) and keeps serving: another link's decisions are exactly those
+// of a run without the failing link.
 TEST(ServeCore, ThrowingLinkIsEvictedAndTheShardKeepsServing) {
   auto& f = Fixture();
+  // A 2-antenna baseline profile, calibrated on the first two chains of an
+  // empty capture.
+  const auto two_chains = [](const wifi::CsiPacket& packet) {
+    wifi::CsiPacket out = packet;
+    out.csi = linalg::CMatrix(2, packet.NumSubcarriers());
+    for (std::size_t m = 0; m < 2; ++m) {
+      for (std::size_t k = 0; k < packet.NumSubcarriers(); ++k) {
+        out.csi.At(m, k) = packet.csi.At(m, k);
+      }
+    }
+    return out;
+  };
   Rng calibration_rng(912);
-  std::shared_ptr<const core::Detector> baseline;
-  std::vector<double> baseline_scores;
-  f.Calibrate(core::DetectionScheme::kBaseline, calibration_rng, baseline,
-              baseline_scores);
+  std::vector<wifi::CsiPacket> capture;
+  for (const auto& packet :
+       f.sim.CaptureSession(200, std::nullopt, calibration_rng)) {
+    capture.push_back(two_chains(packet));
+  }
+  core::DetectorConfig narrow_config;
+  narrow_config.scheme = core::DetectionScheme::kBaseline;
+  narrow_config.window_packets = 10;
+  narrow_config.music.num_sources = 1;  // MUSIC needs fewer sources than chains
+  const auto narrow = std::make_shared<const core::Detector>(
+      core::Detector::Calibrate(
+          capture, f.sim.band(),
+          wifi::UniformLinearArray(2, f.sim.array().spacing_m(),
+                                   f.sim.array().axis_angle_rad()),
+          narrow_config));
   const std::size_t frames = 40;
   const auto streams = f.Streams(2, frames);
-  auto poisoned = streams[0];
-  poisoned[11].csi.At(0, 0) =
-      Complex(std::numeric_limits<double>::quiet_NaN(), 0.0);
+  const wifi::CsiPacket misrouted = two_chains(streams[0][11]);
 
   struct Run {
     serve::ShardStats stats;
@@ -376,18 +617,15 @@ TEST(ServeCore, ThrowingLinkIsEvictedAndTheShardKeepsServing) {
     config.collect_decision_log = true;
     config.readmit_after_frames = 1000;  // barred for the rest of the run
     config.stream = f.Stream();
-    // Drift confirms on the first two quiet windows and one window of
-    // evidence swaps, so the third decision (frame 11) swaps.
-    config.stream.calibration.enabled = true;
-    config.stream.calibration.drift_score_fraction = 1e-6;
-    config.stream.calibration.drift_confirm_windows = 1;
-    config.stream.calibration.recalibration_quiet_windows = 1;
     serve::ServeCore core(config);
-    const auto profile = core.RegisterProfile(baseline, baseline_scores,
-                                              /*per_link_calibration=*/true);
+    const auto profile = core.RegisterProfile(f.detector, f.empty_scores);
+    const auto narrow_profile = core.RegisterProfile(narrow, {});
     core.Start();
     for (std::size_t p = 0; p < frames; ++p) {
-      if (with_failing_link) core.Submit(0, profile, poisoned[p]);
+      if (with_failing_link) {
+        EXPECT_TRUE(p == 11 ? core.Submit(0, narrow_profile, misrouted)
+                            : core.Submit(0, profile, streams[0][p]));
+      }
       core.Submit(1, profile, streams[1][p]);
     }
     core.Stop();
@@ -421,6 +659,130 @@ TEST(ServeCore, ThrowingLinkIsEvictedAndTheShardKeepsServing) {
     EXPECT_EQ(survivor[i].score, reference[i].score);
     EXPECT_EQ(survivor[i].posterior, reference[i].posterior);
     EXPECT_EQ(survivor[i].occupied, reference[i].occupied);
+  }
+}
+
+// Stop right after the producer filled a tiny ring under kBlock (every
+// Submit but the first few had to wait for the worker): Stop drains every
+// routed frame before the worker exits, and the decisions equal the
+// deterministic log of the same streams.
+TEST(ServeCore, StopWithFullRingUnderBlockDrainsEveryFrame) {
+  auto& f = Fixture();
+  const std::size_t links = 3;
+  const std::size_t frames = 40;
+  const auto streams = f.Streams(links, frames);
+
+  serve::ServeConfig config;
+  config.num_shards = 1;
+  config.queue_capacity = 2;
+  config.policy = serve::BackPressure::kBlock;
+  config.collect_decision_log = true;
+  config.stream = f.Stream();
+  serve::ServeCore core(config);
+  const auto profile = core.RegisterProfile(f.detector, f.empty_scores);
+  core.Start();
+  for (std::size_t p = 0; p < frames; ++p) {
+    for (std::size_t l = 0; l < links; ++l) {
+      ASSERT_TRUE(core.Submit(l, profile, streams[l][p]));
+    }
+  }
+  core.Stop();  // the last Submit left the ring full (or nearly so)
+
+  const auto stats = core.Stats();
+  EXPECT_EQ(stats[0].frames_routed, links * frames);
+  EXPECT_EQ(stats[0].frames_processed, links * frames);
+  EXPECT_EQ(stats[0].depth_samples, links * frames);
+  EXPECT_LE(stats[0].max_depth, 1u);  // at most one frame behind the claimed
+  const auto log = core.MergedDecisionLog();
+  const auto reference = RunDeterministic(f, streams, 1);
+  ASSERT_EQ(log.size(), reference.size());
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].link_id, reference[i].link_id);
+    EXPECT_EQ(log[i].decision.score, reference[i].decision.score);
+  }
+}
+
+// Health eviction while the demux waits in Drain: two links storm the
+// guard with NaN frames and are evicted (and readmitted after their
+// cooldown, and evicted again) by the worker between the Drain calls that
+// close every burst. Each Drain returns only when the burst is fully
+// processed, and the healthy links' decisions equal a run without the
+// stormy links. Under TSan this is the eviction/Drain race check.
+TEST(ServeCore, HealthEvictionRacingDrainKeepsAccounting) {
+  auto& f = Fixture();
+  const std::size_t frames = 120;
+  const auto clean = f.Streams(2, frames);
+  Rng rng(78);
+  std::vector<std::vector<wifi::CsiPacket>> stormy;
+  for (int l = 0; l < 2; ++l) {
+    stormy.push_back(f.sim.CaptureSession(frames, std::nullopt, rng));
+    for (std::size_t i = 0; i < frames; ++i) {
+      if (i % 3 != 0) {
+        stormy.back()[i].csi.At(0, 0) =
+            Complex(std::numeric_limits<double>::quiet_NaN(), 0.0);
+      }
+    }
+  }
+
+  struct Run {
+    std::vector<serve::ShardStats> stats;
+    std::vector<serve::DecisionRecord> log;
+  };
+  const auto run = [&](bool with_storm) {
+    serve::ServeConfig config;
+    config.num_shards = 2;
+    config.queue_capacity = 8;
+    config.policy = serve::BackPressure::kBlock;
+    config.collect_decision_log = true;
+    config.evict_unhealthy = true;
+    config.max_quarantine_ratio = 0.5;
+    config.health_check_min_frames = 9;
+    config.readmit_after_frames = 6;
+    config.stream = f.Stream();
+    config.stream.guard_enabled = true;
+    serve::ServeCore core(config);
+    const auto profile = core.RegisterProfile(f.detector, f.empty_scores);
+    core.Start();
+    std::uint64_t submitted = 0;
+    for (std::size_t burst = 0; burst < frames; burst += 10) {
+      for (std::size_t p = burst; p < burst + 10; ++p) {
+        for (std::uint64_t l = 0; l < 2; ++l) {
+          EXPECT_TRUE(core.Submit(l, profile, clean[l][p]));
+          ++submitted;
+          if (with_storm) {
+            EXPECT_TRUE(core.Submit(100 + l, profile, stormy[l][p]));
+            ++submitted;
+          }
+        }
+      }
+      core.Drain();
+      std::uint64_t processed = 0;
+      for (const auto& s : core.Stats()) processed += s.frames_processed;
+      EXPECT_EQ(processed, submitted) << "after burst " << burst;
+    }
+    core.Stop();
+    return Run{core.Stats(), core.MergedDecisionLog()};
+  };
+
+  const Run storm = run(true);
+  std::uint64_t evicted = 0, readmitted = 0;
+  for (const auto& s : storm.stats) {
+    evicted += s.links_evicted;
+    readmitted += s.links_readmitted;
+  }
+  EXPECT_GE(evicted, 4u);  // each stormy link at least twice
+  EXPECT_GE(readmitted, 2u);
+  const Run calm = run(false);
+  std::vector<serve::DecisionRecord> healthy;
+  for (const auto& record : storm.log) {
+    if (record.link_id < 100) healthy.push_back(record);
+  }
+  ASSERT_EQ(healthy.size(), calm.log.size());
+  for (std::size_t i = 0; i < healthy.size(); ++i) {
+    EXPECT_EQ(healthy[i].link_id, calm.log[i].link_id);
+    EXPECT_EQ(healthy[i].decision.score, calm.log[i].decision.score);
+    EXPECT_EQ(healthy[i].decision.timestamp_s,
+              calm.log[i].decision.timestamp_s);
   }
 }
 
@@ -499,6 +861,131 @@ TEST(ServeEviction, CapacityEvictsLruAndReadmitsFreely) {
   EXPECT_EQ(stats[0].links_evicted, 2u);
   EXPECT_EQ(stats[0].links_readmitted, 1u);
   EXPECT_GT(stats[0].decisions, decisions_before);
+}
+
+// Ids chosen to collide in one roster probe run behave exactly like any
+// other ids. Links arrive in bursts in a shuffled order; the roster cap (20)
+// forces LRU capacity evictions after the table has grown to 64 slots, and
+// two links storm the guard with NaN frames, so they are health-evicted,
+// barred for their cooldown and readmitted, while backward-shift deletions
+// keep moving the colliding entries. Run `ids` on `shards` shards and return
+// the summed stats and the log relabelled to link indices.
+struct ChurnRun {
+  serve::ShardStats total;
+  std::vector<serve::DecisionRecord> log;
+};
+
+// Link l's 60-frame stream, the same for every run (l = 3 and 17 storm).
+std::vector<std::vector<wifi::CsiPacket>> ChurnStreams(ServeFixture& f,
+                                                       std::size_t links) {
+  const std::size_t frames = 60;
+  auto stormy = f.Streams(links, frames);
+  for (const std::size_t l : {3, 17}) {
+    for (std::size_t i = 0; i < frames; ++i) {
+      if (i % 3 != 0) {
+        stormy[l][i].csi.At(0, 0) =
+            Complex(std::numeric_limits<double>::quiet_NaN(), 0.0);
+      }
+    }
+  }
+  return stormy;
+}
+
+ChurnRun RunChurn(ServeFixture& f,
+                  const std::vector<std::vector<wifi::CsiPacket>>& stormy,
+                  const std::vector<std::uint64_t>& ids, std::size_t shards,
+                  std::size_t max_resident) {
+  const std::size_t frames = stormy.front().size();
+  serve::ServeConfig config;
+  config.num_shards = shards;
+  config.queue_capacity = 16;
+  config.policy = serve::BackPressure::kBlock;
+  config.collect_decision_log = true;
+  config.max_resident_per_shard = max_resident;
+  config.evict_unhealthy = true;
+  config.health_check_min_frames = 9;
+  config.readmit_after_frames = 6;
+  config.stream = f.Stream();
+  config.stream.guard_enabled = true;
+  serve::ServeCore core(config);
+  const auto profile = core.RegisterProfile(f.detector, f.empty_scores);
+  core.Start();
+  Rng order(31);
+  for (std::size_t start = 0; start < frames; start += 5) {
+    for (const std::size_t l : order.Permutation(ids.size())) {
+      for (std::size_t p = start; p < start + 5; ++p) {
+        core.Submit(ids[l], profile, stormy[l][p]);
+      }
+    }
+  }
+  core.Stop();
+  ChurnRun run;
+  for (const auto& s : core.Stats()) {
+    run.total.frames_processed += s.frames_processed;
+    run.total.decisions += s.decisions;
+    run.total.links_admitted += s.links_admitted;
+    run.total.links_evicted += s.links_evicted;
+    run.total.links_readmitted += s.links_readmitted;
+    run.total.resident_links += s.resident_links;
+  }
+  std::unordered_map<std::uint64_t, std::uint64_t> index;
+  for (std::size_t l = 0; l < ids.size(); ++l) index[ids[l]] = l;
+  for (auto record : core.MergedDecisionLog()) {
+    record.link_id = index.at(record.link_id);
+    run.log.push_back(record);
+  }
+  std::stable_sort(run.log.begin(), run.log.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.link_id < b.link_id;
+                   });
+  return run;
+}
+
+void ExpectSameChurn(const ChurnRun& got, const ChurnRun& want) {
+  EXPECT_EQ(got.total.frames_processed, want.total.frames_processed);
+  EXPECT_EQ(got.total.decisions, want.total.decisions);
+  EXPECT_EQ(got.total.links_admitted, want.total.links_admitted);
+  EXPECT_EQ(got.total.links_evicted, want.total.links_evicted);
+  EXPECT_EQ(got.total.links_readmitted, want.total.links_readmitted);
+  EXPECT_EQ(got.total.resident_links, want.total.resident_links);
+  ASSERT_EQ(got.log.size(), want.log.size());
+  for (std::size_t i = 0; i < got.log.size(); ++i) {
+    EXPECT_EQ(got.log[i].link_id, want.log[i].link_id);
+    EXPECT_EQ(got.log[i].decision.score, want.log[i].decision.score);
+    EXPECT_EQ(got.log[i].decision.timestamp_s,
+              want.log[i].decision.timestamp_s);
+  }
+}
+
+std::vector<std::uint64_t> PlainIds(std::size_t count) {
+  std::vector<std::uint64_t> ids(count);
+  for (std::size_t l = 0; l < count; ++l) ids[l] = l;
+  return ids;
+}
+
+TEST(ServeEviction, CollidingIdsChurnThroughGrowthLikeAnyIds) {
+  auto& f = Fixture();
+  const auto streams = ChurnStreams(f, 30);
+  const ChurnRun got = RunChurn(f, streams, CollidingIds(30, 10), 1, 20);
+  const ChurnRun want = RunChurn(f, streams, PlainIds(30), 1, 20);
+  EXPECT_GT(want.total.links_evicted, 10u);  // LRU and health evictions
+  EXPECT_GT(want.total.links_readmitted, 10u);
+  EXPECT_EQ(want.total.resident_links, 20u);
+  ExpectSameChurn(got, want);
+}
+
+// Cooldown and readmission with every link on one shard of two and in one
+// probe run there: per-link decisions equal a one-shard run of plain ids
+// (no roster cap, so the shard topology does not matter).
+TEST(ServeEviction, CollidingIdsOnOneShardKeepCooldownAndReadmission) {
+  auto& f = Fixture();
+  const auto streams = ChurnStreams(f, 24);
+  const ChurnRun got =
+      RunChurn(f, streams, CollidingIds(24, 10, /*shards=*/2), 2, 0);
+  const ChurnRun want = RunChurn(f, streams, PlainIds(24), 1, 0);
+  EXPECT_EQ(want.total.links_evicted, 2u);  // each stormy link once
+  EXPECT_EQ(want.total.links_readmitted, 2u);  // and back after cooldown
+  ExpectSameChurn(got, want);
 }
 
 TEST(ServeEviction, QuarantineStormEvictsWithOwnFrameCooldown) {

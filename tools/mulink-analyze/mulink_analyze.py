@@ -70,9 +70,11 @@ stdout           Library code (src/**) may not write to stdout (std::cout,
                  take an std::ostream& are fine — the caller picks the sink.
 
 intrinsics       SIMD intrinsics (<immintrin.h>/<x86intrin.h> includes,
-                 _mm*_* calls, __m128/__m256/__m512 types) appear only in
-                 src/kernels, behind runtime dispatch with a scalar twin, so
-                 the scalar/AVX2 parity tests cover every vectorized path.
+                 _mm*_* calls — _mm_prefetch included — __m128/__m256/__m512
+                 types), __builtin_prefetch and inline asm appear only in
+                 src/kernels, behind runtime dispatch with a scalar twin (or,
+                 for cache hints, kernels::Prefetch), so the scalar/AVX2
+                 parity tests cover every vectorized path.
 
 Annotations (inside comments, so the compiler never sees them):
   // mulink-lint: allow(<tag>): reason     same or preceding line
@@ -175,6 +177,10 @@ DEFINE_RE = re.compile(r"#\s*define\b")
 INTRINSICS_INCLUDE_RE = re.compile(
     r"#\s*include\s*<((?:immintrin|x86intrin)\.h)>")
 INTRINSICS_CALL_RE = re.compile(r"_mm\d*_\w+")
+# Machine-level escapes that belong behind the kernel layer too: prefetch
+# builtins (kernels::Prefetch) and inline assembly.
+INTRINSICS_BUILTINS = frozenset(("__builtin_prefetch", "asm", "__asm",
+                                 "__asm__"))
 INTRINSICS_TYPE_RE = re.compile(r"__m(?:128|256|512)[di]?")
 
 
@@ -603,7 +609,8 @@ def _scan(tokens, atomic_vars, unordered_vars):
                 or (text in ("printf", "puts") and call):
             fact("stdout", text)
         elif (INTRINSICS_CALL_RE.fullmatch(text) and call) \
-                or INTRINSICS_TYPE_RE.fullmatch(text):
+                or INTRINSICS_TYPE_RE.fullmatch(text) \
+                or text in INTRINSICS_BUILTINS:
             fact("intrinsics", text)
 
         # Member calls: `.name(` / `->name(`.

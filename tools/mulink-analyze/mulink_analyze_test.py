@@ -616,6 +616,24 @@ class IntrinsicsRule(AnalyzeHarness):
             ("tools/x.cpp", self.VECTOR_FN, "tools/x.cpp:3"),
         ], "intrinsics")
 
+    PREFETCH_FN = ("void F(const Frame* f) {\n"
+                   "  __builtin_prefetch(f->csi, 0, 3);\n"
+                   "  _mm_prefetch(f->meta, _MM_HINT_T0);\n"
+                   "  asm volatile(\"prefetchw %0\" : : \"m\"(*f->slot));\n"
+                   "}\n")
+
+    def test_prefetch_and_asm_outside_kernels_fail(self):
+        self.assert_each_fails([
+            ("src/serve/serve.cpp", self.PREFETCH_FN, "src/serve/serve.cpp:2"),
+            ("src/serve/serve.cpp", self.PREFETCH_FN, "src/serve/serve.cpp:3"),
+            ("src/serve/serve.cpp", self.PREFETCH_FN, "src/serve/serve.cpp:4"),
+            ("bench/micro.cpp", self.PREFETCH_FN, "bench/micro.cpp:2"),
+        ], "intrinsics")
+
+    def test_prefetch_in_kernels_dir_is_exempt(self):
+        code, _, _ = self.analyze_tree({"src/kernels/kernels.h": self.PREFETCH_FN})
+        self.assertEqual(code, mulink_analyze.EXIT_CLEAN)
+
     def test_kernels_dir_is_exempt(self):
         code, _, _ = self.analyze_tree({
             "src/kernels/kernels_avx2.cpp":
