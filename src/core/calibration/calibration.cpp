@@ -243,10 +243,9 @@ void LinkCalibrator::Configure(const Detector& detector,
       detector.config().scheme ==
           DetectionScheme::kSubcarrierAndPathWeighting &&
       detector.num_antennas() >= 2;
-  wifi::CsiPacket slot;
-  slot.csi.Resize(detector.num_antennas(), detector.num_subcarriers());
+  staged_stride_ = 2 * detector.num_antennas() * detector.num_subcarriers();
   // mulink-lint: allow(alloc): Configure, setup path
-  staged_.assign(kStagedQuietPackets, slot);
+  staged_.assign(kStagedQuietPackets * staged_stride_, 0.0);
 }
 
 void LinkCalibrator::TransitionTo(LadderState next) {
@@ -306,25 +305,17 @@ bool LinkCalibrator::AgcRebaselineDue(
           state_ == LadderState::kDriftSuspected);
 }
 
-bool LinkCalibrator::NeedsWindowPackets(
-    const CalibrationWindowContext& context) const {
-  // Staging happens only in Recalibrating — already there, or entered by
-  // this decision's AGC re-baseline.
-  return config_.enabled &&
-         (state_ == LadderState::kRecalibrating || AgcRebaselineDue(context));
-}
-
 void LinkCalibrator::StageQuietPackets(
-    std::span<const wifi::CsiPacket> window) {
-  MULINK_REQUIRE(!window.empty(),
-                 "LinkCalibrator: staging needs the window's packets (see "
-                 "NeedsWindowPackets)");
+    std::span<const double* const> csi_slabs) {
+  MULINK_REQUIRE(!csi_slabs.empty(),
+                 "LinkCalibrator: staging needs the window's slabs");
   // Packets staged per quiet window (evenly spaced inside the window).
   constexpr std::size_t kStagedPacketsPerWindow = 4;
-  const std::size_t per = std::min(kStagedPacketsPerWindow, window.size());
+  const std::size_t per = std::min(kStagedPacketsPerWindow, csi_slabs.size());
   for (std::size_t i = 0; i < per; ++i) {
-    const std::size_t idx = i * window.size() / per;
-    staged_[staged_write_] = window[idx];  // copy-assign reuses CSI buffer
+    const std::size_t idx = i * csi_slabs.size() / per;
+    std::copy_n(csi_slabs[idx], staged_stride_,
+                staged_.data() + staged_write_ * staged_stride_);
     staged_write_ = (staged_write_ + 1) % kStagedQuietPackets;
     if (staged_count_ < kStagedQuietPackets) ++staged_count_;
   }
@@ -343,10 +334,10 @@ void LinkCalibrator::ApplySwap(Detector& detector, DetectorScratch& scratch) {
   detector.ApplyProfile(profile_posterior_.power(),
                         profile_posterior_.amplitude(),
                         profile_posterior_.variance());
+  const std::span<const double> staged(staged_.data(),
+                                       staged_count_ * staged_stride_);
   if (refresh_angular_ && staged_count_ >= 8) {
-    detector.RefreshAngularProfile(
-        std::span<const wifi::CsiPacket>(staged_.data(), staged_count_),
-        scratch);
+    detector.RefreshAngularProfile(staged, scratch);
     MULINK_OBS_COUNT(metrics, kProfileStackRebuilds);
   }
   // Re-anchor the operating point against the NEW profile. Every score in
@@ -356,12 +347,13 @@ void LinkCalibrator::ApplySwap(Detector& detector, DetectorScratch& scratch) {
   // re-widened false-positive corridor). Instead, score the staged quiet
   // packets under the freshly installed profile to measure the new quiet
   // level, rescale the posterior to the seeded prior's shape at that level,
-  // and re-apply the calibrated threshold margin relative to it.
+  // and re-apply the calibrated threshold margin relative to it. The staged
+  // slabs get their mu rows and stats back from the ingest map (the
+  // baseline's distances under the new profile).
   double rebased = 0.0;
   if (staged_count_ >= 2) {
-    rebased = detector.ScorePrepared(
-        std::span<const wifi::CsiPacket>(staged_.data(), staged_count_), {},
-        scratch);
+    rebased = detector.ScorePrepared(detector.PrepareSlabs(staged, scratch),
+                                     scratch);
   }
   scratch.metrics = scoring_sink;
   // Clamp the rebased level to [1, 1.5]x the calibration-time quiet mean.
@@ -438,7 +430,6 @@ void LinkCalibrator::ApplySwap(Detector& detector, DetectorScratch& scratch) {
 }
 
 bool LinkCalibrator::ObserveDecision(double score, double posterior,
-                                     std::span<const wifi::CsiPacket> window,
                                      std::span<const double* const> csi_slabs,
                                      Detector& detector,
                                      DetectorScratch& scratch,
@@ -555,7 +546,7 @@ bool LinkCalibrator::ObserveDecision(double score, double posterior,
       // The plane lives in the scoring scratch; it is consumed here, before
       // any swap below rescores staged packets through the same scratch.
       profile_posterior_.Observe(
-          FillPowerPlane(window, csi_slabs, detector.num_antennas(),
+          FillPowerPlane(csi_slabs, detector.num_antennas(),
                          detector.num_subcarriers(), scratch.power_plane),
           forgetting);
     }
@@ -622,7 +613,7 @@ bool LinkCalibrator::ObserveDecision(double score, double posterior,
         break;
       }
       case LadderState::kRecalibrating: {
-        StageQuietPackets(window);
+        StageQuietPackets(csi_slabs);
         if (++recal_collected_ >= config_.recalibration_quiet_windows) {
           ApplySwap(detector, scratch);
           swapped = true;

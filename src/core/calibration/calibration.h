@@ -54,7 +54,6 @@
 #include "core/detector.h"
 #include "nic/frame_guard.h"
 #include "obs/metrics.h"
-#include "wifi/csi.h"
 
 namespace mulink::core {
 
@@ -227,9 +226,9 @@ class ProfilePosterior {
   void SeedFrom(const Detector& detector);
 
   // Fold one quiet window in, given as its window-order power plane
-  // (FillPowerPlane of packets in the profile's sanitization state:
-  // sanitized for every scheme but the baseline). Each cell accumulates its
-  // column in window order. Allocation-free.
+  // (FillPowerPlane of slabs in the detector's input state: sanitized for
+  // every scheme but the baseline). Each cell accumulates its column in
+  // window order. Allocation-free.
   void Observe(std::span<const double> power_plane, double forgetting);
 
   double EffectiveWindows() const { return weight_; }
@@ -285,12 +284,12 @@ struct CalibrationWindowContext {
 // the decision scored.
 class LinkCalibrator {
  public:
-  // Quiet packets (in the detector's expected sanitization state) staged
-  // while Recalibrating. A swap scores them against the FRESHLY installed
-  // profile to re-anchor the posterior and threshold on the new operating
-  // point (the pre-swap scores were measured against the old profile and
-  // carry its scale), and — combined scheme only — feeds them to the
-  // angular-profile refresh. Cold-path cost.
+  // Quiet packets (their CSI in the detector's input state, copied from the
+  // window's slabs) staged while Recalibrating. A swap scores them against
+  // the FRESHLY installed profile to re-anchor the posterior and threshold
+  // on the new operating point (the pre-swap scores were measured against
+  // the old profile and carry its scale), and — combined scheme only —
+  // feeds them to the angular-profile refresh. Cold-path cost.
   static constexpr std::size_t kStagedQuietPackets = 32;
 
   LinkCalibrator() = default;
@@ -305,29 +304,19 @@ class LinkCalibrator {
 
   // Observe one emitted decision (clean or degraded) and run the ladder.
   // `score`/`posterior` are the decision's statistic and P(occupied). The
-  // scored window, in the detector's expected sanitization state, comes as
-  // its packets (`window`) and/or its ingest slabs (`csi_slabs`, one per
-  // packet in Detector::PreparedWindowFactors' layout): the profile
-  // posterior folds the window's power plane, built from the slabs when
-  // given, and only staging quiet packets needs the packets themselves —
-  // `window` may be empty unless NeedsWindowPackets(context). `detector` is
-  // mutated in place when a swap fires, and the swap borrows `scratch` —
-  // the link's scoring workspace, idle between windows — for the power
-  // plane, the angular refresh and rescoring the staged packets (it never
-  // writes scratch.sanitized or scratch.window, so `window` may live
-  // there). Returns true when a profile/threshold swap was applied this
-  // decision — the caller must then re-fit its HMM empty emission from
-  // quiet_log_mean/sigma().
+  // scored window comes as its slabs (`csi_slabs`, one per packet in
+  // Detector::PreparedWindowFactors' layout): the profile posterior folds
+  // the window's power plane, and staging copies a few packets' CSI rows.
+  // `detector` is mutated in place when a swap fires, and the swap borrows
+  // `scratch` — the link's scoring workspace, idle between windows — for
+  // the power plane, the angular refresh and rescoring the staged packets
+  // (in its slot block, so the slabs must not live there). Returns true
+  // when a profile/threshold swap was applied this decision — the caller
+  // must then re-fit its HMM empty emission from quiet_log_mean/sigma().
   bool ObserveDecision(double score, double posterior,
-                       std::span<const wifi::CsiPacket> window,
                        std::span<const double* const> csi_slabs,
                        Detector& detector, DetectorScratch& scratch,
                        const CalibrationWindowContext& context);
-
-  // Whether ObserveDecision may stage quiet packets from this decision's
-  // window (the ladder is Recalibrating, or this decision's AGC burst
-  // enters it), so the caller must pass the window's packets.
-  bool NeedsWindowPackets(const CalibrationWindowContext& context) const;
 
   LadderState state() const { return state_; }
   // The link's profile-drift flag (LinkHealth::profile_drift): set from
@@ -376,7 +365,7 @@ class LinkCalibrator {
   // Install the staged profile, threshold and angular refresh in place.
   void ApplySwap(Detector& detector, DetectorScratch& scratch)
       MULINK_REQUIRES(owner_role_);
-  void StageQuietPackets(std::span<const wifi::CsiPacket> window)
+  void StageQuietPackets(std::span<const double* const> csi_slabs)
       MULINK_REQUIRES(owner_role_);
 
   CalibrationConfig config_;
@@ -436,9 +425,11 @@ class LinkCalibrator {
 
   // Staged quiet packets for the post-swap re-anchor and angular refresh —
   // the shadow half of the double-buffered swap (the live half is the
-  // detector profile ApplySwap overwrites in place). Configure sizes every
-  // slot to the detector's shape; staging copy-assigns into them.
-  std::vector<wifi::CsiPacket> staged_ MULINK_GUARDED_BY(owner_role_);
+  // detector profile ApplySwap overwrites in place). One contiguous block
+  // of kStagedQuietPackets split CSI rows (staged_stride_ = 2 * antennas *
+  // subcarriers doubles each), sized by Configure; staging copies into it.
+  std::vector<double> staged_ MULINK_GUARDED_BY(owner_role_);
+  std::size_t staged_stride_ = 0;
   std::size_t staged_write_ MULINK_GUARDED_BY(owner_role_) = 0;
   std::size_t staged_count_ MULINK_GUARDED_BY(owner_role_) = 0;
 

@@ -30,31 +30,21 @@ std::uint64_t NextProfileVersion() {
 
 }  // namespace
 
-std::span<double> FillPowerPlane(std::span<const wifi::CsiPacket> window,
-                                 std::span<const double* const> csi_slabs,
+std::span<double> FillPowerPlane(std::span<const double* const> csi_slabs,
                                  std::size_t antennas, std::size_t subcarriers,
                                  std::vector<double>& plane) {
   const std::size_t cells = antennas * subcarriers;
-  const std::size_t rows = csi_slabs.empty() ? window.size() : csi_slabs.size();
+  const std::size_t rows = csi_slabs.size();
   if (plane.size() < rows * cells) {
     // mulink-lint: allow(alloc): grow-only; a shared scratch is pre-warmed
     plane.resize(rows * cells);
   }
   for (std::size_t i = 0; i < rows; ++i) {
     double* const out = plane.data() + i * cells;
-    if (!csi_slabs.empty()) {
-      const double* const re = csi_slabs[i];
-      const double* const im = re + cells;
-      for (std::size_t c = 0; c < cells; ++c) {
-        out[c] = re[c] * re[c] + im[c] * im[c];
-      }
-    } else {
-      MULINK_REQUIRE(window[i].csi.rows() * window[i].csi.cols() == cells,
-                     "FillPowerPlane: packet shape mismatch");
-      const Complex* const h = window[i].csi.raw();
-      for (std::size_t c = 0; c < cells; ++c) {
-        out[c] = h[c].real() * h[c].real() + h[c].imag() * h[c].imag();
-      }
+    const double* const re = csi_slabs[i];
+    const double* const im = re + cells;
+    for (std::size_t c = 0; c < cells; ++c) {
+      out[c] = re[c] * re[c] + im[c] * im[c];
     }
   }
   return {plane.data(), rows * cells};
@@ -183,24 +173,110 @@ double Detector::Score(const std::vector<wifi::CsiPacket>& window) const {
 
 double Detector::Score(std::span<const wifi::CsiPacket> window,
                        DetectorScratch& scratch) const {
-  return Dispatch(InputState(window, scratch), {}, scratch, FullAntennaMask(),
+  return Dispatch(PrepareWindow(window, scratch), scratch, FullAntennaMask(),
                   /*fallback=*/false);
 }
 
 double Detector::ScoreDegraded(std::span<const wifi::CsiPacket> window,
                                DetectorScratch& scratch,
                                std::uint32_t live_mask) const {
-  return Dispatch(InputState(window, scratch), {}, scratch, live_mask,
+  return Dispatch(PrepareWindow(window, scratch), scratch, live_mask,
                   /*fallback=*/true);
 }
 
-double Detector::ScorePrepared(std::span<const wifi::CsiPacket> window,
-                               const PreparedWindowFactors& factors,
+double Detector::ScorePrepared(const PreparedWindowFactors& factors,
                                DetectorScratch& scratch,
                                std::uint32_t live_mask) const {
   live_mask &= FullAntennaMask();
-  return Dispatch(window, factors, scratch, live_mask,
+  return Dispatch(factors, scratch, live_mask,
                   /*fallback=*/live_mask != FullAntennaMask());
+}
+
+double Detector::PrepareSlot(const wifi::CsiPacket& packet, double* slot,
+                             DetectorScratch& scratch) const {
+  double* const im = slot + num_antennas_ * num_subcarriers_;
+  if (UsesSanitizedInput()) {
+    // One pass from the raw frame into the slot: phase fit and rotation
+    // into the split rows.
+    SanitizePhaseSplitInto(packet, ingest_plan_, slot, im, scratch.sanitize);
+  } else {
+    for (std::size_t m = 0; m < num_antennas_; ++m) {
+      kernels::Deinterleave(packet.csi.raw() + m * num_subcarriers_,
+                            num_subcarriers_, slot + m * num_subcarriers_,
+                            im + m * num_subcarriers_);
+    }
+  }
+  return SlotStat(slot, scratch);
+}
+
+double Detector::SlotStat(double* slot, DetectorScratch& scratch) const {
+  if (!UsesSanitizedInput()) return BaselineDistance(slot, FullAntennaMask());
+  const std::size_t cells = num_antennas_ * num_subcarriers_;
+  const std::span<double> mu(slot + 2 * cells, num_subcarriers_);
+  MeasureMultipathFactorsSplitInto(slot, slot + cells, num_antennas_,
+                                   ingest_plan_.los_frac, mu);
+  return dsp::Median(mu, scratch.median_scratch);
+}
+
+Detector::PreparedWindowFactors Detector::SlotViews(
+    std::size_t rows, DetectorScratch& scratch) const {
+  const std::size_t stride = slot_stride();
+  if (scratch.slots.size() < rows * stride) {
+    // mulink-lint: allow(alloc): grow-only; a shared scratch is pre-warmed
+    scratch.slots.resize(rows * stride);
+  }
+  if (scratch.slot_stats.size() < rows) {
+    // mulink-lint: allow(alloc): grow-only; a shared scratch is pre-warmed
+    scratch.slot_csi.resize(rows);
+    // mulink-lint: allow(alloc): grow-only; a shared scratch is pre-warmed
+    scratch.slot_mu.resize(rows);
+    // mulink-lint: allow(alloc): grow-only; a shared scratch is pre-warmed
+    scratch.slot_stats.resize(rows);
+  }
+  const std::size_t csi_doubles = 2 * num_antennas_ * num_subcarriers_;
+  for (std::size_t i = 0; i < rows; ++i) {
+    scratch.slot_csi[i] = scratch.slots.data() + i * stride;
+    scratch.slot_mu[i] = scratch.slot_csi[i] + csi_doubles;
+  }
+  return {std::span<const double* const>(scratch.slot_csi).first(rows),
+          std::span<const double* const>(scratch.slot_mu).first(rows),
+          std::span<const double>(scratch.slot_stats).first(rows)};
+}
+
+Detector::PreparedWindowFactors Detector::PrepareWindow(
+    std::span<const wifi::CsiPacket> window, DetectorScratch& scratch) const {
+  MULINK_REQUIRE(!window.empty(), "Detector: empty window");
+  for (const auto& packet : window) {
+    MULINK_REQUIRE(packet.NumAntennas() == num_antennas_ &&
+                       packet.NumSubcarriers() == num_subcarriers_,
+                   "Detector: window dimensions mismatch calibration");
+  }
+  const PreparedWindowFactors factors = SlotViews(window.size(), scratch);
+  MULINK_OBS_STAGE_TIMER(timer,
+                         UsesSanitizedInput() ? scratch.metrics : nullptr,
+                         kIngestSanitize);
+  const std::size_t stride = slot_stride();
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    scratch.slot_stats[i] =
+        PrepareSlot(window[i], scratch.slots.data() + i * stride, scratch);
+  }
+  return factors;
+}
+
+Detector::PreparedWindowFactors Detector::PrepareSlabs(
+    std::span<const double> csi_rows, DetectorScratch& scratch) const {
+  const std::size_t csi_doubles = 2 * num_antennas_ * num_subcarriers_;
+  MULINK_REQUIRE(csi_rows.size() % csi_doubles == 0,
+                 "Detector::PrepareSlabs: slab shape mismatch");
+  const std::size_t rows = csi_rows.size() / csi_doubles;
+  const PreparedWindowFactors factors = SlotViews(rows, scratch);
+  const std::size_t stride = slot_stride();
+  for (std::size_t i = 0; i < rows; ++i) {
+    double* const slot = scratch.slots.data() + i * stride;
+    std::copy_n(csi_rows.data() + i * csi_doubles, csi_doubles, slot);
+    scratch.slot_stats[i] = SlotStat(slot, scratch);
+  }
+  return factors;
 }
 
 bool Detector::Detect(const std::vector<wifi::CsiPacket>& window) const {
@@ -215,89 +291,44 @@ std::uint32_t Detector::FullAntennaMask() const {
                              : ((1u << num_antennas_) - 1u);
 }
 
-std::span<const wifi::CsiPacket> Detector::InputState(
-    std::span<const wifi::CsiPacket> window, DetectorScratch& scratch) const {
-  if (!UsesSanitizedInput()) return window;
-  MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kIngestSanitize);
-  SanitizePhaseInto(window, ingest_plan_, scratch.sanitized, scratch.sanitize);
-  return scratch.sanitized;
-}
-
-double Detector::Dispatch(std::span<const wifi::CsiPacket> window,
-                          const PreparedWindowFactors& factors,
+double Detector::Dispatch(const PreparedWindowFactors& factors,
                           DetectorScratch& scratch, std::uint32_t live_mask,
                           bool fallback) const {
-  // The packets' stand-ins: with ingest-split slabs (sanitized schemes) or
-  // cached distances (baseline) the scheme never touches the window
-  // packets, so the caller may pass an empty window span.
-  const std::size_t stand_ins = UsesSanitizedInput()
-                                    ? factors.csi_slabs.size()
-                                    : factors.packet_scores.size();
-  const std::size_t packets = window.empty() ? stand_ins : window.size();
+  const std::size_t packets = factors.csi_slabs.size();
   MULINK_REQUIRE(packets > 0, "Detector: empty window");
-  MULINK_REQUIRE(window.empty() ||
-                     (window[0].NumAntennas() == num_antennas_ &&
-                      window[0].NumSubcarriers() == num_subcarriers_),
-                 "Detector: window dimensions mismatch calibration");
-  MULINK_REQUIRE(
-      (stand_ins == 0 || stand_ins == packets) &&
-          factors.medians.size() == factors.mu_rows.size() &&
-          (factors.mu_rows.empty() ? factors.csi_slabs.empty()
-                                   : factors.mu_rows.size() == packets),
-      "Detector: prepared factors/window size mismatch");
+  MULINK_REQUIRE(factors.mu_rows.size() == packets &&
+                     factors.stats.size() == packets,
+                 "Detector: prepared factors/window size mismatch");
   MULINK_REQUIRE((live_mask & FullAntennaMask()) != 0,
                  "Detector: no live antennas");
-  MULINK_REQUIRE(
-      factors.packet_scores.empty() || live_mask == FullAntennaMask(),
-      "Detector: cached baseline distances are full-mask only");
   MULINK_OBS_COUNT(scratch.metrics, kWindowsScored);
   switch (config_.scheme) {
-    case DetectionScheme::kBaseline: {  // the window is raw (see header)
+    case DetectionScheme::kBaseline: {
       MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kScore);
-      if (factors.packet_scores.empty()) {
-        return ScoreBaseline(window, live_mask);
-      }
-      // Same accumulation order and divisors as the full-mask ScoreBaseline
-      // (live == num_antennas_ there), so the fold is bit-identical.
-      const double live = static_cast<double>(num_antennas_);
-      double score = 0.0;
-      for (const double packet_score : factors.packet_scores) {
-        score += packet_score / live;
-      }
-      return score / static_cast<double>(packets);
+      return ScoreBaseline(factors, live_mask);
     }
     case DetectionScheme::kSubcarrierWeighting:
-      return ScoreSubcarrierWeighting(window, scratch, live_mask, factors);
+      return ScoreSubcarrierWeighting(factors, scratch, live_mask);
     case DetectionScheme::kSubcarrierAndPathWeighting:
       // MUSIC needs the full 3-element ULA; with a dead chain the angular
       // statistic is meaningless, so fall back to subcarrier-only
       // weighting over the live rows (decisions use fallback_threshold()).
       if (fallback) {
-        return ScoreSubcarrierWeighting(window, scratch, live_mask, factors);
+        return ScoreSubcarrierWeighting(factors, scratch, live_mask);
       }
-      return ScoreCombined(window, scratch, factors);
+      return ScoreCombined(factors, scratch);
     case DetectionScheme::kVarianceMobile:
-      return ScoreVarianceMobile(window, scratch, live_mask, factors);
+      return ScoreVarianceMobile(factors, scratch, live_mask);
   }
   return 0.0;
 }
 
-void Detector::ComputeWindowWeights(std::span<const wifi::CsiPacket> sanitized,
-                                    DetectorScratch& scratch,
-                                    const PreparedWindowFactors& factors)
-    const {
+void Detector::ComputeWindowWeights(const PreparedWindowFactors& factors,
+                                    DetectorScratch& scratch) const {
   MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kSubcarrierWeighting);
-  if (!factors.mu_rows.empty()) {
-    ComputeSubcarrierWeightsInto(factors.mu_rows, factors.medians,
-                                 num_subcarriers_, config_.weighting_mode,
-                                 scratch.weights);
-  } else {
-    MeasureMultipathFactorsInto(sanitized, ingest_plan_.los_frac, scratch.mu);
-    ComputeSubcarrierWeightsInto(
-        std::span<const std::vector<double>>(scratch.mu)
-            .first(sanitized.size()),
-        config_.weighting_mode, scratch.weights, scratch.median_scratch);
-  }
+  ComputeSubcarrierWeightsInto(factors.mu_rows, factors.stats,
+                               num_subcarriers_, config_.weighting_mode,
+                               scratch.weights);
 }
 
 void Detector::CalibrateThreshold(
@@ -336,71 +367,6 @@ void Detector::CalibrateThreshold(
   }
 }
 
-void Detector::UpdateProfile(const std::vector<wifi::CsiPacket>& empty_window,
-                             double alpha) {
-  MULINK_REQUIRE(alpha > 0.0 && alpha <= 1.0,
-                 "Detector::UpdateProfile: alpha must be in (0,1]");
-  MULINK_REQUIRE(!empty_window.empty(),
-                 "Detector::UpdateProfile: empty window");
-  MULINK_REQUIRE(empty_window[0].NumAntennas() == num_antennas_ &&
-                     empty_window[0].NumSubcarriers() == num_subcarriers_,
-                 "Detector::UpdateProfile: window shape mismatch");
-  std::vector<wifi::CsiPacket> sanitized;
-  {
-    SanitizeScratch scratch;
-    SanitizePhaseInto(std::span<const wifi::CsiPacket>(empty_window),
-                      ingest_plan_, sanitized, scratch);
-  }
-
-  double power_sum = 0.0, amp_sum = 0.0;
-  std::vector<double> powers(sanitized.size());
-  for (std::size_t m = 0; m < num_antennas_; ++m) {
-    for (std::size_t k = 0; k < num_subcarriers_; ++k) {
-      double mean_power = 0.0, mean_amp = 0.0;
-      for (std::size_t i = 0; i < sanitized.size(); ++i) {
-        powers[i] = sanitized[i].SubcarrierPower(m, k);
-        mean_power += powers[i];
-        mean_amp += std::sqrt(powers[i]);
-      }
-      mean_power /= static_cast<double>(sanitized.size());
-      mean_amp /= static_cast<double>(sanitized.size());
-      profile_power_[m][k] =
-          (1.0 - alpha) * profile_power_[m][k] + alpha * mean_power;
-      profile_amplitude_[m][k] =
-          (1.0 - alpha) * profile_amplitude_[m][k] + alpha * mean_amp;
-      if (sanitized.size() >= 2) {
-        profile_variance_[m][k] =
-            (1.0 - alpha) * profile_variance_[m][k] +
-            alpha * dsp::Variance(powers);
-      }
-      power_sum += profile_power_[m][k];
-      amp_sum += profile_amplitude_[m][k];
-    }
-  }
-  profile_scale_power_ =
-      power_sum / static_cast<double>(num_antennas_ * num_subcarriers_);
-  profile_scale_amplitude_ =
-      amp_sum / static_cast<double>(num_antennas_ * num_subcarriers_);
-  profile_epoch_ = NextProfileVersion();
-
-  // Rotate a slice of the retained calibration packets (oldest first) so the
-  // combined scheme's angular profile follows the environment.
-  if (!retained_calibration_.empty()) {
-    const std::size_t replace = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               alpha * static_cast<double>(retained_calibration_.size())));
-    for (std::size_t i = 0; i < replace && i < sanitized.size(); ++i) {
-      retained_calibration_[retained_rotation_ %
-                            retained_calibration_.size()] = sanitized[i];
-      ++retained_rotation_;
-    }
-    if (num_antennas_ >= 2) {
-      DetectorScratch scratch;
-      RebuildAngularProfile(scratch);
-    }
-  }
-}
-
 void Detector::ApplyProfile(std::span<const double> power,
                             std::span<const double> amplitude,
                             std::span<const double> variance) {
@@ -431,14 +397,14 @@ void Detector::ApplyProfile(std::span<const double> power,
   profile_epoch_ = NextProfileVersion();
 }
 
-void Detector::RefreshAngularProfile(std::span<const wifi::CsiPacket> staged,
+void Detector::RefreshAngularProfile(std::span<const double> staged,
                                      DetectorScratch& scratch) {
   if (staged.empty() || retained_calibration_.empty() || num_antennas_ < 2) {
     return;
   }
-  MULINK_REQUIRE(staged[0].NumAntennas() == num_antennas_ &&
-                     staged[0].NumSubcarriers() == num_subcarriers_,
-                 "Detector::RefreshAngularProfile: packet shape mismatch");
+  const std::size_t cells = num_antennas_ * num_subcarriers_;
+  MULINK_REQUIRE(staged.size() % (2 * cells) == 0,
+                 "Detector::RefreshAngularProfile: slab shape mismatch");
   // Re-anchor the retained packets onto the ACTIVE profile's per-cell
   // amplitude before rotating the staged slice in. The rotation below only
   // replaces a fraction of the set, and both the pseudospectrum and the
@@ -465,12 +431,16 @@ void Detector::RefreshAngularProfile(std::span<const wifi::CsiPacket> staged,
     }
   }
   const std::size_t rotate =
-      std::min(staged.size(), retained_calibration_.size());
+      std::min(staged.size() / (2 * cells), retained_calibration_.size());
   for (std::size_t i = 0; i < rotate; ++i) {
-    // Copy-assign reuses the slot's CSI buffer; the rotation cursor keeps
-    // replacing the oldest retained packets first, like UpdateProfile.
-    retained_calibration_[retained_rotation_ %
-                          retained_calibration_.size()] = staged[i];
+    // Re-interleave into the retained packet's CSI buffer; the rotation
+    // cursor keeps replacing the oldest retained packets first.
+    Complex* const h = retained_calibration_[retained_rotation_ %
+                                             retained_calibration_.size()]
+                           .csi.raw();
+    const double* const re = staged.data() + i * 2 * cells;
+    const double* const im = re + cells;
+    for (std::size_t c = 0; c < cells; ++c) h[c] = Complex(re[c], im[c]);
     ++retained_rotation_;
   }
   RebuildAngularProfile(scratch);
@@ -497,46 +467,17 @@ void Detector::RebuildAngularProfile(DetectorScratch& scratch) {
   }
 }
 
-double Detector::ScoreBaseline(std::span<const wifi::CsiPacket> window,
-                               std::uint32_t live_mask) const {
-  // The paper's baseline is the naive per-packet Euclidean distance of CSI
-  // amplitudes against the profile (the prior-work recipe its evaluation
-  // compares against). Averaging the *distances* rather than the CSI keeps
-  // the per-packet noise floor inside the statistic — which is exactly why
-  // this baseline loses weak/faraway targets. The statistic is a
-  // per-antenna average, so restricting it to the live rows of a degraded
-  // window preserves its scale (and the calibrated threshold).
-  const std::size_t live = static_cast<std::size_t>(
-      std::popcount(live_mask & FullAntennaMask()));
-  double score = 0.0;
-  for (const auto& packet : window) {
-    double packet_score = 0.0;
-    for (std::size_t m = 0; m < num_antennas_; ++m) {
-      if (((live_mask >> m) & 1u) == 0) continue;
-      double sum_sq = 0.0;
-      for (std::size_t k = 0; k < num_subcarriers_; ++k) {
-        const double amp = std::sqrt(packet.SubcarrierPower(m, k));
-        const double diff =
-            (amp - profile_amplitude_[m][k]) / profile_scale_amplitude_;
-        sum_sq += diff * diff;
-      }
-      packet_score += std::sqrt(sum_sq);
-    }
-    score += packet_score / static_cast<double>(live);
-  }
-  return score / static_cast<double>(window.size());
-}
-
-double Detector::BaselinePacketScore(const wifi::CsiPacket& packet) const {
-  // Exactly one full-mask iteration of ScoreBaseline's packet loop: the
-  // antennas accumulate in index order and the per-antenna subcarrier walk
-  // is unchanged, so folding these values (Dispatch, packet_scores)
-  // reproduces ScoreBaseline bit for bit.
+double Detector::BaselineDistance(const double* slab,
+                                  std::uint32_t live_mask) const {
+  // |h|^2 = re*re + im*im, CsiPacket::SubcarrierPower's bits.
+  const double* const im = slab + num_antennas_ * num_subcarriers_;
   double packet_score = 0.0;
   for (std::size_t m = 0; m < num_antennas_; ++m) {
+    if (((live_mask >> m) & 1u) == 0) continue;
     double sum_sq = 0.0;
     for (std::size_t k = 0; k < num_subcarriers_; ++k) {
-      const double amp = std::sqrt(packet.SubcarrierPower(m, k));
+      const std::size_t c = m * num_subcarriers_ + k;
+      const double amp = std::sqrt(slab[c] * slab[c] + im[c] * im[c]);
       const double diff =
           (amp - profile_amplitude_[m][k]) / profile_scale_amplitude_;
       sum_sq += diff * diff;
@@ -546,15 +487,38 @@ double Detector::BaselinePacketScore(const wifi::CsiPacket& packet) const {
   return packet_score;
 }
 
-void Detector::ComputeCellStats(std::span<const wifi::CsiPacket> sanitized,
-                                DetectorScratch& scratch,
-                                const PreparedWindowFactors& factors,
-                                bool spread) const {
+double Detector::ScoreBaseline(const PreparedWindowFactors& factors,
+                               std::uint32_t live_mask) const {
+  // The paper's baseline is the naive per-packet Euclidean distance of CSI
+  // amplitudes against the profile (the prior-work recipe its evaluation
+  // compares against). Averaging the *distances* rather than the CSI keeps
+  // the per-packet noise floor inside the statistic — which is exactly why
+  // this baseline loses weak/faraway targets. The statistic is a
+  // per-antenna average, so restricting it to the live rows of a degraded
+  // window preserves its scale (and the calibrated threshold). A full-mask
+  // window folds the slots' prepared distances; a degraded one walks the
+  // live rows of the slabs.
+  const std::uint32_t full = FullAntennaMask();
+  const bool full_mask = (live_mask & full) == full;
+  const std::size_t live =
+      static_cast<std::size_t>(std::popcount(live_mask & full));
+  const std::size_t packets = factors.csi_slabs.size();
+  double score = 0.0;
+  for (std::size_t i = 0; i < packets; ++i) {
+    const double packet_score =
+        full_mask ? factors.stats[i]
+                  : BaselineDistance(factors.csi_slabs[i], live_mask);
+    score += packet_score / static_cast<double>(live);
+  }
+  return score / static_cast<double>(packets);
+}
+
+void Detector::ComputeCellStats(const PreparedWindowFactors& factors,
+                                DetectorScratch& scratch, bool spread) const {
   const std::size_t cells = num_antennas_ * num_subcarriers_;
-  const std::span<double> plane = FillPowerPlane(
-      sanitized,
-      factors.csi_slabs,
-      num_antennas_, num_subcarriers_, scratch.power_plane);
+  const std::span<double> plane =
+      FillPowerPlane(factors.csi_slabs, num_antennas_, num_subcarriers_,
+                     scratch.power_plane);
   const std::size_t rows = plane.size() / cells;
   auto& center = scratch.cell_center;
   auto& spread_out = scratch.cell_spread;
@@ -591,12 +555,12 @@ void Detector::ComputeCellStats(std::span<const wifi::CsiPacket> sanitized,
   for (std::size_t c = 0; c < cells; ++c) spread_out[c] /= n;
 }
 
-double Detector::ScoreSubcarrierWeighting(
-    std::span<const wifi::CsiPacket> sanitized, DetectorScratch& scratch,
-    std::uint32_t live_mask, const PreparedWindowFactors& factors) const {
-  ComputeWindowWeights(sanitized, scratch, factors);
+double Detector::ScoreSubcarrierWeighting(const PreparedWindowFactors& factors,
+                                          DetectorScratch& scratch,
+                                          std::uint32_t live_mask) const {
+  ComputeWindowWeights(factors, scratch);
   MULINK_OBS_STAGE_TIMER(score_timer, scratch.metrics, kScore);
-  ComputeCellStats(sanitized, scratch, factors, /*spread=*/false);
+  ComputeCellStats(factors, scratch, /*spread=*/false);
   const auto& weights = scratch.weights;
   const double* const window_power = scratch.cell_center.data();
 
@@ -630,17 +594,14 @@ double Detector::ScoreSubcarrierWeighting(
   return score / static_cast<double>(live);
 }
 
-double Detector::ScoreVarianceMobile(
-    std::span<const wifi::CsiPacket> sanitized, DetectorScratch& scratch,
-    std::uint32_t live_mask, const PreparedWindowFactors& factors) const {
-  const std::size_t packets = factors.csi_slabs.empty()
-                                  ? sanitized.size()
-                                  : factors.csi_slabs.size();
-  MULINK_REQUIRE(packets >= 2,
+double Detector::ScoreVarianceMobile(const PreparedWindowFactors& factors,
+                                     DetectorScratch& scratch,
+                                     std::uint32_t live_mask) const {
+  MULINK_REQUIRE(factors.csi_slabs.size() >= 2,
                  "Detector: variance statistic needs >= 2 packets");
-  ComputeWindowWeights(sanitized, scratch, factors);
+  ComputeWindowWeights(factors, scratch);
   MULINK_OBS_STAGE_TIMER(score_timer, scratch.metrics, kScore);
-  ComputeCellStats(sanitized, scratch, factors, /*spread=*/true);
+  ComputeCellStats(factors, scratch, /*spread=*/true);
   const auto& weights = scratch.weights;
   const double* const spread = scratch.cell_spread.data();
   const double uniform = 1.0 / static_cast<double>(num_subcarriers_);
@@ -676,12 +637,11 @@ double Detector::ScoreVarianceMobile(
   return score / static_cast<double>(live);
 }
 
-double Detector::ScoreCombined(std::span<const wifi::CsiPacket> sanitized,
-                               DetectorScratch& scratch,
-                               const PreparedWindowFactors& factors) const {
+double Detector::ScoreCombined(const PreparedWindowFactors& factors,
+                               DetectorScratch& scratch) const {
   MULINK_REQUIRE(num_antennas_ >= 2,
                  "Detector: combined scheme needs >= 2 antennas");
-  ComputeWindowWeights(sanitized, scratch, factors);
+  ComputeWindowWeights(factors, scratch);
   const auto& weights = scratch.weights;
 
   // Same monitoring-stage subcarrier weights applied to both sides — valid
@@ -692,15 +652,9 @@ double Detector::ScoreCombined(std::span<const wifi::CsiPacket> sanitized,
   auto& profile_cov = scratch.profile_cov;
   {
     MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kMusicPathWeighting);
-    if (!factors.csi_slabs.empty()) {
-      // Ingest-split slabs: same bytes, no per-window re-deinterleave.
-      SampleCovarianceSlabsInto(factors.csi_slabs, num_antennas_,
-                                num_subcarriers_, weights.weights,
-                                monitor_cov, scratch.music);
-    } else {
-      SampleCovarianceInto(std::span<const wifi::CsiPacket>(sanitized),
-                           weights.weights, monitor_cov, scratch.music);
-    }
+    SampleCovarianceSlabsInto(factors.csi_slabs, num_antennas_,
+                              num_subcarriers_, weights.weights, monitor_cov,
+                              scratch.music);
     // The profile side is a *fixed* packet set scored against per-window
     // weights: its per-subcarrier covariance stack is built with the
     // profile, so each window only re-combines it.

@@ -101,10 +101,14 @@ struct DetectorScratch {
   // Recording never changes a score.
   obs::Registry* metrics = nullptr;
   SanitizeScratch sanitize;
-  std::vector<wifi::CsiPacket> sanitized;
-  // SensingEngine's rebuilt window (grow-only; see there).
-  std::vector<wifi::CsiPacket> window;
-  std::vector<std::vector<double>> mu;
+  // The detector's own slot block (Detector::PrepareSlabs, and Score on a
+  // raw window): one ingest slot per packet, slot_stride() doubles each,
+  // plus the window-order views and stats handed to the scheme body.
+  // Grow-only, so a shared scratch keeps the largest window's capacity.
+  std::vector<double> slots;
+  std::vector<const double*> slot_csi;
+  std::vector<const double*> slot_mu;
+  std::vector<double> slot_stats;
   SubcarrierWeights weights;
   std::vector<double> median_scratch;
   // Window-order power plane (FillPowerPlane; grow-only, so a shared
@@ -128,33 +132,31 @@ struct DetectorScratch {
 // Fill `plane` with a window's power plane, row-major rows x cells, window
 // order: row i holds packet i's |h|^2 = re*re + im*im for each (antenna,
 // subcarrier) cell, antenna-major (cells = antennas * subcarriers; one lane
-// per cell). Read from `csi_slabs` when given — one per window packet, in
-// kernels::Deinterleave's layout (re rows then im rows) — else from
-// `window`'s packets; the slabs are exact copies, so both sources give the
-// same bits, and those bits are CsiPacket::SubcarrierPower's. `plane` only
-// grows. Returns the filled rows * cells prefix.
-std::span<double> FillPowerPlane(std::span<const wifi::CsiPacket> window,
-                                 std::span<const double* const> csi_slabs,
+// per cell), read from `csi_slabs` — one per window packet, in
+// kernels::Deinterleave's layout (re rows then im rows). The slabs are exact
+// copies of the packets' CSI, so the bits are CsiPacket::SubcarrierPower's.
+// `plane` only grows. Returns the filled rows * cells prefix.
+std::span<double> FillPowerPlane(std::span<const double* const> csi_slabs,
                                  std::size_t antennas, std::size_t subcarriers,
                                  std::vector<double>& plane);
 
-// Scoring surface (every entry is bit-identical to the others on the same
-// packets — sanitization, mu extraction and the baseline's per-packet
-// distance are deterministic per-packet maps, so computing them at ingest
-// instead of per window changes no bits):
+// Scoring surface. The detector is one per-packet map followed by window
+// folds: PrepareSlot turns a packet into an ingest slot (the split CSI in
+// the detector's input state, its mu row, and one per-packet statistic),
+// and one body per scheme folds a window of slots. Every entry runs that
+// same map and that same body, so all of them are bit-identical on the
+// same packets:
 //  * Score          — the offline statistic of a raw window (two overloads;
 //                     the span one is allocation-free on a warm scratch).
+//                     Prepares the window into the scratch's slot block.
 //  * ScoreDegraded  — the offline dead-chain statistic over the live rows:
 //                     the raw-window reference for degraded decisions, and
 //                     at full mask the combined scheme's fallback statistic
 //                     CalibrateThreshold derives fallback_threshold() from.
 //  * Detect         — Score against the operating threshold.
-//  * ScorePrepared  — the engine's entry: a window already in the
-//                     detector's input state plus whatever SensingEngine
-//                     prepared at ingest (slabs, mu rows, baseline
-//                     distances), primary or degraded by its live mask.
-// BaselinePacketScore is the per-packet map behind the baseline's prepared
-// distances.
+//  * ScorePrepared  — a window of slots already prepared (SensingEngine's
+//                     ring, or PrepareSlabs), primary or degraded by its
+//                     live mask.
 class Detector {
  public:
   // Build a detector from an empty-room calibration session. Requires >= 2
@@ -188,56 +190,65 @@ class Detector {
 
   bool Detect(const std::vector<wifi::CsiPacket>& window) const;
 
-  // Per-packet values a caller prepared at ingest, all in window order.
-  // Any subset may be empty; the scheme reads a prepared value in place of
-  // re-deriving it from the window packets.
+  // A window of ingest slots, in window order, one entry per packet.
   struct PreparedWindowFactors {
-    // Sanitized schemes: mu_rows[m] points at packet m's num_subcarriers()
-    // multipath factors (MeasureMultipathFactorsInto's values) and
-    // medians[m] is that row's cross-subcarrier median (dsp::Median's).
-    std::span<const double* const> mu_rows;
-    std::span<const double> medians;
-    // Sanitized schemes: ingest-split CSI slabs, one per packet
-    // (antenna-major re rows then im rows, exactly kernels::Deinterleave's
-    // bytes — see SampleCovarianceSlabsInto). With them, every sanitized
-    // statistic reads these instead of the packets — the combined scheme's
-    // monitor covariance, the amplitude schemes' power plane — so the
-    // window span may be empty. Requires mu_rows.
+    // The packet's CSI in the detector's input state, split antenna-major:
+    // re rows then im rows, exactly kernels::Deinterleave's bytes (see
+    // SampleCovarianceSlabsInto).
     std::span<const double* const> csi_slabs;
-    // Baseline: BaselinePacketScore of each raw packet under the current
-    // profile_epoch(). Full-mask windows only; the window may then be
-    // empty.
-    std::span<const double> packet_scores;
+    // The packet's num_subcarriers() multipath factors
+    // (MeasureMultipathFactorsSplitInto's values; only sanitized schemes
+    // read them).
+    std::span<const double* const> mu_rows;
+    // SlotStat's value: the mu row's cross-subcarrier median (dsp::Median's),
+    // or the baseline's full-mask distance under the current
+    // profile_epoch().
+    std::span<const double> stats;
   };
 
-  // Score a window already in the detector's input state (phase-sanitized
-  // exactly as SanitizePhaseInto would, or raw for the baseline — see
-  // UsesSanitizedInput), reading `factors` in place of re-deriving them. A
-  // `live_mask` short of FullAntennaMask() scores ScoreDegraded's statistic
-  // over the live rows; otherwise (the default) Score's.
-  MULINK_HOT double ScorePrepared(std::span<const wifi::CsiPacket> window,
-                                  const PreparedWindowFactors& factors,
+  // Score a window of prepared slots. A `live_mask` short of
+  // FullAntennaMask() scores ScoreDegraded's statistic over the live rows;
+  // otherwise (the default) Score's.
+  MULINK_HOT double ScorePrepared(const PreparedWindowFactors& factors,
                                   DetectorScratch& scratch,
                                   std::uint32_t live_mask = ~0u) const;
 
-  // Per-packet contribution to the baseline statistic: the full-mask inner
-  // body of ScoreBaseline (sum over antennas of the normalized amplitude
-  // distance to the profile). A deterministic per-packet map of the RAW
-  // packet, so ingest paths cache one double per ring slot and fold the
-  // window's statistic through PreparedWindowFactors::packet_scores
-  // instead of re-walking window_packets x antennas x subcarriers every
-  // hop. Values are tied to profile_epoch(): a profile rewrite invalidates
-  // them.
-  MULINK_HOT double BaselinePacketScore(const wifi::CsiPacket& packet) const;
+  // The per-packet ingest map. Writes `packet` into `slot` (slot_stride()
+  // doubles) in the detector's input state — phase-sanitized, or raw for
+  // the baseline — split antenna-major (re rows, then im rows), and returns
+  // SlotStat(slot). The packet must have the calibrated shape.
+  MULINK_HOT double PrepareSlot(const wifi::CsiPacket& packet, double* slot,
+                                DetectorScratch& scratch) const;
+
+  // The slot's per-packet statistic, from its CSI rows. Sanitized schemes
+  // write the packet's mu row after the CSI rows and return its median. The
+  // baseline returns the packet's full-mask amplitude distance to the
+  // profile (the sum over antennas of the normalized distance), which is
+  // tied to profile_epoch(): a profile rewrite makes it stale, and callers
+  // that keep slots recompute it from the slot.
+  MULINK_HOT double SlotStat(double* slot, DetectorScratch& scratch) const;
+
+  // Doubles per ingest slot: 2 * antennas * subcarriers CSI values, then
+  // the mu row.
+  std::size_t slot_stride() const {
+    return (2 * num_antennas_ + 1) * num_subcarriers_;
+  }
+
+  // Prepare `csi_rows` — consecutive split CSI blocks of 2 * antennas *
+  // subcarriers doubles, already in the input state (the ladder's staged
+  // quiet packets) — into scratch's slot block: copy each block into a slot
+  // and compute its SlotStat under the current profile. The returned views
+  // point into the scratch until its next use.
+  PreparedWindowFactors PrepareSlabs(std::span<const double> csi_rows,
+                                     DetectorScratch& scratch) const;
 
   // Monotonic epoch of the amplitude profile the baseline statistic reads;
-  // bumped by Calibrate, UpdateProfile and ApplyProfile. Caches of
-  // BaselinePacketScore stamped with an older epoch must recompute.
+  // bumped by Calibrate and ApplyProfile. Baseline stats computed under an
+  // older epoch must be recomputed.
   std::uint64_t profile_epoch() const { return profile_epoch_; }
 
-  // Whether Score sanitizes its input (every scheme except the baseline,
-  // which is amplitude-only). When false, callers must not pre-sanitize —
-  // feed raw windows to ScorePrepared.
+  // Whether the input state is phase-sanitized (every scheme except the
+  // baseline, which is amplitude-only and reads the raw CSI).
   bool UsesSanitizedInput() const {
     return config_.scheme != DetectionScheme::kBaseline;
   }
@@ -272,18 +283,9 @@ class Detector {
   void CalibrateThreshold(
       const std::vector<std::vector<wifi::CsiPacket>>& empty_windows);
 
-  // Closed-loop drift compensation for long deployments: blend a window the
-  // deployment believes is empty (e.g. HMM posterior ~0 for minutes) into
-  // the static profile with EWMA weight alpha. Keeps slow AGC/TX-power and
-  // furniture drift from inflating false positives between manual
-  // recalibrations (the paper's campaign spanned two weeks). A subset of
-  // the retained calibration packets is rotated out so the combined
-  // scheme's angular profile tracks too.
-  void UpdateProfile(const std::vector<wifi::CsiPacket>& empty_window,
-                     double alpha = 0.05);
-
-  // In-place recalibration entry points for core/calibration's ladder. Both
-  // run between windows, never mid-score — the caller owns that contract.
+  // In-place recalibration entry points for core/calibration's ladder, the
+  // closed-loop drift compensation of long deployments. Both run between
+  // windows, never mid-score — the caller owns that contract.
   //
   // Overwrite the static profile with posterior means (flattened row-major
   // [antenna][subcarrier] spans) and re-derive the normalization scales.
@@ -293,14 +295,17 @@ class Detector {
                     std::span<const double> amplitude,
                     std::span<const double> variance);
 
-  // Rotate staged sanitized quiet packets into the retained calibration set
-  // (oldest first, reusing each slot's CSI buffer) and recompute the static
-  // pseudospectrum, the Eq. 17 path weights and the profile covariance
-  // stack in place, so the combined scheme's angular profile follows the
-  // recalibrated environment. `scratch` lends the MUSIC workspace (the
-  // link's scoring scratch, idle between windows); with it warm the refresh
-  // allocates nothing. No-op for single-antenna links or an empty `staged`.
-  void RefreshAngularProfile(std::span<const wifi::CsiPacket> staged,
+  // Rotate staged sanitized quiet packets — consecutive split CSI blocks
+  // of 2 * antennas * subcarriers doubles, as PrepareSlabs takes them —
+  // into the retained calibration set (oldest first, re-interleaved into
+  // each retained packet's CSI buffer, an exact copy) and recompute the
+  // static pseudospectrum, the Eq. 17 path weights and the profile
+  // covariance stack in place, so the combined scheme's angular profile
+  // follows the recalibrated environment. `scratch` lends the MUSIC
+  // workspace (the link's scoring scratch, idle between windows); with it
+  // warm the refresh allocates nothing. No-op for single-antenna links or
+  // an empty `staged`.
+  void RefreshAngularProfile(std::span<const double> staged,
                              DetectorScratch& scratch);
 
   // Calibrated shape (rows / columns of every CSI matrix this detector
@@ -337,48 +342,44 @@ class Detector {
   // buffers, with `scratch` as the MUSIC workspace. Needs >= 2 antennas.
   void RebuildAngularProfile(DetectorScratch& scratch);
 
-  // `window` in the detector's input state: phase-sanitized into
-  // scratch.sanitized, or the raw window itself for the baseline.
-  std::span<const wifi::CsiPacket> InputState(
-      std::span<const wifi::CsiPacket> window, DetectorScratch& scratch) const;
-  // Every scoring entry's one body: checks the window against the
-  // calibration and the factors, counts it, and runs the scheme's statistic
-  // over the antennas in live_mask (the full mask reproduces the clean
-  // statistic bit for bit). `fallback` selects the combined scheme's
-  // degraded statistic.
-  double Dispatch(std::span<const wifi::CsiPacket> window,
-                  const PreparedWindowFactors& factors,
+  // Size scratch's slot block for `rows` slots and point its views at them.
+  PreparedWindowFactors SlotViews(std::size_t rows,
+                                  DetectorScratch& scratch) const;
+  // A raw window through PrepareSlot into scratch's slot block (shape
+  // checked per packet).
+  PreparedWindowFactors PrepareWindow(std::span<const wifi::CsiPacket> window,
+                                      DetectorScratch& scratch) const;
+  // Every scoring entry's one body: checks the factors, counts the window,
+  // and runs the scheme's statistic over the antennas in live_mask (the
+  // full mask reproduces the clean statistic bit for bit). `fallback`
+  // selects the combined scheme's degraded statistic.
+  double Dispatch(const PreparedWindowFactors& factors,
                   DetectorScratch& scratch, std::uint32_t live_mask,
                   bool fallback) const;
-  // The scheme bodies below take a window in the input state and read the
-  // prepared factors in place of its packets where given.
-  double ScoreBaseline(std::span<const wifi::CsiPacket> window,
+  // The baseline's per-packet distance over the antennas in live_mask, from
+  // a slot's raw CSI rows.
+  double BaselineDistance(const double* slab, std::uint32_t live_mask) const;
+  // The scheme bodies below fold a window of prepared slots.
+  double ScoreBaseline(const PreparedWindowFactors& factors,
                        std::uint32_t live_mask) const;
-  // Eq. 13–15 window weights into scratch.weights — from the prepared
-  // per-packet factors when given, else measured from the sanitized window.
-  void ComputeWindowWeights(std::span<const wifi::CsiPacket> sanitized,
-                            DetectorScratch& scratch,
-                            const PreparedWindowFactors& factors) const;
-  // Fill the window's power plane (from factors.csi_slabs when set, else
-  // the packets) and read the per-cell window power into
+  // Eq. 13–15 window weights into scratch.weights.
+  void ComputeWindowWeights(const PreparedWindowFactors& factors,
+                            DetectorScratch& scratch) const;
+  // Fill the window's power plane and read the per-cell window power into
   // scratch.cell_center — plus, with `spread`, the variance-mobile spread
   // into scratch.cell_spread: medians and MADs under
   // robust_window_aggregate (kernels::ColumnMedians), else dsp::Mean /
   // dsp::Variance's values, accumulated in their order.
-  void ComputeCellStats(std::span<const wifi::CsiPacket> sanitized,
-                        DetectorScratch& scratch,
-                        const PreparedWindowFactors& factors,
-                        bool spread) const;
-  double ScoreSubcarrierWeighting(std::span<const wifi::CsiPacket> sanitized,
+  void ComputeCellStats(const PreparedWindowFactors& factors,
+                        DetectorScratch& scratch, bool spread) const;
+  double ScoreSubcarrierWeighting(const PreparedWindowFactors& factors,
                                   DetectorScratch& scratch,
-                                  std::uint32_t live_mask,
-                                  const PreparedWindowFactors& factors) const;
-  double ScoreCombined(std::span<const wifi::CsiPacket> sanitized,
-                       DetectorScratch& scratch,
-                       const PreparedWindowFactors& factors) const;
-  double ScoreVarianceMobile(std::span<const wifi::CsiPacket> sanitized,
-                             DetectorScratch& scratch, std::uint32_t live_mask,
-                             const PreparedWindowFactors& factors) const;
+                                  std::uint32_t live_mask) const;
+  double ScoreCombined(const PreparedWindowFactors& factors,
+                       DetectorScratch& scratch) const;
+  double ScoreVarianceMobile(const PreparedWindowFactors& factors,
+                             DetectorScratch& scratch,
+                             std::uint32_t live_mask) const;
 
   wifi::BandPlan band_;
   IngestPlan ingest_plan_;

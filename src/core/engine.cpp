@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/assert.h"
-#include "dsp/stats.h"
 #include "kernels/kernels.h"
 
 namespace mulink::core {
@@ -58,7 +57,7 @@ struct SensingEngine::LinkState {
     // One flat block for the ring: at fleet scale the window read is the
     // dominant cold-memory cost of a decision, and one sequential run
     // streams far better than scattered heap blocks.
-    slot_stride = (2 * num_antennas + 1) * num_subcarriers;
+    slot_stride = view->slot_stride();
     // mulink-lint: allow(alloc): ctor, setup path
     slabs.resize(config.window_packets * slot_stride, 0.0);
     // mulink-lint: allow(alloc): ctor, setup path
@@ -73,11 +72,11 @@ struct SensingEngine::LinkState {
 
   const Detector& det() const { return *view; }
 
-  // Guard, ring, hop, score, HMM and ladder for one packet. The
-  // per-packet maps are computed ONCE on ingest (phase sanitize + multipath
-  // factors for sanitized schemes, the amplitude distance for the
-  // baseline), so overlapping windows reuse window-hop rows instead of
-  // re-deriving all window_packets of them.
+  // Guard, ring, hop, score, HMM and ladder for one packet. The detector's
+  // per-packet ingest map runs ONCE per packet, straight into its ring slot
+  // (phase sanitize + multipath factors for sanitized schemes, the
+  // amplitude distance for the baseline), so overlapping windows reuse
+  // window-hop rows instead of re-deriving all window_packets of them.
   std::optional<PresenceDecision> Push(const wifi::CsiPacket& packet) {
     const Detector& detector = det();
     obs::Registry* const sink = metrics_on ? &metrics : nullptr;
@@ -96,32 +95,12 @@ struct SensingEngine::LinkState {
       count = 0;
       packets_since_decision = 0;
     }
-    SlotMeta& meta = slot_meta[write_pos];
-    meta = {packet.timestamp_s, packet.rssi_db, packet.sequence, 0.0,
-            detector.profile_epoch()};
-    // The slot keeps the CSI split antenna-major (re rows then im rows,
-    // exactly kernels::Deinterleave's bytes): the covariance planes
-    // assemble from it by memcpy, and RebuildWindow re-interleaves it
-    // exactly.
-    double* const slab = Slab(write_pos);
-    double* const slab_im = slab + num_antennas * num_subcarriers;
-    if (pre_sanitize) {
-      // One pass from the raw frame into the slot: phase fit, rotation
-      // into the split rows, mu from those rows, and the row median.
-      MULINK_OBS_STAGE_TIMER(timer, timed, kIngestSanitize);
-      const IngestPlan& plan = detector.ingest_plan();
-      SanitizePhaseSplitInto(packet, plan, slab, slab_im, scratch->sanitize);
-      const std::span<double> mu(MuRow(slab), num_subcarriers);
-      MeasureMultipathFactorsSplitInto(slab, slab_im, num_antennas,
-                                       plan.los_frac, mu);
-      meta.stat = dsp::Median(mu, scratch->median_scratch);
-    } else {
-      meta.stat = detector.BaselinePacketScore(packet);
-      for (std::size_t m = 0; m < num_antennas; ++m) {
-        kernels::Deinterleave(packet.csi.raw() + m * num_subcarriers,
-                              num_subcarriers, slab + m * num_subcarriers,
-                              slab_im + m * num_subcarriers);
-      }
+    {
+      MULINK_OBS_STAGE_TIMER(timer, pre_sanitize ? timed : nullptr,
+                             kIngestSanitize);
+      slot_meta[write_pos] = {
+          detector.PrepareSlot(packet, Slab(write_pos), *scratch),
+          detector.profile_epoch()};
     }
     write_pos = (write_pos + 1) % config.window_packets;
     if (count < config.window_packets) ++count;
@@ -157,30 +136,17 @@ struct SensingEngine::LinkState {
     const bool degraded_window =
         live_mask != full_mask && detector.has_threshold();
     const std::uint32_t scored_mask = degraded_window ? live_mask : full_mask;
-    // Prepared windows, bit-identical to scoring the packets (each score
-    // equals Score, or ScoreDegraded, of the raw window): sanitized schemes
-    // read the slabs and the ingest mu rows, full-mask baseline windows
-    // fold the cached distances. Only the baseline slow path rebuilds the
-    // packets here; else the span stays empty so nothing stale can leak in.
-    const bool baseline_fast = !pre_sanitize && scored_mask == full_mask &&
-                               BaselineCacheFresh(detector.profile_epoch());
-    std::span<const wifi::CsiPacket> window_span =
-        !pre_sanitize && !baseline_fast ? RebuildWindow()
-                                        : std::span<const wifi::CsiPacket>();
+    // The ring's slots are the window, bit-identical to scoring the packets
+    // (each score equals Score, or ScoreDegraded, of the raw window).
+    if (!pre_sanitize) RestampStaleDistances(detector);
     for (std::size_t i = 0; i < config.window_packets; ++i) {
       const std::size_t slot = (write_pos + i) % config.window_packets;
       csi_window[i] = Slab(slot);
       mu_window[i] = MuRow(Slab(slot));
       stat_window[i] = slot_meta[slot].stat;
     }
-    Detector::PreparedWindowFactors factors;
-    if (pre_sanitize) {
-      factors = {mu_window, stat_window, csi_window, {}};
-    } else if (baseline_fast) {
-      factors.packet_scores = stat_window;
-    }
-    decision.score =
-        detector.ScorePrepared(window_span, factors, *scratch, scored_mask);
+    decision.score = detector.ScorePrepared(
+        {csi_window, mu_window, stat_window}, *scratch, scored_mask);
 
     if (degraded_window) {
       decision.occupied = decision.score >= detector.fallback_threshold();
@@ -207,17 +173,11 @@ struct SensingEngine::LinkState {
       context.degraded = decision.degraded;
       context.repaired_frames = repaired_since_decision;
       context.agc_frames = agc_frames_since_decision;
-      // The slabs hold packets in the detector's expected sanitization
-      // state (sanitized on ingest iff the scheme consumes sanitized
-      // windows), so the posteriors learn from them directly; the packets
-      // are rebuilt only when the ladder may stage some. Calibration
-      // requires an owned detector (enforced in the ctor).
-      if (window_span.empty() && calibrator.NeedsWindowPackets(context)) {
-        window_span = RebuildWindow();
-      }
+      // The ladder learns from (and stages) the window's slabs.
+      // Calibration requires an owned detector (enforced in the ctor).
       calibrator.ObserveDecision(decision.score, decision.posterior,
-                                 window_span, csi_window, *owned_detector,
-                                 *scratch, context);
+                                 csi_window, *owned_detector, *scratch,
+                                 context);
       if (hmm.has_value()) {
         // Pin the HMM's empty emission to the live quiet posterior every
         // window, not just after a profile swap: the posterior absorbs slow
@@ -308,40 +268,15 @@ struct SensingEngine::LinkState {
     return slab + 2 * num_antennas * num_subcarriers;
   }
 
-  // The window, oldest first, re-interleaved from the slabs into the
-  // scratch (an exact copy of the stored packets). Reshaping keeps links of
-  // other shapes that share the buffer from leaking into it.
-  std::span<const wifi::CsiPacket> RebuildWindow() {
-    std::vector<wifi::CsiPacket>& window = scratch->window;
-    if (window.size() < config.window_packets) {
-      // mulink-lint: allow(alloc): grow-only; a shared scratch is pre-warmed
-      window.resize(config.window_packets);
+  // A baseline slot's distance belongs to the profile epoch it was computed
+  // under. A ladder swap (ApplyProfile) bumps the epoch; the slots ingested
+  // before it get their distances recomputed in place from their slabs.
+  void RestampStaleDistances(const Detector& detector) {
+    const std::uint64_t epoch = detector.profile_epoch();
+    for (std::size_t slot = 0; slot < config.window_packets; ++slot) {
+      if (slot_meta[slot].epoch == epoch) continue;
+      slot_meta[slot] = {detector.SlotStat(Slab(slot), *scratch), epoch};
     }
-    const std::size_t cells = num_antennas * num_subcarriers;
-    for (std::size_t i = 0; i < config.window_packets; ++i) {
-      const std::size_t slot = (write_pos + i) % config.window_packets;
-      wifi::CsiPacket& out = window[i];
-      if (out.csi.rows() != num_antennas || out.csi.cols() != num_subcarriers) {
-        out.csi.Resize(num_antennas, num_subcarriers);
-      }
-      const double* const re = Slab(slot);
-      for (std::size_t j = 0; j < cells; ++j) {
-        out.csi.raw()[j] = Complex(re[j], re[cells + j]);
-      }
-      out.timestamp_s = slot_meta[slot].timestamp_s;
-      out.rssi_db = slot_meta[slot].rssi_db;
-      out.sequence = slot_meta[slot].sequence;
-    }
-    return {window.data(), config.window_packets};
-  }
-
-  // True when every cached baseline distance in the (full) ring was
-  // computed against the detector's current amplitude profile. A ladder
-  // swap (ApplyProfile/UpdateProfile) bumps the epoch, which falls back to
-  // full window rescoring until the ring refills with fresh stamps.
-  bool BaselineCacheFresh(std::uint64_t epoch) const {
-    return std::all_of(slot_meta.begin(), slot_meta.end(),
-                       [epoch](const SlotMeta& m) { return m.epoch == epoch; });
   }
 
   void Reset() {
@@ -404,17 +339,14 @@ struct SensingEngine::LinkState {
   // ---- ingest-hot block: with config's first line, the guard and the
   // metrics shard's first line, what a frame that completes no window
   // touches (kept together so Prefetch(kState) warms few lines) ----
-  // Sanitize on ingest only when the scheme consumes sanitized windows (the
-  // amplitude-only baseline must see raw packets).
+  // The detector's input state is sanitized (every scheme but the
+  // amplitude-only baseline, whose slot stats are profile distances).
   bool pre_sanitize = false;
   bool metrics_on = true;
-  // The window ring: slot_stride doubles per slot — the stored packet's CSI
-  // split antenna-major (num_antennas re rows, then im rows) and its mu row
-  // — plus the metadata RebuildWindow restores and one cached scalar.
-  // Sanitized schemes store the sanitized packet, the baseline the raw one.
+  // The window ring: one Detector::PrepareSlot slot per packet
+  // (slot_stride doubles — the packet's CSI split antenna-major in the
+  // detector's input state, then its mu row) plus its SlotStat.
   struct SlotMeta {
-    double timestamp_s, rssi_db;
-    std::uint64_t sequence;
     double stat;          // the mu row's median, or the baseline distance
     std::uint64_t epoch;  // profile epoch the baseline distance belongs to
   };
@@ -502,14 +434,7 @@ void SensingEngine::WarmSharedScratch(const LinkState& link) {
   DetectorScratch& scratch = *shared_scratch_;
   const std::size_t cells =
       detector.num_antennas() * detector.num_subcarriers();
-  bool grew = scratch.window.size() < link.config.window_packets;
-  // mulink-lint: allow(alloc): AddLink, setup path
-  if (grew) scratch.window.resize(link.config.window_packets);
-  for (auto& packet : scratch.window) {
-    if (packet.csi.rows() * packet.csi.cols() >= cells) continue;
-    packet.csi.Resize(detector.num_antennas(), detector.num_subcarriers());
-    grew = true;
-  }
+  bool grew = false;
   // Power planes: a window, or a ladder swap rescoring a staging ring.
   const std::size_t rescored =
       link.calibrator.enabled()
@@ -526,6 +451,14 @@ void SensingEngine::WarmSharedScratch(const LinkState& link) {
     scratch.cell_center.resize(cells);
     // mulink-lint: allow(alloc): AddLink, setup path
     scratch.cell_spread.resize(cells);
+    grew = true;
+  }
+  // A swap prepares its staged rows in the detector's slot block: a block
+  // too small for a staging ring re-runs the swap rehearsal below, which
+  // prepares one.
+  if (link.calibrator.enabled() &&
+      (scratch.slot_stats.size() < rescored ||
+       scratch.slots.size() < rescored * detector.slot_stride())) {
     grew = true;
   }
   if (link.pre_sanitize) {
@@ -555,7 +488,7 @@ void SensingEngine::WarmSharedScratch(const LinkState& link) {
       link.calibrator.enabled() && (!swap_warmed_ || grew);
   if (!rehearse_decision && !rehearse_swap) return;
   // The rehearsals below score retained calibration packets with the sink
-  // muted — they are not scored windows.
+  // muted — they are not scored windows, and their values are discarded.
   scratch.metrics = nullptr;
   const auto retained = detector.retained_calibration();
   if (rehearse_decision) {
@@ -563,18 +496,25 @@ void SensingEngine::WarmSharedScratch(const LinkState& link) {
     // and steering table then exist before any link of it decides.
     const auto window =
         retained.first(std::min(retained.size(), link.config.window_packets));
-    if (window.size() >= 2) (void)detector.ScorePrepared(window, {}, scratch);
+    if (window.size() >= 2) (void)detector.Score(window, scratch);
     rehearsed_schemes_ |= scheme_bit;
   }
   if (!rehearse_swap) return;
   // Rehearse a ladder swap on a throwaway copy: the MUSIC refresh over the
-  // retained set, then rescoring up to a window (or a staging ring) of
-  // quiet packets.
+  // retained set, then rescoring a window (or a staging ring) of quiet
+  // packets, staged as the ladder stages them — split CSI rows, here
+  // cycled from the retained packets.
   Detector probe(detector);
-  const auto staged = retained.first(std::min(retained.size(), rescored));
-  if (staged.size() >= 2) {
-    probe.RefreshAngularProfile(staged, scratch);
-    (void)probe.ScorePrepared(staged, {}, scratch);
+  if (retained.size() >= 2) {
+    // mulink-lint: allow(alloc): AddLink, setup path
+    std::vector<double> rows(rescored * 2 * cells);
+    for (std::size_t i = 0; i < rescored; ++i) {
+      double* const re = rows.data() + i * 2 * cells;
+      kernels::Deinterleave(retained[i % retained.size()].csi.raw(), cells,
+                            re, re + cells);
+    }
+    probe.RefreshAngularProfile(rows, scratch);
+    (void)probe.ScorePrepared(probe.PrepareSlabs(rows, scratch), scratch);
   }
   swap_warmed_ = true;
 }

@@ -4,12 +4,17 @@
 // One SensingEngine owns one LinkState per monitored link; it is the only
 // per-link pipeline. A LinkState keeps everything the link needs between
 // batches — the calibrated Detector (static profile, Eq. 15/17 weights,
-// threshold), the frame guard, the window ring of CSI slabs (packets are
-// rebuilt from it in the scratch when needed), the HMM state, the
-// degraded-mode state, the calibration ladder (the one owner of
+// threshold), the frame guard, the window ring of ingest slots, the HMM
+// state, the degraded-mode state, the calibration ladder (the one owner of
 // profile-drift detection) and every scratch buffer of the scoring
 // pipeline — so, once warm, ProcessBatch turns CSI packets into decisions
 // without heap allocations.
+//
+// One window form: each packet goes through the detector's per-packet
+// ingest map (Detector::PrepareSlot) once, straight into its ring slot, and
+// every decision — clean or degraded, any scheme — scores the ring's slots
+// through Detector::ScorePrepared. The calibration ladder learns from and
+// stages those slots too; no packet is rebuilt on the decision path.
 //
 // Fleet mode (src/serve): links that share a channel configuration can be
 // registered against one immutable shared Detector (AddLink shared_ptr

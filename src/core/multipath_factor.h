@@ -54,9 +54,8 @@ std::vector<std::vector<double>> MeasureMultipathFactors(
     const std::vector<wifi::CsiPacket>& packets, const wifi::BandPlan& band);
 
 // Scratch variant over a window: rows [0, packets.size()) of `out` receive
-// the factors. `out` only grows, so a shorter window (the ladder's staged
-// rescoring on a shared scratch) keeps the rows a full window reuses; read
-// the first packets.size() rows.
+// the factors. `out` only grows, so a shorter window keeps the rows a
+// longer one reuses; read the first packets.size() rows.
 void MeasureMultipathFactorsInto(std::span<const wifi::CsiPacket> packets,
                                  std::span<const double> los_frac,
                                  std::vector<std::vector<double>>& out);

@@ -102,40 +102,18 @@ linalg::CMatrix SampleCovariance(const std::vector<wifi::CsiPacket>& packets,
   return r;
 }
 
-void SampleCovarianceInto(std::span<const wifi::CsiPacket> packets,
-                          std::span<const double> weights, linalg::CMatrix& out,
-                          MusicWorkspace& ws) {
-  MULINK_REQUIRE(!packets.empty(), "SampleCovariance: need >= 1 packet");
-  const std::size_t num_ant = packets[0].NumAntennas();
-  const std::size_t num_sc = packets[0].NumSubcarriers();
-  MULINK_REQUIRE(num_ant >= 2, "SampleCovariance: need >= 2 antennas");
-  MULINK_REQUIRE(weights.empty() || weights.size() == num_sc,
-                 "SampleCovariance: weights size mismatch");
+namespace {
 
-  out.Resize(num_ant, num_ant);
-
-  // Pack the window into split-complex SoA planes (plane m = antenna m,
-  // packet-major) and the per-lane replicated weight plane, then hand the
-  // whole reduction to the covariance kernel. Subcarriers with w <= 0 stay
-  // in the planes with weight 0 — an exact multiply-by-zero no-op that
-  // keeps the lanes dense for SIMD.
-  const std::size_t num_pk = packets.size();
-  const std::size_t n = num_pk * num_sc;
-  ws.plane_re.Ensure(num_ant * n);
-  ws.plane_im.Ensure(num_ant * n);
-  ws.w_rep.Ensure(n);
-  for (std::size_t p = 0; p < num_pk; ++p) {
-    const auto& packet = packets[p];
-    MULINK_REQUIRE(packet.NumAntennas() == num_ant &&
-                       packet.NumSubcarriers() == num_sc,
-                   "SampleCovariance: inconsistent packet dimensions");
-    const Complex* csi = packet.csi.raw();
-    for (std::size_t m = 0; m < num_ant; ++m) {
-      kernels::Deinterleave(csi + m * num_sc, num_sc,
-                            ws.plane_re.data() + m * n + p * num_sc,
-                            ws.plane_im.data() + m * n + p * num_sc);
-    }
-  }
+// The weighted reduction both covariance entry points end in, once they
+// have packed the window into ws.plane_re / ws.plane_im (plane m = antenna
+// m, packet-major, num_pk * num_sc lanes): replicate the clipped weights
+// across every packet's lanes, run the covariance kernel and normalize by
+// the total weight. Subcarriers with w <= 0 stay in the planes with weight
+// 0 — an exact multiply-by-zero no-op that keeps the lanes dense for SIMD.
+void WeightedCovarianceOfPlanes(std::size_t num_ant, std::size_t num_sc,
+                                std::size_t num_pk,
+                                std::span<const double> weights,
+                                linalg::CMatrix& out, MusicWorkspace& ws) {
   double weight_sum = 0.0;
   for (std::size_t k = 0; k < num_sc; ++k) {
     const double w = weights.empty() ? 1.0 : weights[k];
@@ -148,10 +126,51 @@ void SampleCovarianceInto(std::span<const wifi::CsiPacket> packets,
                 num_sc * sizeof(double));
   }
   MULINK_REQUIRE(weight_sum > 0.0, "SampleCovariance: all weights are zero");
+  out.Resize(num_ant, num_ant);
   kernels::WeightedCovariance(ws.plane_re.data(), ws.plane_im.data(), num_ant,
-                              n, ws.w_rep.data(), out.raw());
+                              num_pk * num_sc, ws.w_rep.data(), out.raw());
   const double total_weight = weight_sum * static_cast<double>(num_pk);
   out *= Complex(1.0 / total_weight, 0.0);
+}
+
+// Checks shared by both entry points; sizes the planes for num_pk packets.
+void PreparePlanes(std::size_t num_ant, std::size_t num_sc, std::size_t num_pk,
+                   std::span<const double> weights, MusicWorkspace& ws) {
+  MULINK_REQUIRE(num_pk > 0, "SampleCovariance: need >= 1 packet");
+  MULINK_REQUIRE(num_ant >= 2, "SampleCovariance: need >= 2 antennas");
+  MULINK_REQUIRE(weights.empty() || weights.size() == num_sc,
+                 "SampleCovariance: weights size mismatch");
+  const std::size_t n = num_pk * num_sc;
+  ws.plane_re.Ensure(num_ant * n);
+  ws.plane_im.Ensure(num_ant * n);
+  ws.w_rep.Ensure(n);
+}
+
+}  // namespace
+
+void SampleCovarianceInto(std::span<const wifi::CsiPacket> packets,
+                          std::span<const double> weights, linalg::CMatrix& out,
+                          MusicWorkspace& ws) {
+  MULINK_REQUIRE(!packets.empty(), "SampleCovariance: need >= 1 packet");
+  const std::size_t num_ant = packets[0].NumAntennas();
+  const std::size_t num_sc = packets[0].NumSubcarriers();
+  const std::size_t num_pk = packets.size();
+  PreparePlanes(num_ant, num_sc, num_pk, weights, ws);
+  // Deinterleave each packet's antenna rows into the planes.
+  const std::size_t n = num_pk * num_sc;
+  for (std::size_t p = 0; p < num_pk; ++p) {
+    const auto& packet = packets[p];
+    MULINK_REQUIRE(packet.NumAntennas() == num_ant &&
+                       packet.NumSubcarriers() == num_sc,
+                   "SampleCovariance: inconsistent packet dimensions");
+    const Complex* csi = packet.csi.raw();
+    for (std::size_t m = 0; m < num_ant; ++m) {
+      kernels::Deinterleave(csi + m * num_sc, num_sc,
+                            ws.plane_re.data() + m * n + p * num_sc,
+                            ws.plane_im.data() + m * n + p * num_sc);
+    }
+  }
+  WeightedCovarianceOfPlanes(num_ant, num_sc, num_pk, weights, out, ws);
 }
 
 void SampleCovarianceSlabsInto(std::span<const double* const> slabs,
@@ -159,22 +178,13 @@ void SampleCovarianceSlabsInto(std::span<const double* const> slabs,
                                std::size_t num_subcarriers,
                                std::span<const double> weights,
                                linalg::CMatrix& out, MusicWorkspace& ws) {
-  MULINK_REQUIRE(!slabs.empty(), "SampleCovariance: need >= 1 packet");
-  MULINK_REQUIRE(num_antennas >= 2, "SampleCovariance: need >= 2 antennas");
-  MULINK_REQUIRE(weights.empty() || weights.size() == num_subcarriers,
-                 "SampleCovariance: weights size mismatch");
-
-  out.Resize(num_antennas, num_antennas);
-
-  // Assemble the packet-major planes by memcpy from the per-packet slabs —
-  // the same bytes the Deinterleave path writes, so the kernel reduction
-  // (and the score downstream) is bit-identical.
   const std::size_t num_pk = slabs.size();
+  PreparePlanes(num_antennas, num_subcarriers, num_pk, weights, ws);
+  // Assemble the planes by memcpy from the per-packet slabs — the same
+  // bytes the Deinterleave path writes, so the reduction (and the score
+  // downstream) is bit-identical.
   const std::size_t n = num_pk * num_subcarriers;
   const std::size_t row_bytes = num_subcarriers * sizeof(double);
-  ws.plane_re.Ensure(num_antennas * n);
-  ws.plane_im.Ensure(num_antennas * n);
-  ws.w_rep.Ensure(n);
   for (std::size_t p = 0; p < num_pk; ++p) {
     const double* slab = slabs[p];
     for (std::size_t m = 0; m < num_antennas; ++m) {
@@ -184,22 +194,8 @@ void SampleCovarianceSlabsInto(std::span<const double* const> slabs,
                   slab + (num_antennas + m) * num_subcarriers, row_bytes);
     }
   }
-  double weight_sum = 0.0;
-  for (std::size_t k = 0; k < num_subcarriers; ++k) {
-    const double w = weights.empty() ? 1.0 : weights[k];
-    const double clipped = w > 0.0 ? w : 0.0;
-    ws.w_rep[k] = clipped;
-    weight_sum += clipped;
-  }
-  for (std::size_t p = 1; p < num_pk; ++p) {
-    std::memcpy(ws.w_rep.data() + p * num_subcarriers, ws.w_rep.data(),
-                num_subcarriers * sizeof(double));
-  }
-  MULINK_REQUIRE(weight_sum > 0.0, "SampleCovariance: all weights are zero");
-  kernels::WeightedCovariance(ws.plane_re.data(), ws.plane_im.data(),
-                              num_antennas, n, ws.w_rep.data(), out.raw());
-  const double total_weight = weight_sum * static_cast<double>(num_pk);
-  out *= Complex(1.0 / total_weight, 0.0);
+  WeightedCovarianceOfPlanes(num_antennas, num_subcarriers, num_pk, weights,
+                             out, ws);
 }
 
 void BuildSubcarrierCovarianceStack(std::span<const wifi::CsiPacket> packets,

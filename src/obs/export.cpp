@@ -30,14 +30,6 @@ std::string FmtNs(double ns) {
 
 }  // namespace
 
-void TableSink::Consume(const Registry& registry) {
-  WriteMetricsTable(out_, registry);
-}
-
-void JsonSink::Consume(const Registry& registry) {
-  WriteMetricsJson(out_, registry);
-}
-
 void WriteMetricsTable(std::ostream& out, const Registry& registry) {
   if (!kEnabled) {
     out << "metrics: observability subsystem compiled out (-DMULINK_OBS=OFF)\n";

@@ -1,11 +1,7 @@
-// Sinks and serializers for the observability registry.
-//
-// A Sink consumes a merged Registry snapshot; the library ships a no-op
-// sink (the runtime kill switch), a human-readable table sink and a JSON
-// sink. The free functions underneath are the actual serializers — the CLI,
-// benches and examples call them directly, and the link-health JSON here is
-// the single serialization monitors scrape (`--guard-json` and the metrics
-// JSON embed the same shape).
+// Serializers for the observability registry. The CLI, benches and
+// examples call them directly on a merged Registry snapshot, and the
+// link-health JSON here is the single serialization monitors scrape
+// (`--guard-json` and the metrics JSON embed the same shape).
 #pragma once
 
 #include <iosfwd>
@@ -17,37 +13,6 @@
 #include "obs/trace.h"
 
 namespace mulink::obs {
-
-class Sink {
- public:
-  virtual ~Sink() = default;
-  virtual void Consume(const Registry& registry) = 0;
-};
-
-// Runtime kill switch: wire this (or a null Registry*) and nothing is
-// formatted or written.
-class NullSink : public Sink {
- public:
-  void Consume(const Registry&) override {}
-};
-
-class TableSink : public Sink {
- public:
-  explicit TableSink(std::ostream& out) : out_(out) {}
-  void Consume(const Registry& registry) override;
-
- private:
-  std::ostream& out_;
-};
-
-class JsonSink : public Sink {
- public:
-  explicit JsonSink(std::ostream& out) : out_(out) {}
-  void Consume(const Registry& registry) override;
-
- private:
-  std::ostream& out_;
-};
 
 // Human-readable: non-zero counters, set gauges, then one row per recorded
 // stage (count, total, mean, p50, p95, max).

@@ -218,17 +218,15 @@ bool ServeCore::Submit(std::uint64_t link_id, std::uint32_t profile_id,
         ++shard.frames_rejected;
         MULINK_OBS_COUNT_REF(router_metrics_, kFramesRejected, 1);
         return false;
-      case BackPressure::kDropOldest:
-        // Displace until the push lands. DiscardOldest can lose the race
-        // with the worker draining the queue — then the retry push wins.
-        while (!shard.ring.TryProduce(fill)) {
-          if (shard.ring.DiscardOldest()) {
-            ++shard.frames_dropped;
-            shard.consumed.fetch_add(1, std::memory_order_release);
-            MULINK_OBS_COUNT_REF(router_metrics_, kFramesDropped, 1);
-          }
-        }
+      case BackPressure::kDropOldest: {
+        // Displace the oldest queued frame (never one the worker has
+        // claimed) until the push lands.
+        const std::size_t dropped = shard.ring.ProduceDisplacing(fill);
+        shard.frames_dropped += dropped;
+        shard.consumed.fetch_add(dropped, std::memory_order_release);
+        MULINK_OBS_COUNT_REF(router_metrics_, kFramesDropped, dropped);
         break;
+      }
       case BackPressure::kBlock:
         // Batched hand-off: a full ring means the workers are the
         // bottleneck, so yielding per failed push would context-switch once

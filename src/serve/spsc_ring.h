@@ -23,6 +23,7 @@
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <thread>
 
 #include "common/annotations.h"
 #include "common/assert.h"
@@ -69,6 +70,27 @@ class SpscRing {
     cell.seq.store(pos + 1, std::memory_order_release);
     head_.store(pos + 1, std::memory_order_release);
     return true;
+  }
+
+  // Producer only: the drop-oldest back-pressure policy. Push, and while
+  // the ring is full, discard the oldest UNCLAIMED element to make room.
+  // When a dequeuer's claim holds the cell the push needs (the ring reads
+  // less than full because the claimed run has left the queue), discarding
+  // frees nothing the push can use, so the producer yields until that cell
+  // is released instead. Returns the number of elements discarded: at most
+  // one, unless a dequeuer claims the oldest element between the size check
+  // and the discard.
+  template <typename Writer>
+  MULINK_HOT std::size_t ProduceDisplacing(Writer&& write) {
+    std::size_t discarded = 0;
+    while (!TryProduce(write)) {
+      if (ApproxSize() == capacity()) {
+        if (DiscardOldest()) ++discarded;
+      } else {
+        std::this_thread::yield();
+      }
+    }
+    return discarded;
   }
 
   // A run of consecutive cells claimed by one TryConsumeBatch. The claim
@@ -144,8 +166,8 @@ class SpscRing {
     return TryConsume([&](T& cell) { out = cell; });
   }
   // Dequeue-and-discard the oldest element without copying it out (the
-  // abandoned value is overwritten in place by a future push). Used by the
-  // producer to implement drop-oldest back-pressure.
+  // abandoned value is overwritten in place by a future push). The
+  // producer's drop-oldest step (ProduceDisplacing).
   MULINK_HOT bool DiscardOldest() {
     return TryConsume([](T&) {});
   }

@@ -1,5 +1,5 @@
-// Adaptive profile updating (closed-loop drift compensation) and the
-// promoted new-path angle estimator.
+// The promoted new-path angle estimator. (Closed-loop drift compensation is
+// the calibration ladder's; see core_calibration_test.)
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,76 +16,6 @@ namespace mulink::core {
 namespace {
 
 namespace ex = mulink::experiments;
-
-std::vector<wifi::CsiPacket> Scaled(std::vector<wifi::CsiPacket> window,
-                                    double gain) {
-  for (auto& packet : window) packet.csi *= Complex(gain, 0.0);
-  return window;
-}
-
-TEST(AdaptiveProfile, TracksPersistentGainShift) {
-  // A persistent +2.5 dB TX-power step (firmware update, cable reseat):
-  // without adaptation the subcarrier scheme alarms forever; repeated
-  // UpdateProfile calls on believed-empty windows absorb it.
-  const auto lc = ex::MakeClassroomLink();
-  auto sim = ex::MakeSimulator(lc);
-  Rng rng(3);
-  DetectorConfig config;
-  config.scheme = DetectionScheme::kSubcarrierWeighting;
-  auto detector = Detector::Calibrate(
-      sim.CaptureSession(200, std::nullopt, rng), sim.band(), sim.array(),
-      config);
-
-  const double gain = std::pow(10.0, 2.5 / 20.0);
-  const double before =
-      detector.Score(Scaled(sim.CaptureSession(25, std::nullopt, rng), gain));
-
-  for (int i = 0; i < 60; ++i) {
-    detector.UpdateProfile(
-        Scaled(sim.CaptureSession(25, std::nullopt, rng), gain), 0.1);
-  }
-  const double after =
-      detector.Score(Scaled(sim.CaptureSession(25, std::nullopt, rng), gain));
-  EXPECT_LT(after, 0.3 * before);
-}
-
-TEST(AdaptiveProfile, DoesNotEraseSensitivity) {
-  // After adapting to the drifted empty room, a person is still detected.
-  const auto lc = ex::MakeClassroomLink();
-  auto sim = ex::MakeSimulator(lc);
-  Rng rng(5);
-  DetectorConfig config;
-  config.scheme = DetectionScheme::kSubcarrierWeighting;
-  auto detector = Detector::Calibrate(
-      sim.CaptureSession(200, std::nullopt, rng), sim.band(), sim.array(),
-      config);
-  const double gain = std::pow(10.0, 1.5 / 20.0);
-  for (int i = 0; i < 60; ++i) {
-    detector.UpdateProfile(
-        Scaled(sim.CaptureSession(25, std::nullopt, rng), gain), 0.1);
-  }
-  propagation::HumanBody body;
-  body.position = (lc.tx + lc.rx) * 0.5;
-  const double empty_score =
-      detector.Score(Scaled(sim.CaptureSession(25, std::nullopt, rng), gain));
-  const double human_score =
-      detector.Score(Scaled(sim.CaptureSession(25, body, rng), gain));
-  EXPECT_GT(human_score, 3.0 * empty_score);
-}
-
-TEST(AdaptiveProfile, ValidatesArguments) {
-  const auto lc = ex::MakeClassroomLink();
-  auto sim = ex::MakeSimulator(lc);
-  Rng rng(7);
-  DetectorConfig config;
-  auto detector = Detector::Calibrate(
-      sim.CaptureSession(50, std::nullopt, rng), sim.band(), sim.array(),
-      config);
-  const auto window = sim.CaptureSession(10, std::nullopt, rng);
-  EXPECT_THROW(detector.UpdateProfile(window, 0.0), PreconditionError);
-  EXPECT_THROW(detector.UpdateProfile(window, 1.5), PreconditionError);
-  EXPECT_THROW(detector.UpdateProfile({}, 0.1), PreconditionError);
-}
 
 TEST(NewPathAngle, RecoversHumanReflectionAngle) {
   const auto lc = ex::MakeShortWallLink();

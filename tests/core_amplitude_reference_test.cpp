@@ -140,9 +140,9 @@ struct PreparedWindow {
 
   core::Detector::PreparedWindowFactors Factors() const {
     core::Detector::PreparedWindowFactors factors;
-    factors.mu_rows = mu_ptrs;
-    factors.medians = medians;
     factors.csi_slabs = slab_ptrs;
+    factors.mu_rows = mu_ptrs;
+    factors.stats = medians;
     return factors;
   }
 };
@@ -212,7 +212,7 @@ void ExpectSchemesMatchReference(const Fixture& f, const char* backend) {
 
         // The engine's slab path: no window packets at all.
         const PreparedWindow prepared(detector, sanitized);
-        EXPECT_EQ(detector.ScorePrepared({}, prepared.Factors(), scratch),
+        EXPECT_EQ(detector.ScorePrepared(prepared.Factors(), scratch),
                   want)
             << label << " slabs";
 
@@ -222,7 +222,7 @@ void ExpectSchemesMatchReference(const Fixture& f, const char* backend) {
           EXPECT_EQ(detector.ScoreDegraded(window, scratch, mask), degraded)
               << label << " mask=" << mask;
           EXPECT_EQ(
-              detector.ScorePrepared({}, prepared.Factors(), scratch, mask),
+              detector.ScorePrepared(prepared.Factors(), scratch, mask),
               degraded)
               << label << " slabs mask=" << mask;
         }
@@ -266,7 +266,7 @@ TEST(AmplitudeReference, CombinedFallbackMatchesPerCellMedianScorer) {
         // at full mask it scores the angular statistic.
         if (mask == detector.FullAntennaMask()) continue;
         EXPECT_EQ(
-            detector.ScorePrepared({}, prepared.Factors(), scratch, mask),
+            detector.ScorePrepared(prepared.Factors(), scratch, mask),
             want)
             << (robust ? "robust" : "mean") << " n=" << n
             << " slabs mask=" << mask;
@@ -275,8 +275,8 @@ TEST(AmplitudeReference, CombinedFallbackMatchesPerCellMedianScorer) {
   }
 }
 
-// The prepared path checks the slabs it now reads: a slab count that
-// disagrees with the window is a precondition error, not an out-of-bounds
+// The prepared path checks the slabs it reads: a slab count that disagrees
+// with the mu rows and stats is a precondition error, not an out-of-bounds
 // read.
 TEST(AmplitudeReference, PreparedPathRejectsSlabCountMismatch) {
   const Fixture& f = SharedFixture();
@@ -289,7 +289,7 @@ TEST(AmplitudeReference, PreparedPathRejectsSlabCountMismatch) {
   auto factors = prepared.Factors();
   factors.csi_slabs = factors.csi_slabs.first(24);
   core::DetectorScratch scratch;
-  EXPECT_THROW((void)detector.ScorePrepared(sanitized, factors, scratch),
+  EXPECT_THROW((void)detector.ScorePrepared(factors, scratch),
                PreconditionError);
 }
 

@@ -18,6 +18,7 @@
 #include "core/detector.h"
 #include "core/engine.h"
 #include "experiments/scenario.h"
+#include "kernels/kernels.h"
 #include "nic/fault_injection.h"
 #include "nic/frame_guard.h"
 #include "score_oracle.h"
@@ -51,6 +52,22 @@ struct CalibrationFixture {
     }
     detector.CalibrateThreshold(windows);
     return detector;
+  }
+
+  // empty_session's CSI as ingest slabs (antenna-major re rows, then im
+  // rows, per packet), one pointer per packet.
+  std::vector<double> empty_rows;
+  std::vector<const double*> empty_slabs;
+
+  CalibrationFixture() {
+    const std::size_t cells =
+        empty_session[0].NumAntennas() * empty_session[0].NumSubcarriers();
+    empty_rows.resize(empty_session.size() * 2 * cells);
+    for (std::size_t i = 0; i < empty_session.size(); ++i) {
+      double* const re = empty_rows.data() + i * 2 * cells;
+      kernels::Deinterleave(empty_session[i].csi.raw(), cells, re, re + cells);
+      empty_slabs.push_back(re);
+    }
   }
 
   std::vector<double> EmptyScores(const core::Detector& detector) const {
@@ -197,9 +214,9 @@ TEST(ProfilePosterior, ObserveConvergesOnWindowStatsAndResetRestores) {
   // Fold the same window in with fast forgetting: the posterior mean must
   // converge on the window's own per-cell mean power.
   std::vector<double> plane;
-  const auto window_plane =
-      core::FillPowerPlane(window, {}, detector.num_antennas(),
-                           detector.num_subcarriers(), plane);
+  const auto window_plane = core::FillPowerPlane(
+      std::span<const double* const>(f.empty_slabs).first(kWindow),
+      detector.num_antennas(), detector.num_subcarriers(), plane);
   for (int i = 0; i < 40; ++i) posterior.Observe(window_plane, 0.5);
   double expected = 0.0;
   for (const auto& packet : window) expected += packet.SubcarrierPower(1, 7);
@@ -239,18 +256,18 @@ struct LadderHarness {
     quiet_level = calibrator.score_posterior().Mean();
   }
 
-  std::span<const wifi::CsiPacket> NextWindow() {
-    auto& session = Fixture().empty_session;
-    const std::size_t windows = session.size() / kWindow;
-    const std::span<const wifi::CsiPacket> window(
-        session.data() + (next_window % windows) * kWindow, kWindow);
+  std::span<const double* const> NextWindow() {
+    const auto& slabs = Fixture().empty_slabs;
+    const std::size_t windows = slabs.size() / kWindow;
+    const auto window = std::span<const double* const>(slabs).subspan(
+        (next_window % windows) * kWindow, kWindow);
     ++next_window;
     return window;
   }
 
   bool Feed(double score, double posterior,
             core::CalibrationWindowContext context = {}) {
-    return calibrator.ObserveDecision(score, posterior, NextWindow(), {},
+    return calibrator.ObserveDecision(score, posterior, NextWindow(),
                                       detector, scratch, context);
   }
 

@@ -20,6 +20,7 @@
 #include "core/music.h"
 #include "core/sanitize.h"
 #include "experiments/scenario.h"
+#include "kernels/kernels.h"
 #include "nic/frame_guard.h"
 #include "obs/metrics.h"
 #include "score_oracle.h"
@@ -120,6 +121,64 @@ std::vector<double> EmptyScores(const EngineFixture& f,
   return scores;
 }
 
+// The packets' CSI as consecutive split rows (antenna-major re rows, then
+// im rows, per packet): the block form the ladder stages and
+// RefreshAngularProfile / PrepareSlabs take.
+std::vector<double> SplitRows(std::span<const wifi::CsiPacket> packets) {
+  std::vector<double> rows;
+  for (const auto& packet : packets) {
+    const std::size_t cells = packet.csi.rows() * packet.csi.cols();
+    const std::size_t at = rows.size();
+    rows.resize(at + 2 * cells);
+    kernels::Deinterleave(packet.csi.raw(), cells, rows.data() + at,
+                          rows.data() + at + cells);
+  }
+  return rows;
+}
+
+// A quiet profile of sanitized packets in ApplyProfile's flattened
+// [antenna][subcarrier] layout: per-cell mean power, mean amplitude and
+// power variance.
+struct FlatProfile {
+  std::vector<double> power, amplitude, variance;
+};
+
+FlatProfile MeanProfile(std::span<const wifi::CsiPacket> sanitized) {
+  const std::size_t antennas = sanitized[0].NumAntennas();
+  const std::size_t subcarriers = sanitized[0].NumSubcarriers();
+  const double n = static_cast<double>(sanitized.size());
+  FlatProfile profile;
+  for (std::size_t m = 0; m < antennas; ++m) {
+    for (std::size_t k = 0; k < subcarriers; ++k) {
+      double power = 0.0, amplitude = 0.0, square = 0.0;
+      for (const auto& packet : sanitized) {
+        const double p = packet.SubcarrierPower(m, k);
+        power += p;
+        amplitude += std::sqrt(p);
+        square += p * p;
+      }
+      profile.power.push_back(power / n);
+      profile.amplitude.push_back(amplitude / n);
+      profile.variance.push_back(square / n - (power / n) * (power / n));
+    }
+  }
+  return profile;
+}
+
+// One drift-compensation rewrite through the ladder's entry points: install
+// the quiet profile of `window` and rotate its packets into the angular
+// profile, as a swap does.
+void RewriteProfile(core::Detector& detector,
+                    std::span<const wifi::CsiPacket> window,
+                    core::DetectorScratch& scratch) {
+  const auto sanitized = core::SanitizePhase(
+      std::vector<wifi::CsiPacket>(window.begin(), window.end()),
+      detector.band());
+  const FlatProfile profile = MeanProfile(sanitized);
+  detector.ApplyProfile(profile.power, profile.amplitude, profile.variance);
+  detector.RefreshAngularProfile(SplitRows(sanitized), scratch);
+}
+
 // ProcessBatch must decide exactly where a packet-at-a-time replay of the
 // stream completes a window, scoring each window like the offline Score of
 // its raw packets, regardless of how the stream is chopped into batches.
@@ -208,10 +267,11 @@ TEST(EngineEquivalence, RepeatedBatchesAfterResetAreIdentical) {
   }
 }
 
-// The profile covariance stack lives on the detector and UpdateProfile
-// rebuilds it: a scratch warmed before UpdateProfile must score exactly
-// like a fresh one afterwards.
-TEST(EngineEquivalence, ProfileCacheInvalidatedByUpdateProfile) {
+// The profile covariance stack lives on the detector and a profile rewrite
+// (ApplyProfile + RefreshAngularProfile, the ladder's swap) rebuilds it: a
+// scratch warmed before the rewrite must score exactly like a fresh one
+// afterwards.
+TEST(EngineEquivalence, ProfileCacheInvalidatedByProfileRewrite) {
   auto& f = Fixture();
   auto detector =
       f.Calibrated(core::DetectionScheme::kSubcarrierAndPathWeighting);
@@ -219,9 +279,11 @@ TEST(EngineEquivalence, ProfileCacheInvalidatedByUpdateProfile) {
   const std::span<const wifi::CsiPacket> occupied(f.occupied_session);
   (void)detector.Score(occupied.subspan(0, 25), warm);  // warms the cache
 
-  const std::vector<wifi::CsiPacket> update_window(
-      f.empty_session.begin(), f.empty_session.begin() + 25);
-  detector.UpdateProfile(update_window, 0.2);
+  const auto stack_before = detector.profile_stack().data;
+  RewriteProfile(detector,
+                 std::span<const wifi::CsiPacket>(f.empty_session).first(25),
+                 warm);
+  EXPECT_FALSE(detector.profile_stack().data == stack_before);
 
   const double with_warm = detector.Score(occupied.subspan(25, 25), warm);
   core::DetectorScratch fresh;
@@ -739,7 +801,7 @@ TEST(SensingEngine, SharedScratchServesInterleavedProfilesWithoutRebuilds) {
   }
 }
 
-// Every rewrite of the retained calibration set — UpdateProfile,
+// Every rewrite of the retained calibration set — ApplyProfile with
 // RefreshAngularProfile, and the ladder's ApplySwap — rebuilds the
 // detector's profile stack from the rewritten set, and a scratch warmed
 // before it scores exactly like a fresh one after. A copied detector owns
@@ -769,16 +831,16 @@ TEST(EngineEquivalence, ProfileStackFollowsEveryProfileRewrite) {
   const core::Detector copy(detector);
   const double copy_score = copy.Score(probe, warm);
 
-  const std::vector<wifi::CsiPacket> update_window(
-      f.empty_session.begin(), f.empty_session.begin() + 25);
-  detector.UpdateProfile(update_window, 0.2);
-  expect_consistent(detector, "after UpdateProfile");
+  RewriteProfile(detector,
+                 std::span<const wifi::CsiPacket>(f.empty_session).first(25),
+                 warm);
+  expect_consistent(detector, "after ApplyProfile + RefreshAngularProfile");
 
   const auto staged = core::SanitizePhase(
       std::vector<wifi::CsiPacket>(f.empty_session.begin() + 25,
                                    f.empty_session.begin() + 41),
       f.sim.band());
-  detector.RefreshAngularProfile(staged, warm);
+  detector.RefreshAngularProfile(SplitRows(staged), warm);
   expect_consistent(detector, "after RefreshAngularProfile");
 
   // Ladder swap: an AGC burst enters Recalibrating, quiet windows stage
@@ -792,17 +854,24 @@ TEST(EngineEquivalence, ProfileStackFollowsEveryProfileRewrite) {
   obs::Registry registry;
   calibrator.metrics = &registry;
   warm.metrics = &registry;
-  const auto quiet = core::SanitizePhase(
+  const auto quiet = SplitRows(core::SanitizePhase(
       std::vector<wifi::CsiPacket>(f.empty_session.begin() + 50,
                                    f.empty_session.begin() + 150),
-      f.sim.band());
+      f.sim.band()));
+  const std::size_t slab_doubles =
+      2 * detector.num_antennas() * detector.num_subcarriers();
+  std::vector<const double*> slabs;
+  for (std::size_t i = 0; i < 100; ++i) {
+    slabs.push_back(quiet.data() + i * slab_doubles);
+  }
   const double quiet_score = calibrator.score_posterior().Mean();
   for (std::size_t w = 0; w < 4 && calibrator.profile_swaps() == 0; ++w) {
-    const std::span<const wifi::CsiPacket> window(quiet.data() + 25 * w, 25);
     core::CalibrationWindowContext context;
     if (w == 0) context.agc_frames = calibration.agc_frames_min;
-    (void)calibrator.ObserveDecision(quiet_score, 0.0, window, {}, detector,
-                                     warm, context);
+    (void)calibrator.ObserveDecision(
+        quiet_score, 0.0,
+        std::span<const double* const>(slabs).subspan(25 * w, 25), detector,
+        warm, context);
   }
   ASSERT_EQ(calibrator.profile_swaps(), 1u);
   EXPECT_EQ(warm.metrics, &registry);

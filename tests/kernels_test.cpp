@@ -16,6 +16,7 @@
 #include <cstring>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -737,38 +738,53 @@ TEST_F(EngineParityTest, ScoresBitIdenticalAcrossBackends) {
   }
 }
 
+// A caller that keeps its own ring of ingest slots (as SensingEngine does)
+// fills them through the public per-packet map, PrepareSlot, in ring order,
+// and scores the window-order views with ScorePrepared. That must equal the
+// offline recompute of the raw window — Score, or ScoreDegraded under a
+// dead chain — for every scheme.
 TEST_F(EngineParityTest, PreparedFactorsScoreMatchesRecompute) {
-  auto detector = MakeDetector(DetectionScheme::kSubcarrierAndPathWeighting);
-  for (bool human : {false, true}) {
-    const auto window = Window(human);
-    DetectorScratch recompute_scratch, prepared_scratch;
-    std::vector<wifi::CsiPacket> sanitized;
-    SanitizePhaseInto(std::span(window), detector.ingest_plan(), sanitized,
-                      recompute_scratch.sanitize);
-
-    const double direct =
-        detector.ScorePrepared(std::span(sanitized), {}, recompute_scratch);
-
-    // Derive the factors exactly as the engine's ingest path does: one mu
-    // row + median per packet.
-    std::vector<double> median_scratch;
-    std::vector<std::vector<double>> mu(
-        sanitized.size(), std::vector<double>(detector.num_subcarriers()));
-    std::vector<double> medians(sanitized.size());
-    std::vector<const double*> rows(sanitized.size());
-    for (std::size_t i = 0; i < sanitized.size(); ++i) {
-      MeasureMultipathFactorsInto(sanitized[i], detector.ingest_plan().los_frac,
-                                  mu[i]);
-      medians[i] = dsp::Median(mu[i], median_scratch);
-      rows[i] = mu[i].data();
+  for (auto scheme : {DetectionScheme::kBaseline,
+                      DetectionScheme::kSubcarrierWeighting,
+                      DetectionScheme::kSubcarrierAndPathWeighting,
+                      DetectionScheme::kVarianceMobile}) {
+    auto detector = MakeDetector(scheme);
+    detector.SetThreshold(1.0);
+    for (bool human : {false, true}) {
+      const auto window = Window(human);
+      const std::size_t n = window.size();
+      DetectorScratch recompute_scratch, prepared_scratch;
+      // The ring's write position starts mid-ring, so slot order and window
+      // order differ.
+      const std::size_t first = n / 3;
+      std::vector<double> ring(n * detector.slot_stride());
+      std::vector<double> stats(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t slot = (first + i) % n;
+        stats[slot] = detector.PrepareSlot(
+            window[i], ring.data() + slot * detector.slot_stride(),
+            prepared_scratch);
+      }
+      std::vector<const double*> csi(n), mu(n);
+      std::vector<double> window_stats(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t slot = (first + i) % n;
+        csi[i] = ring.data() + slot * detector.slot_stride();
+        mu[i] = csi[i] + 2 * detector.num_antennas() *
+                             detector.num_subcarriers();
+        window_stats[i] = stats[slot];
+      }
+      const Detector::PreparedWindowFactors factors{csi, mu, window_stats};
+      const std::string label =
+          std::string(ToString(scheme)) + (human ? " human" : " empty");
+      EXPECT_EQ(detector.ScorePrepared(factors, prepared_scratch),
+                detector.Score(std::span(window), recompute_scratch))
+          << label;
+      EXPECT_EQ(detector.ScorePrepared(factors, prepared_scratch, 0b101u),
+                detector.ScoreDegraded(std::span(window), recompute_scratch,
+                                       0b101u))
+          << label << " degraded";
     }
-    Detector::PreparedWindowFactors factors;
-    factors.mu_rows = std::span<const double* const>(rows);
-    factors.medians = std::span<const double>(medians);
-    const double prepared = detector.ScorePrepared(
-        std::span(sanitized), factors, prepared_scratch);
-
-    EXPECT_EQ(direct, prepared) << (human ? "human" : "empty");
   }
 }
 

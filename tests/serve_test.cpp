@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <complex>
 #include <cstdint>
@@ -203,11 +204,11 @@ TEST(SpscRing, BatchClaimIsPrivateUntilReleasedFrontToBack) {
   }), 0u);
 }
 
-// Batch claims against a drop-oldest producer on a small ring: the
-// consumer claims runs, reads each run ahead of the element it takes (as
-// the shard worker's prefetch does) and releases element by element. A
-// value read ahead is still there when its turn comes, values leave in push
-// order, none twice, and popped + discarded == pushed.
+// Batch claims against the drop-oldest producer (ProduceDisplacing) on a
+// small ring: the consumer claims runs, reads each run ahead of the element
+// it takes (as the shard worker's prefetch does) and releases element by
+// element. A value read ahead is still there when its turn comes, values
+// leave in push order, none twice, and popped + discarded == pushed.
 TEST(SpscRing, ConcurrentBatchClaimAgainstDropOldest) {
   serve::SpscRing<std::uint64_t> ring(8);
   constexpr std::uint64_t kPushed = 50000;
@@ -236,9 +237,7 @@ TEST(SpscRing, ConcurrentBatchClaimAgainstDropOldest) {
   });
   std::uint64_t discarded = 0;
   for (std::uint64_t v = 0; v < kPushed; ++v) {
-    while (!ring.TryPush(v)) {
-      if (ring.DiscardOldest()) ++discarded;
-    }
+    discarded += ring.ProduceDisplacing([v](std::uint64_t& cell) { cell = v; });
   }
   done.store(true, std::memory_order_release);
   consumer.join();
@@ -251,6 +250,43 @@ TEST(SpscRing, ConcurrentBatchClaimAgainstDropOldest) {
   }
   EXPECT_EQ(popped.size() + discarded, kPushed);
   EXPECT_GT(popped.size(), 0u);
+}
+
+// Drop-oldest while the consumer holds a claimed run at the front of a full
+// ring: the cell the push needs is claimed, so discarding the unclaimed
+// frames behind it would free nothing the push can use. The producer waits
+// for the release and drops at most one frame, not the whole queue.
+TEST(SpscRing, ConcurrentDropOldestWaitsForClaimedFront) {
+  serve::SpscRing<int> ring(8);
+  for (int v = 0; v < 8; ++v) ASSERT_TRUE(ring.TryPush(v));
+  std::atomic<bool> claimed{false};
+  std::atomic<bool> pushing{false};
+  std::vector<int> held;
+  std::thread consumer([&] {
+    ring.TryConsumeBatch(2, [&](serve::SpscRing<int>::Batch& batch) {
+      for (std::size_t i = 0; i < batch.size(); ++i) held.push_back(batch[i]);
+      claimed.store(true, std::memory_order_release);
+      while (!pushing.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      // Hold the claim while the producer runs into the full ring.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    });
+  });
+  while (!claimed.load(std::memory_order_acquire)) std::this_thread::yield();
+  pushing.store(true, std::memory_order_release);
+  const std::size_t dropped =
+      ring.ProduceDisplacing([](int& cell) { cell = 8; });
+  consumer.join();
+
+  EXPECT_EQ(held, (std::vector<int>{0, 1}));
+  EXPECT_LE(dropped, 1u);
+  std::vector<int> rest;
+  int v = 0;
+  while (ring.TryPop(v)) rest.push_back(v);
+  EXPECT_EQ(rest.size() + dropped, 7u);
+  ASSERT_FALSE(rest.empty());
+  EXPECT_EQ(rest.back(), 8);
 }
 
 // ---- FlatRoster -----------------------------------------------------------
