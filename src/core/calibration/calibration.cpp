@@ -126,17 +126,20 @@ void ProfilePosterior::SeedFrom(const Detector& detector) {
                      detector.num_subcarriers() == num_subcarriers_,
                  "ProfilePosterior: detector shape mismatch");
   const auto& power = detector.profile_power();
-  for (std::size_t m = 0; m < num_antennas_; ++m) {
-    for (std::size_t k = 0; k < num_subcarriers_; ++k) {
-      const std::size_t idx = m * num_subcarriers_ + k;
-      mean_power_[idx] = power[m][k];
-      // The detector's amplitude/variance profiles are not exposed, but the
-      // prior only needs to anchor the posterior near the active profile:
-      // amplitude ~ sqrt(power) and the variance prior starts at zero,
-      // letting the first observed windows set the temporal floor.
-      mean_amplitude_[idx] = std::sqrt(std::max(power[m][k], 0.0));
-      mean_variance_[idx] = 0.0;
-    }
+  for (std::size_t idx = 0; idx < num_antennas_ * num_subcarriers_; ++idx) {
+    mean_power_[idx] = power[idx];
+    // The prior only anchors the posterior near the active profile, so it
+    // is derived from the power plane alone: amplitude ~ sqrt(power), and
+    // the variance prior starts at zero, letting the first observed windows
+    // set the temporal floor. The detector's variance plane is not this
+    // posterior's statistic: it is the calibration session's spread about
+    // its mean, drift included, where Observe tracks the mean within-window
+    // variance. Its amplitude plane is the same statistic (the mean of
+    // sqrt(p)), but it sits below sqrt(power) by Jensen's gap, and seeding
+    // from it would move every ladder swap's staged profile, which the
+    // adaptive goldens pin.
+    mean_amplitude_[idx] = std::sqrt(std::max(power[idx], 0.0));
+    mean_variance_[idx] = 0.0;
   }
   weight_ = 1.0;  // one window's worth of prior mass
   seed_weight_ = weight_;

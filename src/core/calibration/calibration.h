@@ -213,7 +213,7 @@ class QuietScorePosterior {
 // Per-(antenna, subcarrier) forgetting-weighted mean power, mean amplitude
 // and mean within-window temporal variance over quiet windows — the staged
 // profile a recalibration swap installs. Diagonal (per-cell) covariance:
-// the cross terms the combined scheme needs live in the retained packets it
+// the cross terms the combined scheme needs live in the retained rows it
 // re-derives its pseudospectrum from, not here. All buffers are sized once
 // by Configure; Observe is allocation-free.
 class ProfilePosterior {

@@ -1,7 +1,7 @@
 #include "core/detector.h"
 
 #include <algorithm>
-
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -90,70 +90,76 @@ Detector Detector::Calibrate(const std::vector<wifi::CsiPacket>& empty_session,
   d.num_antennas_ = num_ant;
   d.num_subcarriers_ = num_sc;
 
-  std::vector<wifi::CsiPacket> sanitized;
+  // Sanitize the session once into one block of split CSI rows, an ingest
+  // slot's CSI layout, for every scheme (the baseline scores raw CSI, but
+  // its profile is the sanitized session's too).
+  const std::size_t cells = num_ant * num_sc;
+  const std::size_t row = 2 * cells;
+  const std::size_t n = empty_session.size();
+  // mulink-lint: allow(alloc): calibration path
+  std::vector<double> rows(n * row);
   {
     SanitizeScratch scratch;
-    SanitizePhaseInto(empty_session, d.ingest_plan_, sanitized, scratch);
+    for (std::size_t i = 0; i < n; ++i) {
+      MULINK_REQUIRE(empty_session[i].NumAntennas() == num_ant &&
+                         empty_session[i].NumSubcarriers() == num_sc,
+                     "Detector::Calibrate: inconsistent packet dimensions");
+      double* const re = rows.data() + i * row;
+      SanitizePhaseSplitInto(empty_session[i], d.ingest_plan_, re, re + cells,
+                             scratch);
+    }
   }
 
-  // Static power/amplitude profile s(0).
+  // Static power/amplitude profile s(0); each cell sums |h|^2 = re*re +
+  // im*im (CsiPacket::SubcarrierPower's bits) in packet order.
   // mulink-lint: allow(alloc): calibration path
-  d.profile_power_.assign(num_ant, std::vector<double>(num_sc, 0.0));
+  d.profile_power_.assign(cells, 0.0);
   // mulink-lint: allow(alloc): calibration path
-  d.profile_amplitude_.assign(num_ant, std::vector<double>(num_sc, 0.0));
-  for (const auto& packet : sanitized) {
-    for (std::size_t m = 0; m < num_ant; ++m) {
-      for (std::size_t k = 0; k < num_sc; ++k) {
-        const double p = packet.SubcarrierPower(m, k);
-        d.profile_power_[m][k] += p;
-        d.profile_amplitude_[m][k] += std::sqrt(p);
-      }
+  d.profile_amplitude_.assign(cells, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* const re = rows.data() + i * row;
+    const double* const im = re + cells;
+    for (std::size_t c = 0; c < cells; ++c) {
+      const double p = re[c] * re[c] + im[c] * im[c];
+      d.profile_power_[c] += p;
+      d.profile_amplitude_[c] += std::sqrt(p);
     }
   }
-  const double inv_n = 1.0 / static_cast<double>(sanitized.size());
+  const double inv_n = 1.0 / static_cast<double>(n);
   double power_sum = 0.0, amp_sum = 0.0;
-  for (std::size_t m = 0; m < num_ant; ++m) {
-    for (std::size_t k = 0; k < num_sc; ++k) {
-      d.profile_power_[m][k] *= inv_n;
-      d.profile_amplitude_[m][k] *= inv_n;
-      power_sum += d.profile_power_[m][k];
-      amp_sum += d.profile_amplitude_[m][k];
-    }
+  for (std::size_t c = 0; c < cells; ++c) {
+    d.profile_power_[c] *= inv_n;
+    d.profile_amplitude_[c] *= inv_n;
+    power_sum += d.profile_power_[c];
+    amp_sum += d.profile_amplitude_[c];
   }
   // Empty-room temporal variance per (antenna, subcarrier) — the noise/
   // dynamics floor the mobile-target variance statistic must exceed.
   // mulink-lint: allow(alloc): calibration path
-  d.profile_variance_.assign(num_ant, std::vector<double>(num_sc, 0.0));
-  for (const auto& packet : sanitized) {
-    for (std::size_t m = 0; m < num_ant; ++m) {
-      for (std::size_t k = 0; k < num_sc; ++k) {
-        const double diff =
-            packet.SubcarrierPower(m, k) - d.profile_power_[m][k];
-        d.profile_variance_[m][k] += diff * diff;
-      }
+  d.profile_variance_.assign(cells, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* const re = rows.data() + i * row;
+    const double* const im = re + cells;
+    for (std::size_t c = 0; c < cells; ++c) {
+      const double diff = (re[c] * re[c] + im[c] * im[c]) - d.profile_power_[c];
+      d.profile_variance_[c] += diff * diff;
     }
   }
-  for (std::size_t m = 0; m < num_ant; ++m) {
-    for (std::size_t k = 0; k < num_sc; ++k) {
-      d.profile_variance_[m][k] *= inv_n;
-    }
-  }
+  for (std::size_t c = 0; c < cells; ++c) d.profile_variance_[c] *= inv_n;
 
-  d.profile_scale_power_ = power_sum / static_cast<double>(num_ant * num_sc);
-  d.profile_scale_amplitude_ = amp_sum / static_cast<double>(num_ant * num_sc);
+  d.profile_scale_power_ = power_sum / static_cast<double>(cells);
+  d.profile_scale_amplitude_ = amp_sum / static_cast<double>(cells);
   MULINK_REQUIRE(d.profile_scale_power_ > 0.0,
                  "Detector::Calibrate: calibration session has no power");
 
-  // Retain an even subsample of sanitized packets for monitoring-time
+  // Retain an even subsample of the sanitized rows for monitoring-time
   // re-weighted pseudospectrum computation.
-  const std::size_t keep =
-      std::min(config.retained_calibration_packets, sanitized.size());
+  const std::size_t keep = std::min(kRetainedCalibrationPackets, n);
   // mulink-lint: allow(alloc): calibration path
-  d.retained_calibration_.reserve(keep);
+  d.retained_rows_.resize(keep * row);
   for (std::size_t i = 0; i < keep; ++i) {
-    const std::size_t idx = i * sanitized.size() / keep;
-    // mulink-lint: allow(alloc): calibration path
-    d.retained_calibration_.push_back(sanitized[idx]);
+    std::copy_n(rows.data() + (i * n / keep) * row, row,
+                d.retained_rows_.data() + i * row);
   }
   d.profile_epoch_ = NextProfileVersion();
 
@@ -335,32 +341,34 @@ void Detector::CalibrateThreshold(
     const std::vector<std::vector<wifi::CsiPacket>>& empty_windows) {
   MULINK_REQUIRE(empty_windows.size() >= 2,
                  "Detector::CalibrateThreshold: need >= 2 empty windows");
+  // The combined scheme's degraded fallback (subcarrier-only weighting)
+  // lives on a different scale than the angular statistic, so derive its
+  // threshold from the same empty windows, scored from the same prepared
+  // slots. The other schemes' degraded statistic is a per-antenna average
+  // of the primary one — same scale, same threshold.
+  const bool fallback =
+      config_.scheme == DetectionScheme::kSubcarrierAndPathWeighting;
   std::vector<double> scores;
+  std::vector<double> fallback_scores;
   // mulink-lint: allow(alloc): calibration path
   scores.reserve(empty_windows.size());
+  // mulink-lint: allow(alloc): calibration path
+  if (fallback) fallback_scores.reserve(empty_windows.size());
   DetectorScratch scratch;
+  const std::uint32_t full = FullAntennaMask();
   for (const auto& w : empty_windows) {
+    const PreparedWindowFactors factors = PrepareWindow(w, scratch);
     // mulink-lint: allow(alloc): calibration path
-    scores.push_back(Score(std::span<const wifi::CsiPacket>(w), scratch));
+    scores.push_back(Dispatch(factors, scratch, full, /*fallback=*/false));
+    if (fallback) {
+      fallback_scores.push_back(  // mulink-lint: allow(alloc): calibration path
+          Dispatch(factors, scratch, full, /*fallback=*/true));
+    }
   }
   threshold_ =
       dsp::Mean(scores) + config_.threshold_sigma * dsp::StdDev(scores);
   threshold_set_ = true;
-
-  // The combined scheme's degraded fallback (subcarrier-only weighting)
-  // lives on a different scale than the angular statistic, so derive its
-  // threshold from the same empty windows. The other schemes' degraded
-  // statistic is a per-antenna average of the primary one — same scale,
-  // same threshold.
-  if (config_.scheme == DetectionScheme::kSubcarrierAndPathWeighting) {
-    std::vector<double> fallback_scores;
-    // mulink-lint: allow(alloc): calibration path
-    fallback_scores.reserve(empty_windows.size());
-    for (const auto& w : empty_windows) {
-      fallback_scores.push_back(  // mulink-lint: allow(alloc): calibration path
-          ScoreDegraded(std::span<const wifi::CsiPacket>(w), scratch,
-                        FullAntennaMask()));
-    }
+  if (fallback) {
     fallback_threshold_ = dsp::Mean(fallback_scores) +
                           config_.threshold_sigma * dsp::StdDev(fallback_scores);
     fallback_threshold_set_ = true;
@@ -384,14 +392,9 @@ void Detector::ApplyProfile(std::span<const double> power,
   const double scale_power = power_sum / static_cast<double>(cells);
   MULINK_REQUIRE(scale_power > 0.0,
                  "Detector::ApplyProfile: staged profile has no power");
-  for (std::size_t m = 0; m < num_antennas_; ++m) {
-    for (std::size_t k = 0; k < num_subcarriers_; ++k) {
-      const std::size_t idx = m * num_subcarriers_ + k;
-      profile_power_[m][k] = power[idx];
-      profile_amplitude_[m][k] = amplitude[idx];
-      profile_variance_[m][k] = variance[idx];
-    }
-  }
+  std::copy(power.begin(), power.end(), profile_power_.begin());
+  std::copy(amplitude.begin(), amplitude.end(), profile_amplitude_.begin());
+  std::copy(variance.begin(), variance.end(), profile_variance_.begin());
   profile_scale_power_ = scale_power;
   profile_scale_amplitude_ = amp_sum / static_cast<double>(cells);
   profile_epoch_ = NextProfileVersion();
@@ -399,58 +402,65 @@ void Detector::ApplyProfile(std::span<const double> power,
 
 void Detector::RefreshAngularProfile(std::span<const double> staged,
                                      DetectorScratch& scratch) {
-  if (staged.empty() || retained_calibration_.empty() || num_antennas_ < 2) {
+  if (staged.empty() || retained_rows_.empty() || num_antennas_ < 2) {
     return;
   }
   const std::size_t cells = num_antennas_ * num_subcarriers_;
-  MULINK_REQUIRE(staged.size() % (2 * cells) == 0,
+  const std::size_t row = 2 * cells;
+  MULINK_REQUIRE(staged.size() % row == 0,
                  "Detector::RefreshAngularProfile: slab shape mismatch");
-  // Re-anchor the retained packets onto the ACTIVE profile's per-cell
+  const std::size_t count = retained_count();
+  // Re-anchor the retained rows onto the ACTIVE profile's per-cell
   // amplitude before rotating the staged slice in. The rotation below only
   // replaces a fraction of the set, and both the pseudospectrum and the
   // combined scheme's profile-side covariance are built from the retained
-  // packets — left at the pre-drift gain they would dominate the profile
+  // rows — left at the pre-drift gain they would dominate the profile
   // statistics no matter what ApplyProfile installed. Scaling each cell's
-  // amplitude to the applied profile keeps the packets' phase structure
-  // (the angular information) while moving their scale to the new operating
+  // amplitude to the applied profile keeps the rows' phase structure (the
+  // angular information) while moving their scale to the new operating
   // point; a gain ramp or AGC step is a real scalar, so for those faults
-  // the correction is exact.
-  for (std::size_t m = 0; m < num_antennas_; ++m) {
-    for (std::size_t k = 0; k < num_subcarriers_; ++k) {
-      double stale_amp = 0.0;
-      for (const auto& packet : retained_calibration_) {
-        stale_amp += std::sqrt(packet.SubcarrierPower(m, k));
-      }
-      stale_amp /= static_cast<double>(retained_calibration_.size());
-      const double target = profile_amplitude_[m][k];
-      if (stale_amp <= 0.0 || target <= 0.0) continue;
-      const double scale = target / stale_amp;
-      for (auto& packet : retained_calibration_) {
-        packet.csi.At(m, k) *= scale;
-      }
+  // the correction is exact. The scale is applied in place (re and im each
+  // times it), so every row carries the product of the rescales since it
+  // was rotated in.
+  double* const block = retained_rows_.data();
+  for (std::size_t c = 0; c < cells; ++c) {
+    double stale_amp = 0.0;
+    for (std::size_t r = 0; r < count; ++r) {
+      const double re = block[r * row + c];
+      const double im = block[r * row + cells + c];
+      stale_amp += std::sqrt(re * re + im * im);
+    }
+    stale_amp /= static_cast<double>(count);
+    const double target = profile_amplitude_[c];
+    if (stale_amp <= 0.0 || target <= 0.0) continue;
+    const double scale = target / stale_amp;
+    for (std::size_t r = 0; r < count; ++r) {
+      block[r * row + c] *= scale;
+      block[r * row + cells + c] *= scale;
     }
   }
-  const std::size_t rotate =
-      std::min(staged.size() / (2 * cells), retained_calibration_.size());
+  // The rotation cursor keeps replacing the oldest retained rows first.
+  const std::size_t rotate = std::min(staged.size() / row, count);
   for (std::size_t i = 0; i < rotate; ++i) {
-    // Re-interleave into the retained packet's CSI buffer; the rotation
-    // cursor keeps replacing the oldest retained packets first.
-    Complex* const h = retained_calibration_[retained_rotation_ %
-                                             retained_calibration_.size()]
-                           .csi.raw();
-    const double* const re = staged.data() + i * 2 * cells;
-    const double* const im = re + cells;
-    for (std::size_t c = 0; c < cells; ++c) h[c] = Complex(re[c], im[c]);
+    std::copy_n(staged.data() + i * row, row,
+                block + (retained_rotation_ % count) * row);
     ++retained_rotation_;
   }
   RebuildAngularProfile(scratch);
 }
 
 void Detector::RebuildAngularProfile(DetectorScratch& scratch) {
+  const std::size_t count = retained_count();
+  const std::size_t row = 2 * num_antennas_ * num_subcarriers_;
+  std::array<const double*, kRetainedCalibrationPackets> views{};
+  for (std::size_t r = 0; r < count; ++r) {
+    views[r] = retained_rows_.data() + r * row;
+  }
+  const std::span<const double* const> retained(views.data(), count);
   // The scratch's monitor-side covariance and spectrum are per-window
   // temporaries, free between windows.
-  const std::span<const wifi::CsiPacket> retained(retained_calibration_);
-  SampleCovarianceInto(retained, {}, scratch.monitor_cov, scratch.music);
+  SampleCovarianceSlabsInto(retained, num_antennas_, num_subcarriers_, {},
+                            scratch.monitor_cov, scratch.music);
   ComputeMusicSpectrumInto(scratch.monitor_cov, array_, band_, config_.music,
                            scratch.monitor_spectrum, scratch.music);
   // Gaussian smoothing (degrees) of the pseudospectrum before it is
@@ -463,7 +473,8 @@ void Detector::RebuildAngularProfile(DetectorScratch& scratch) {
   ComputePathWeightsInto(static_spectrum_, config_.path_weighting,
                          path_weights_);
   if (config_.scheme == DetectionScheme::kSubcarrierAndPathWeighting) {
-    BuildSubcarrierCovarianceStack(retained, profile_stack_);
+    BuildSubcarrierCovarianceStack(retained, num_antennas_, num_subcarriers_,
+                                   profile_stack_);
   }
 }
 
@@ -479,7 +490,7 @@ double Detector::BaselineDistance(const double* slab,
       const std::size_t c = m * num_subcarriers_ + k;
       const double amp = std::sqrt(slab[c] * slab[c] + im[c] * im[c]);
       const double diff =
-          (amp - profile_amplitude_[m][k]) / profile_scale_amplitude_;
+          (amp - profile_amplitude_[c]) / profile_scale_amplitude_;
       sum_sq += diff * diff;
     }
     packet_score += std::sqrt(sum_sq);
@@ -583,9 +594,9 @@ double Detector::ScoreSubcarrierWeighting(const PreparedWindowFactors& factors,
       // power so one global threshold works across links. (A dB-domain
       // difference was evaluated and rejected: the log expands the noise of
       // deep-fade subcarriers — exactly the ones Eq. 15 up-weights.)
+      const std::size_t c = m * num_subcarriers_ + k;
       const double delta_s =
-          (window_power[m * num_subcarriers_ + k] - profile_power_[m][k]) /
-          profile_scale_power_;
+          (window_power[c] - profile_power_[c]) / profile_scale_power_;
       const double weighted = (weights.weights[k] / uniform) * delta_s;
       sum_sq += weighted * weighted;
     }
@@ -619,15 +630,16 @@ double Detector::ScoreVarianceMobile(const PreparedWindowFactors& factors,
       // variance for a MAD-based estimate that one interference burst cannot
       // inflate; both are normalized like Delta_s so one global threshold
       // works across links.
+      const std::size_t c = m * num_subcarriers_ + k;
       double window_variance;
       if (config_.robust_window_aggregate) {
-        const double robust_sigma = 1.4826 * spread[m * num_subcarriers_ + k];
+        const double robust_sigma = 1.4826 * spread[c];
         window_variance = robust_sigma * robust_sigma;
       } else {
-        window_variance = spread[m * num_subcarriers_ + k];
+        window_variance = spread[c];
       }
       const double excess =
-          std::max(0.0, window_variance - profile_variance_[m][k]);
+          std::max(0.0, window_variance - profile_variance_[c]);
       const double sigma = std::sqrt(excess) / profile_scale_power_;
       const double weighted = (weights.weights[k] / uniform) * sigma;
       sum_sq += weighted * weighted;

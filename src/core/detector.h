@@ -1,11 +1,14 @@
 // Device-free human detection pipeline (paper Sec. IV-C).
 //
 // Two stages, as in the paper:
-//  * Calibration — from an empty-room CSI session: phase-sanitize, store the
-//    static profile s(0) (per-antenna per-subcarrier mean power), the static
-//    angular pseudospectrum and the Eq. 17 path weights, plus a subsample of
-//    sanitized calibration packets so monitoring-stage subcarrier weights can
-//    be applied consistently to both sides before the distance is taken.
+//  * Calibration — from an empty-room CSI session: phase-sanitize it once
+//    into one block of split CSI rows (the layout of an ingest slot's CSI),
+//    store the static profile s(0) (per-antenna per-subcarrier mean power,
+//    mean amplitude and temporal variance, as flat antenna-major planes),
+//    the static angular pseudospectrum and the Eq. 17 path weights, plus an
+//    even subsample of those rows — the retained set, one flat block — so
+//    monitoring-stage subcarrier weights can be applied consistently to both
+//    sides before the distance is taken.
 //  * Monitoring — a window of M packets is scored against the profile; the
 //    score exceeding the threshold declares human presence.
 //
@@ -66,10 +69,6 @@ struct DetectorConfig {
 
   // Monitoring window length M in packets (paper: ~0.5 s at 50 pkt/s).
   std::size_t window_packets = 25;
-
-  // How many sanitized calibration packets to retain for re-weighted
-  // pseudospectrum computation (evenly subsampled from the session).
-  std::size_t retained_calibration_packets = 128;
 
   // Aggregate the window's per-subcarrier power with the median instead of
   // the mean. The paper uses the mean of the RSS difference for stationary
@@ -159,8 +158,14 @@ std::span<double> FillPowerPlane(std::span<const double* const> csi_slabs,
 //                     live mask.
 class Detector {
  public:
+  // How many sanitized calibration packets the retained set keeps for the
+  // re-weighted profile pseudospectrum and covariance stack, evenly
+  // subsampled from the session (all of them for a shorter session).
+  static constexpr std::size_t kRetainedCalibrationPackets = 128;
+
   // Build a detector from an empty-room calibration session. Requires >= 2
-  // packets; the combined scheme additionally requires >= 2 RX antennas.
+  // packets of one shape; the combined scheme additionally requires >= 2 RX
+  // antennas.
   static Detector Calibrate(const std::vector<wifi::CsiPacket>& empty_session,
                             const wifi::BandPlan& band,
                             const wifi::UniformLinearArray& array,
@@ -287,18 +292,18 @@ class Detector {
   // closed-loop drift compensation of long deployments. Both run between
   // windows, never mid-score — the caller owns that contract.
   //
-  // Overwrite the static profile with posterior means (flattened row-major
-  // [antenna][subcarrier] spans) and re-derive the normalization scales.
+  // Overwrite the static profile with posterior means (flat antenna-major
+  // spans, the planes' own layout) and re-derive the normalization scales.
   // Allocation-free: the double-buffered swap writes the staged values over
-  // the active profile without touching packet buffers or the threshold.
+  // the active profile without touching the retained rows or the threshold.
   void ApplyProfile(std::span<const double> power,
                     std::span<const double> amplitude,
                     std::span<const double> variance);
 
-  // Rotate staged sanitized quiet packets — consecutive split CSI blocks
-  // of 2 * antennas * subcarriers doubles, as PrepareSlabs takes them —
-  // into the retained calibration set (oldest first, re-interleaved into
-  // each retained packet's CSI buffer, an exact copy) and recompute the
+  // Rescale the retained rows onto the active amplitude profile, rotate
+  // staged sanitized quiet packets — consecutive split CSI blocks of 2 *
+  // antennas * subcarriers doubles, as PrepareSlabs takes them — into the
+  // retained set (copied over the oldest rows first) and recompute the
   // static pseudospectrum, the Eq. 17 path weights and the profile
   // covariance stack in place, so the combined scheme's angular profile
   // follows the recalibrated environment. `scratch` lends the MUSIC
@@ -318,16 +323,24 @@ class Detector {
   // Introspection for the characterization benches.
   const Pseudospectrum& static_spectrum() const { return static_spectrum_; }
   const PathWeights& path_weights() const { return path_weights_; }
-  std::span<const wifi::CsiPacket> retained_calibration() const {
-    return retained_calibration_;
+  // The retained calibration set: retained_count() consecutive split CSI
+  // rows of 2 * antennas * subcarriers doubles (re rows then im rows, an
+  // ingest slot's CSI layout), sanitized, each rescaled in place by every
+  // RefreshAngularProfile since it was rotated in.
+  const std::vector<double>& retained_rows() const { return retained_rows_; }
+  std::size_t retained_count() const {
+    return retained_rows_.size() / (2 * num_antennas_ * num_subcarriers_);
   }
   const SubcarrierCovarianceStack& profile_stack() const {
     return profile_stack_;
   }
-  const std::vector<std::vector<double>>& profile_power() const {
-    return profile_power_;
+  // The static profile planes, flat antenna-major: cell (m, k) is entry
+  // m * num_subcarriers() + k.
+  const std::vector<double>& profile_power() const { return profile_power_; }
+  const std::vector<double>& profile_amplitude() const {
+    return profile_amplitude_;
   }
-  const std::vector<std::vector<double>>& profile_variance() const {
+  const std::vector<double>& profile_variance() const {
     return profile_variance_;
   }
   const DetectorConfig& config() const { return config_; }
@@ -336,7 +349,7 @@ class Detector {
   Detector(const wifi::BandPlan& band, const wifi::UniformLinearArray& array,
            const DetectorConfig& config);
 
-  // Re-derive everything built from retained_calibration_ — the smoothed
+  // Re-derive everything built from retained_rows_ — the smoothed
   // static MUSIC pseudospectrum, the Eq. 17 path weights and, for the
   // combined scheme, the profile covariance stack — into the existing
   // buffers, with `scratch` as the MUSIC workspace. Needs >= 2 antennas.
@@ -390,15 +403,17 @@ class Detector {
   std::size_t num_subcarriers_ = 0;
 
   // Static profile: mean power / amplitude / temporal variance per
-  // (antenna, subcarrier).
-  std::vector<std::vector<double>> profile_power_;
-  std::vector<std::vector<double>> profile_amplitude_;
-  std::vector<std::vector<double>> profile_variance_;
+  // (antenna, subcarrier), flat antenna-major.
+  std::vector<double> profile_power_;
+  std::vector<double> profile_amplitude_;
+  std::vector<double> profile_variance_;
   // Mean per-antenna profile power (normalization scale).
   double profile_scale_power_ = 0.0;
   double profile_scale_amplitude_ = 0.0;
 
-  std::vector<wifi::CsiPacket> retained_calibration_;
+  // retained_rows() and the rotation cursor RefreshAngularProfile writes
+  // its next staged row at (modulo retained_count()).
+  std::vector<double> retained_rows_;
   std::size_t retained_rotation_ = 0;
   // Epoch of profile_amplitude_/profile_scale_amplitude_ (the baseline
   // statistic's inputs), drawn from a process-unique counter so a cache
@@ -407,7 +422,7 @@ class Detector {
   Pseudospectrum static_spectrum_;
   PathWeights path_weights_;
   // Combined scheme only: per-subcarrier covariance blocks of
-  // retained_calibration_, rebuilt wherever that set is rewritten, so each
+  // retained_rows_, rebuilt wherever that set is rewritten, so each
   // window just re-combines them with its Eq. 15 weights. Read-only while
   // scoring (shared fleet profiles share it); copies copy it (~4 KB).
   SubcarrierCovarianceStack profile_stack_;

@@ -487,31 +487,34 @@ void SensingEngine::WarmSharedScratch(const LinkState& link) {
   const bool rehearse_swap =
       link.calibrator.enabled() && (!swap_warmed_ || grew);
   if (!rehearse_decision && !rehearse_swap) return;
-  // The rehearsals below score retained calibration packets with the sink
+  // The rehearsals below score retained calibration rows with the sink
   // muted — they are not scored windows, and their values are discarded.
   scratch.metrics = nullptr;
-  const auto retained = detector.retained_calibration();
+  const std::span<const double> retained(detector.retained_rows());
+  const std::size_t row = 2 * cells;
+  const std::size_t count = detector.retained_count();
   if (rehearse_decision) {
     // A first decision of this scheme: its weights, covariances, spectra
     // and steering table then exist before any link of it decides.
-    const auto window =
-        retained.first(std::min(retained.size(), link.config.window_packets));
-    if (window.size() >= 2) (void)detector.Score(window, scratch);
+    const std::size_t rows = std::min(count, link.config.window_packets);
+    if (rows >= 2) {
+      (void)detector.ScorePrepared(
+          detector.PrepareSlabs(retained.first(rows * row), scratch), scratch);
+    }
     rehearsed_schemes_ |= scheme_bit;
   }
   if (!rehearse_swap) return;
   // Rehearse a ladder swap on a throwaway copy: the MUSIC refresh over the
   // retained set, then rescoring a window (or a staging ring) of quiet
-  // packets, staged as the ladder stages them — split CSI rows, here
-  // cycled from the retained packets.
+  // rows, staged as the ladder stages them — here cycled from the retained
+  // rows.
   Detector probe(detector);
-  if (retained.size() >= 2) {
+  if (count >= 2) {
     // mulink-lint: allow(alloc): AddLink, setup path
-    std::vector<double> rows(rescored * 2 * cells);
+    std::vector<double> rows(rescored * row);
     for (std::size_t i = 0; i < rescored; ++i) {
-      double* const re = rows.data() + i * 2 * cells;
-      kernels::Deinterleave(retained[i % retained.size()].csi.raw(), cells,
-                            re, re + cells);
+      std::copy_n(retained.data() + (i % count) * row, row,
+                  rows.data() + i * row);
     }
     probe.RefreshAngularProfile(rows, scratch);
     (void)probe.ScorePrepared(probe.PrepareSlabs(rows, scratch), scratch);

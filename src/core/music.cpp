@@ -96,81 +96,28 @@ void SmoothSpectrumInto(const Pseudospectrum& in, double sigma_deg,
 
 linalg::CMatrix SampleCovariance(const std::vector<wifi::CsiPacket>& packets,
                                  const std::vector<double>& weights) {
-  linalg::CMatrix r;
-  MusicWorkspace ws;
-  SampleCovarianceInto(packets, weights, r, ws);
-  return r;
-}
-
-namespace {
-
-// The weighted reduction both covariance entry points end in, once they
-// have packed the window into ws.plane_re / ws.plane_im (plane m = antenna
-// m, packet-major, num_pk * num_sc lanes): replicate the clipped weights
-// across every packet's lanes, run the covariance kernel and normalize by
-// the total weight. Subcarriers with w <= 0 stay in the planes with weight
-// 0 — an exact multiply-by-zero no-op that keeps the lanes dense for SIMD.
-void WeightedCovarianceOfPlanes(std::size_t num_ant, std::size_t num_sc,
-                                std::size_t num_pk,
-                                std::span<const double> weights,
-                                linalg::CMatrix& out, MusicWorkspace& ws) {
-  double weight_sum = 0.0;
-  for (std::size_t k = 0; k < num_sc; ++k) {
-    const double w = weights.empty() ? 1.0 : weights[k];
-    const double clipped = w > 0.0 ? w : 0.0;
-    ws.w_rep[k] = clipped;
-    weight_sum += clipped;
-  }
-  for (std::size_t p = 1; p < num_pk; ++p) {
-    std::memcpy(ws.w_rep.data() + p * num_sc, ws.w_rep.data(),
-                num_sc * sizeof(double));
-  }
-  MULINK_REQUIRE(weight_sum > 0.0, "SampleCovariance: all weights are zero");
-  out.Resize(num_ant, num_ant);
-  kernels::WeightedCovariance(ws.plane_re.data(), ws.plane_im.data(), num_ant,
-                              num_pk * num_sc, ws.w_rep.data(), out.raw());
-  const double total_weight = weight_sum * static_cast<double>(num_pk);
-  out *= Complex(1.0 / total_weight, 0.0);
-}
-
-// Checks shared by both entry points; sizes the planes for num_pk packets.
-void PreparePlanes(std::size_t num_ant, std::size_t num_sc, std::size_t num_pk,
-                   std::span<const double> weights, MusicWorkspace& ws) {
-  MULINK_REQUIRE(num_pk > 0, "SampleCovariance: need >= 1 packet");
-  MULINK_REQUIRE(num_ant >= 2, "SampleCovariance: need >= 2 antennas");
-  MULINK_REQUIRE(weights.empty() || weights.size() == num_sc,
-                 "SampleCovariance: weights size mismatch");
-  const std::size_t n = num_pk * num_sc;
-  ws.plane_re.Ensure(num_ant * n);
-  ws.plane_im.Ensure(num_ant * n);
-  ws.w_rep.Ensure(n);
-}
-
-}  // namespace
-
-void SampleCovarianceInto(std::span<const wifi::CsiPacket> packets,
-                          std::span<const double> weights, linalg::CMatrix& out,
-                          MusicWorkspace& ws) {
   MULINK_REQUIRE(!packets.empty(), "SampleCovariance: need >= 1 packet");
   const std::size_t num_ant = packets[0].NumAntennas();
   const std::size_t num_sc = packets[0].NumSubcarriers();
-  const std::size_t num_pk = packets.size();
-  PreparePlanes(num_ant, num_sc, num_pk, weights, ws);
-  // Deinterleave each packet's antenna rows into the planes.
-  const std::size_t n = num_pk * num_sc;
-  for (std::size_t p = 0; p < num_pk; ++p) {
-    const auto& packet = packets[p];
-    MULINK_REQUIRE(packet.NumAntennas() == num_ant &&
-                       packet.NumSubcarriers() == num_sc,
+  const std::size_t cells = num_ant * num_sc;
+  // Split each packet once (kernels::Deinterleave's bytes) and take the slab
+  // form.
+  // mulink-lint: allow(alloc): convenience wrapper, not a scoring path
+  std::vector<double> rows(packets.size() * 2 * cells);
+  // mulink-lint: allow(alloc): convenience wrapper, not a scoring path
+  std::vector<const double*> slabs(packets.size());
+  for (std::size_t p = 0; p < packets.size(); ++p) {
+    MULINK_REQUIRE(packets[p].NumAntennas() == num_ant &&
+                       packets[p].NumSubcarriers() == num_sc,
                    "SampleCovariance: inconsistent packet dimensions");
-    const Complex* csi = packet.csi.raw();
-    for (std::size_t m = 0; m < num_ant; ++m) {
-      kernels::Deinterleave(csi + m * num_sc, num_sc,
-                            ws.plane_re.data() + m * n + p * num_sc,
-                            ws.plane_im.data() + m * n + p * num_sc);
-    }
+    double* const re = rows.data() + p * 2 * cells;
+    kernels::Deinterleave(packets[p].csi.raw(), cells, re, re + cells);
+    slabs[p] = re;
   }
-  WeightedCovarianceOfPlanes(num_ant, num_sc, num_pk, weights, out, ws);
+  linalg::CMatrix r;
+  MusicWorkspace ws;
+  SampleCovarianceSlabsInto(slabs, num_ant, num_sc, weights, r, ws);
+  return r;
 }
 
 void SampleCovarianceSlabsInto(std::span<const double* const> slabs,
@@ -179,11 +126,16 @@ void SampleCovarianceSlabsInto(std::span<const double* const> slabs,
                                std::span<const double> weights,
                                linalg::CMatrix& out, MusicWorkspace& ws) {
   const std::size_t num_pk = slabs.size();
-  PreparePlanes(num_antennas, num_subcarriers, num_pk, weights, ws);
-  // Assemble the planes by memcpy from the per-packet slabs — the same
-  // bytes the Deinterleave path writes, so the reduction (and the score
-  // downstream) is bit-identical.
+  MULINK_REQUIRE(num_pk > 0, "SampleCovariance: need >= 1 packet");
+  MULINK_REQUIRE(num_antennas >= 2, "SampleCovariance: need >= 2 antennas");
+  MULINK_REQUIRE(weights.empty() || weights.size() == num_subcarriers,
+                 "SampleCovariance: weights size mismatch");
   const std::size_t n = num_pk * num_subcarriers;
+  ws.plane_re.Ensure(num_antennas * n);
+  ws.plane_im.Ensure(num_antennas * n);
+  ws.w_rep.Ensure(n);
+  // Assemble the planes (plane m = antenna m, packet-major, n lanes) by
+  // memcpy from the per-packet slabs.
   const std::size_t row_bytes = num_subcarriers * sizeof(double);
   for (std::size_t p = 0; p < num_pk; ++p) {
     const double* slab = slabs[p];
@@ -194,36 +146,55 @@ void SampleCovarianceSlabsInto(std::span<const double* const> slabs,
                   slab + (num_antennas + m) * num_subcarriers, row_bytes);
     }
   }
-  WeightedCovarianceOfPlanes(num_antennas, num_subcarriers, num_pk, weights,
-                             out, ws);
+  // Replicate the clipped weights across every packet's lanes, run the
+  // covariance kernel and normalize by the total weight. Subcarriers with
+  // w <= 0 stay in the planes with weight 0 — an exact multiply-by-zero
+  // no-op that keeps the lanes dense for SIMD.
+  double weight_sum = 0.0;
+  for (std::size_t k = 0; k < num_subcarriers; ++k) {
+    const double w = weights.empty() ? 1.0 : weights[k];
+    const double clipped = w > 0.0 ? w : 0.0;
+    ws.w_rep[k] = clipped;
+    weight_sum += clipped;
+  }
+  for (std::size_t p = 1; p < num_pk; ++p) {
+    std::memcpy(ws.w_rep.data() + p * num_subcarriers, ws.w_rep.data(),
+                row_bytes);
+  }
+  MULINK_REQUIRE(weight_sum > 0.0, "SampleCovariance: all weights are zero");
+  out.Resize(num_antennas, num_antennas);
+  kernels::WeightedCovariance(ws.plane_re.data(), ws.plane_im.data(),
+                              num_antennas, n, ws.w_rep.data(), out.raw());
+  const double total_weight = weight_sum * static_cast<double>(num_pk);
+  out *= Complex(1.0 / total_weight, 0.0);
 }
 
-void BuildSubcarrierCovarianceStack(std::span<const wifi::CsiPacket> packets,
+void BuildSubcarrierCovarianceStack(std::span<const double* const> slabs,
+                                    std::size_t num_antennas,
+                                    std::size_t num_subcarriers,
                                     SubcarrierCovarianceStack& out) {
-  MULINK_REQUIRE(!packets.empty(),
-                 "SubcarrierCovarianceStack: need >= 1 packet");
-  const std::size_t num_ant = packets[0].NumAntennas();
-  const std::size_t num_sc = packets[0].NumSubcarriers();
-  MULINK_REQUIRE(num_ant >= 2, "SubcarrierCovarianceStack: need >= 2 antennas");
-
+  MULINK_REQUIRE(!slabs.empty(), "SubcarrierCovarianceStack: need >= 1 packet");
+  MULINK_REQUIRE(num_antennas >= 2,
+                 "SubcarrierCovarianceStack: need >= 2 antennas");
+  const std::size_t num_ant = num_antennas;
+  const std::size_t num_sc = num_subcarriers;
+  const std::size_t cells = num_ant * num_sc;
   out.num_antennas = num_ant;
   out.num_subcarriers = num_sc;
-  out.num_packets = packets.size();
+  out.num_packets = slabs.size();
   // Reuses out.data's capacity, so a profile refresh that rebuilds a
   // detector's stack at the same shape allocates nothing.
   // mulink-lint: allow(alloc): grows only on the first build of a shape
   out.data.assign(num_sc * num_ant * num_ant, Complex(0.0, 0.0));
-  for (const auto& packet : packets) {
-    MULINK_REQUIRE(packet.NumAntennas() == num_ant &&
-                       packet.NumSubcarriers() == num_sc,
-                   "SubcarrierCovarianceStack: inconsistent packet dimensions");
-    const Complex* csi = packet.csi.raw();
+  for (const double* const re : slabs) {
+    const double* const im = re + cells;
     for (std::size_t k = 0; k < num_sc; ++k) {
       Complex* block = out.data.data() + k * num_ant * num_ant;
       for (std::size_t i = 0; i < num_ant; ++i) {
-        const Complex xi = csi[i * num_sc + k];
+        const Complex xi(re[i * num_sc + k], im[i * num_sc + k]);
         for (std::size_t j = 0; j < num_ant; ++j) {
-          block[i * num_ant + j] += xi * std::conj(csi[j * num_sc + k]);
+          block[i * num_ant + j] +=
+              xi * std::conj(Complex(re[j * num_sc + k], im[j * num_sc + k]));
         }
       }
     }

@@ -105,20 +105,15 @@ struct MusicWorkspace {
 linalg::CMatrix SampleCovariance(const std::vector<wifi::CsiPacket>& packets,
                                  const std::vector<double>& weights = {});
 
-// Scratch variant: accumulates into `out` (resized to antennas x antennas)
-// with zero heap traffic after warm-up. Bit-identical to SampleCovariance.
-void SampleCovarianceInto(std::span<const wifi::CsiPacket> packets,
-                          std::span<const double> weights, linalg::CMatrix& out,
-                          MusicWorkspace& ws);
-
-// Pre-split variant for ingest-cached windows: slab p points at packet p's
+// Scratch variant over split packets: slab p points at packet p's
 // split-complex block — antenna-major re rows then im rows, each
 // num_antennas * num_subcarriers doubles, exactly the bytes
 // kernels::Deinterleave produces from the packet's CSI. Callers that score
 // overlapping windows (SensingEngine) split each packet once at ingest and
 // assemble the window by memcpy here, instead of re-deinterleaving every
-// packet on every hop. Bit-identical to SampleCovarianceInto on the packets
-// the slabs were split from.
+// packet on every hop. Accumulates into `out` (resized to antennas x
+// antennas) with zero heap traffic after warm-up; bit-identical to
+// SampleCovariance on the packets the slabs were split from.
 void SampleCovarianceSlabsInto(std::span<const double* const> slabs,
                                std::size_t num_antennas,
                                std::size_t num_subcarriers,
@@ -144,10 +139,12 @@ struct SubcarrierCovarianceStack {
   }
 };
 
-// Build the stack from `packets` into `out`, reusing its capacity;
-// deterministic, so rebuilding from the same packets reproduces the stack
-// bit-for-bit.
-void BuildSubcarrierCovarianceStack(std::span<const wifi::CsiPacket> packets,
+// Build the stack from split packets (SampleCovarianceSlabsInto's slabs)
+// into `out`, reusing its capacity; deterministic, so rebuilding from the
+// same slabs reproduces the stack bit-for-bit.
+void BuildSubcarrierCovarianceStack(std::span<const double* const> slabs,
+                                    std::size_t num_antennas,
+                                    std::size_t num_subcarriers,
                                     SubcarrierCovarianceStack& out);
 
 // out = (sum_k w_k C_k) / (num_packets * sum_k w_k) over subcarriers with

@@ -199,21 +199,14 @@ void SanitizePhaseSplitInto(const wifi::CsiPacket& packet,
 
 std::vector<wifi::CsiPacket> SanitizePhase(
     const std::vector<wifi::CsiPacket>& packets, const wifi::BandPlan& band) {
-  std::vector<wifi::CsiPacket> out;
+  const IngestPlan plan(band);
   SanitizeScratch scratch;
-  SanitizePhaseInto(packets, IngestPlan(band), out, scratch);
-  return out;
-}
-
-void SanitizePhaseInto(std::span<const wifi::CsiPacket> packets,
-                       const IngestPlan& plan,
-                       std::vector<wifi::CsiPacket>& out,
-                       SanitizeScratch& scratch) {
-  // mulink-lint: allow(alloc): warm batch output rows
-  out.resize(packets.size());
+  // mulink-lint: allow(alloc): convenience wrapper, not a scoring path
+  std::vector<wifi::CsiPacket> out(packets.size());
   for (std::size_t i = 0; i < packets.size(); ++i) {
     SanitizePhaseInto(packets[i], plan, out[i], scratch);
   }
+  return out;
 }
 
 }  // namespace mulink::core

@@ -112,10 +112,4 @@ void SanitizePhaseSplitInto(const wifi::CsiPacket& packet,
 std::vector<wifi::CsiPacket> SanitizePhase(
     const std::vector<wifi::CsiPacket>& packets, const wifi::BandPlan& band);
 
-// Scratch variant over a window of packets; `out` is resized to match.
-void SanitizePhaseInto(std::span<const wifi::CsiPacket> packets,
-                       const IngestPlan& plan,
-                       std::vector<wifi::CsiPacket>& out,
-                       SanitizeScratch& scratch);
-
 }  // namespace mulink::core

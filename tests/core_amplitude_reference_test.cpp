@@ -62,7 +62,7 @@ double ReferenceScore(const core::Detector& detector, Statistic statistic,
   double power_sum = 0.0;
   for (std::size_t m = 0; m < antennas; ++m) {
     for (std::size_t k = 0; k < subcarriers; ++k) {
-      power_sum += profile_power[m][k];
+      power_sum += profile_power[m * subcarriers + k];
     }
   }
   const double scale = power_sum / static_cast<double>(antennas * subcarriers);
@@ -86,7 +86,7 @@ double ReferenceScore(const core::Detector& detector, Statistic statistic,
             config.robust_window_aggregate
                 ? dsp::Median(powers, median_scratch)
                 : dsp::Mean(powers);
-        cell = (window_power - profile_power[m][k]) / scale;
+        cell = (window_power - profile_power[m * subcarriers + k]) / scale;
       } else {
         double window_variance;
         if (config.robust_window_aggregate) {
@@ -96,8 +96,9 @@ double ReferenceScore(const core::Detector& detector, Statistic statistic,
         } else {
           window_variance = dsp::Variance(powers);
         }
-        cell = std::sqrt(std::max(0.0, window_variance -
-                                           profile_variance[m][k])) /
+        cell = std::sqrt(std::max(0.0,
+                                  window_variance -
+                                      profile_variance[m * subcarriers + k])) /
                scale;
       }
       const double weighted = (weights.weights[k] / uniform) * cell;

@@ -192,11 +192,12 @@ TEST(ProfilePosterior, SeedFromAnchorsAtTheActiveProfile) {
   posterior.SeedFrom(detector);
   EXPECT_DOUBLE_EQ(posterior.EffectiveWindows(), 1.0);
   const auto& power = detector.profile_power();
+  const std::size_t subcarriers = detector.num_subcarriers();
   for (std::size_t m = 0; m < detector.num_antennas(); ++m) {
-    for (std::size_t k = 0; k < detector.num_subcarriers(); ++k) {
-      EXPECT_DOUBLE_EQ(posterior.MeanPower(m, k), power[m][k]);
+    for (std::size_t k = 0; k < subcarriers; ++k) {
+      EXPECT_DOUBLE_EQ(posterior.MeanPower(m, k), power[m * subcarriers + k]);
       EXPECT_DOUBLE_EQ(posterior.MeanAmplitude(m, k),
-                       std::sqrt(power[m][k]));
+                       std::sqrt(power[m * subcarriers + k]));
       EXPECT_DOUBLE_EQ(posterior.MeanVariance(m, k), 0.0);
     }
   }
@@ -228,8 +229,9 @@ TEST(ProfilePosterior, ObserveConvergesOnWindowStatsAndResetRestores) {
 
   posterior.Reset();
   EXPECT_DOUBLE_EQ(posterior.EffectiveWindows(), 1.0);
-  EXPECT_DOUBLE_EQ(posterior.MeanPower(1, 7),
-                   detector.profile_power()[1][7]);
+  EXPECT_DOUBLE_EQ(
+      posterior.MeanPower(1, 7),
+      detector.profile_power()[1 * detector.num_subcarriers() + 7]);
   EXPECT_DOUBLE_EQ(posterior.MeanVariance(1, 7), 0.0);
 }
 

@@ -124,6 +124,16 @@ TEST_F(DetectorTest, CalibrationValidatesDimensions) {
   EXPECT_THROW(Detector::Calibrate(one, simulator_.band(), simulator_.array(),
                                    config),
                PreconditionError);
+  // A packet of another shape inside the session (one more antenna than the
+  // rest) is refused, not read past its calibrated rows.
+  auto sim4 = experiments::MakeSimulator(link_, experiments::DefaultSimConfig(),
+                                         4);
+  Rng rng(7);
+  auto mixed = calibration;
+  mixed.push_back(sim4.CaptureSession(1, std::nullopt, rng)[0]);
+  EXPECT_THROW(Detector::Calibrate(mixed, simulator_.band(),
+                                   simulator_.array(), config),
+               PreconditionError);
 }
 
 TEST_F(DetectorTest, CombinedSchemeRequiresTwoAntennas) {

@@ -72,6 +72,42 @@ TEST(EngineFootprint, SharedProfileCombinedLinkFitsItsSlabRing) {
   RecordProperty("bytes_per_link", static_cast<int>(bytes));
 }
 
+// A per-link-calibrated link owns its detector, so every such link copies
+// one. The retained calibration set is one flat block of split rows, so the
+// copy's heap blocks are the detector's fixed set of buffers: a copy of a
+// calibrated combined detector (3x30) allocates as often with 16 retained
+// rows as with the full 128, where one heap packet per retained row would
+// add 112.
+TEST(EngineFootprint, DetectorCopyAllocationsDoNotGrowWithRetainedSet) {
+  const auto link = ex::MakeClassroomLink();
+  auto sim = ex::MakeSimulator(link);
+  Rng rng(23);
+  const auto calibration = sim.CaptureSession(300, std::nullopt, rng);
+  core::DetectorConfig detector_config;
+  detector_config.scheme = core::DetectionScheme::kSubcarrierAndPathWeighting;
+  const auto full = core::Detector::Calibrate(calibration, sim.band(),
+                                              sim.array(), detector_config);
+  const auto short_session = core::Detector::Calibrate(
+      std::vector<wifi::CsiPacket>(calibration.begin(),
+                                   calibration.begin() + 16),
+      sim.band(), sim.array(), detector_config);
+  ASSERT_EQ(full.retained_count(),
+            core::Detector::kRetainedCalibrationPackets);
+  ASSERT_EQ(short_session.retained_count(), 16u);
+
+  const auto copy_allocations = [](const core::Detector& detector) {
+    const std::uint64_t before = counting_new::Allocations();
+    {
+      const core::Detector copy(detector);
+      EXPECT_EQ(copy.retained_rows(), detector.retained_rows());
+    }
+    return counting_new::Allocations() - before;
+  };
+  const std::uint64_t full_copy = copy_allocations(full);
+  EXPECT_EQ(full_copy, copy_allocations(short_session));
+  RecordProperty("allocations_per_copy", static_cast<int>(full_copy));
+}
+
 // Under serving churn links join an engine that is already running, and
 // everything a link's first frames and first decision touch on the worker's
 // path — the guard's streak counters, the ingest lanes, the mu-median copy,

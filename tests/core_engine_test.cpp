@@ -136,6 +136,20 @@ std::vector<double> SplitRows(std::span<const wifi::CsiPacket> packets) {
   return rows;
 }
 
+// One pointer per split row of `rows` (rows of 2 * antennas * subcarriers
+// doubles), the slab views SampleCovarianceSlabsInto and
+// BuildSubcarrierCovarianceStack take.
+std::vector<const double*> SlabViews(std::span<const double> rows,
+                                     std::size_t antennas,
+                                     std::size_t subcarriers) {
+  const std::size_t row = 2 * antennas * subcarriers;
+  std::vector<const double*> slabs;
+  for (std::size_t at = 0; at < rows.size(); at += row) {
+    slabs.push_back(rows.data() + at);
+  }
+  return slabs;
+}
+
 // A quiet profile of sanitized packets in ApplyProfile's flattened
 // [antenna][subcarrier] layout: per-cell mean power, mean amplitude and
 // power variance.
@@ -299,9 +313,11 @@ TEST(EngineEquivalence, ScratchSharedAcrossDetectorsIsSafe) {
       f.Calibrated(core::DetectionScheme::kSubcarrierAndPathWeighting);
   core::DetectorConfig config;
   config.scheme = core::DetectionScheme::kSubcarrierAndPathWeighting;
-  config.retained_calibration_packets = 64;  // different profile content
-  const auto d1 = core::Detector::Calibrate(f.calibration, f.sim.band(),
-                                            f.sim.array(), config);
+  // A different calibration slice: a different profile and retained set.
+  const auto d1 = core::Detector::Calibrate(
+      std::vector<wifi::CsiPacket>(f.calibration.begin() + 100,
+                                   f.calibration.end()),
+      f.sim.band(), f.sim.array(), config);
 
   core::DetectorScratch shared;
   const std::span<const wifi::CsiPacket> occupied(f.occupied_session);
@@ -323,9 +339,11 @@ TEST(SubcarrierCovarianceStack, MatchesDirectSampleCovariance) {
   }
 
   const auto direct = core::SampleCovariance(packets, weights);
+  const auto rows = SplitRows(packets);
   core::SubcarrierCovarianceStack stack;
   core::BuildSubcarrierCovarianceStack(
-      std::span<const wifi::CsiPacket>(packets), stack);
+      SlabViews(rows, packets[0].NumAntennas(), packets[0].NumSubcarriers()),
+      packets[0].NumAntennas(), packets[0].NumSubcarriers(), stack);
   linalg::CMatrix combined;
   core::CombineSubcarrierCovariances(stack, weights, combined);
 
@@ -820,7 +838,9 @@ TEST(EngineEquivalence, ProfileStackFollowsEveryProfileRewrite) {
   const auto expect_consistent = [&](const core::Detector& d,
                                      const char* when) {
     core::SubcarrierCovarianceStack expected;
-    core::BuildSubcarrierCovarianceStack(d.retained_calibration(), expected);
+    core::BuildSubcarrierCovarianceStack(
+        SlabViews(d.retained_rows(), d.num_antennas(), d.num_subcarriers()),
+        d.num_antennas(), d.num_subcarriers(), expected);
     EXPECT_EQ(d.profile_stack().num_packets, expected.num_packets) << when;
     EXPECT_TRUE(d.profile_stack().data == expected.data) << when;
     core::DetectorScratch fresh;
