@@ -203,21 +203,8 @@ void LinkCalibrator::Configure(const Detector& detector,
   // Wiring entry point: this caller is the link's single owner.
   ScopedRole owner(owner_role_);
   config_ = config;
-  state_ = LadderState::kHealthy;
-  drift_streak_ = calm_streak_ = 0;
-  blackout_streak_ = 0;
-  ambient_fallback_ = false;
-  recal_collected_ = recal_elapsed_ = 0;
-  degraded_elapsed_ = degraded_entries_ = 0;
-  consecutive_swaps_ = healed_streak_ = windows_since_swap_ = 0;
-  probation_left_ = 0;
-  staged_write_ = staged_count_ = 0;
-  quiet_windows_ = profile_swaps_ = agc_rebaselines_ = 0;
-  ladder_transitions_ = 0;
-  adaptive_threshold_ = 0.0;
+  ClearLadder();
   if (!config_.enabled) return;
-  MULINK_REQUIRE(config_.forgetting > 0.0 && config_.forgetting <= 1.0,
-                 "LinkCalibrator: forgetting must be in (0,1]");
   MULINK_REQUIRE(config_.quiet_posterior_max >= 0.0 &&
                      config_.quiet_posterior_max <= 1.0,
                  "LinkCalibrator: quiet_posterior_max must be in [0,1]");
@@ -228,16 +215,12 @@ void LinkCalibrator::Configure(const Detector& detector,
                  "LinkCalibrator: drift_confirm_windows must be >= 1");
   MULINK_REQUIRE(config_.recalibration_quiet_windows >= 1,
                  "LinkCalibrator: recalibration_quiet_windows must be >= 1");
-  MULINK_REQUIRE(config_.threshold_sigma > 0.0,
-                 "LinkCalibrator: threshold_sigma must be > 0");
   score_posterior_.Seed(empty_scores);
   profile_posterior_.Configure(detector.num_antennas(),
                                detector.num_subcarriers());
   profile_posterior_.SeedFrom(detector);
-  score_ewma_ = score_posterior_.Mean();
+  AnchorDrift();
   ambient_ewma_ = score_posterior_.Mean();
-  drift_log_anchor_ = score_posterior_.LogMean();
-  drift_log_sigma_ = score_posterior_.LogSigma();
   baseline_threshold_ratio_ =
       detector.has_threshold() && score_posterior_.Mean() > 0.0
           ? detector.threshold() / score_posterior_.Mean()
@@ -254,15 +237,34 @@ void LinkCalibrator::Configure(const Detector& detector,
 void LinkCalibrator::TransitionTo(LadderState next) {
   if (next == state_) return;
   state_ = next;
-  ++ladder_transitions_;
   MULINK_OBS_COUNT(metrics, kLadderTransitions);
+}
+
+void LinkCalibrator::ClearLadder() {
+  state_ = LadderState::kHealthy;
+  drift_streak_ = calm_streak_ = 0;
+  blackout_streak_ = 0;
+  ambient_fallback_ = false;
+  recal_collected_ = recal_elapsed_ = 0;
+  degraded_elapsed_ = degraded_entries_ = 0;
+  consecutive_swaps_ = healed_streak_ = windows_since_swap_ = 0;
+  probation_left_ = 0;
+  staged_write_ = staged_count_ = 0;
+  quiet_windows_ = profile_swaps_ = agc_rebaselines_ = 0;
+  adaptive_threshold_ = 0.0;
+}
+
+void LinkCalibrator::AnchorDrift() {
+  score_ewma_ = score_posterior_.Mean();
+  drift_log_anchor_ = score_posterior_.LogMean();
+  drift_log_sigma_ = score_posterior_.LogSigma();
 }
 
 void LinkCalibrator::EnterRecalibrating() {
   // A confirmed change point: the posterior history describes the OLD
   // channel. Cap the stale evidence at one window's worth of prior mass so
   // the recalibration_quiet_windows collected next dominate the swap —
-  // otherwise a steady-state posterior (effective memory ~1/(1-forgetting)
+  // otherwise a steady-state posterior (effective memory ~1/(1-kForgetting)
   // windows) would pull the staged profile halfway back to the stale one.
   score_posterior_.Deweight(1.0);
   profile_posterior_.Deweight(1.0);
@@ -273,9 +275,8 @@ void LinkCalibrator::EnterRecalibrating() {
   // with the starvation clock expired so the ambient fallback band opens on
   // the first window instead of idling through another probe.
   recal_elapsed_ = (state_ == LadderState::kDegraded ||
-                    (config_.blackout_windows > 0 &&
-                     blackout_streak_ >= config_.blackout_windows))
-                       ? config_.starvation_windows
+                    blackout_streak_ >= kBlackoutWindows)
+                       ? kStarvationWindows
                        : 0;
   drift_streak_ = calm_streak_ = 0;
   blackout_streak_ = 0;
@@ -288,22 +289,17 @@ void LinkCalibrator::EnterRecalibrating() {
   TransitionTo(LadderState::kRecalibrating);
 }
 
-void LinkCalibrator::AbortRecalibration() {
-  // The room never looked vacant long enough to recalibrate from. Degrade;
-  // each retry widens the evidence gate (see ObserveDecision), and the
-  // max_degraded_entries-th degradation freezes the ladder until an
-  // explicit Reset.
+void LinkCalibrator::Degrade() {
   ++degraded_entries_;
   degraded_elapsed_ = 0;
-  recal_collected_ = recal_elapsed_ = 0;
-  TransitionTo(degraded_entries_ >= config_.max_degraded_entries
+  TransitionTo(degraded_entries_ >= kMaxDegradedEntries
                    ? LadderState::kFrozen
                    : LadderState::kDegraded);
 }
 
 bool LinkCalibrator::AgcRebaselineDue(
     const CalibrationWindowContext& context) const {
-  return context.agc_frames >= config_.agc_frames_min &&
+  return context.agc_frames >= kAgcFramesMin &&
          (state_ == LadderState::kHealthy ||
           state_ == LadderState::kDriftSuspected);
 }
@@ -381,7 +377,8 @@ void LinkCalibrator::ApplySwap(Detector& detector, DetectorScratch& scratch) {
   } else {
     // No level to rebase on (no calibration prior, or a degenerate
     // collection): fall back to the posterior's own predictive threshold.
-    new_threshold = score_posterior_.Threshold(config_.threshold_sigma);
+    new_threshold =
+        score_posterior_.Threshold(detector.config().threshold_sigma);
   }
   if (new_threshold > 0.0) {
     if (detector.has_threshold() && detector.threshold() > 0.0) {
@@ -411,22 +408,16 @@ void LinkCalibrator::ApplySwap(Detector& detector, DetectorScratch& scratch) {
   // Fresh drift bookkeeping against the new operating point. The trigger
   // anchor set here is provisional — probation re-anchors it on the
   // converged posterior (see ObserveDecision).
-  score_ewma_ = score_posterior_.Mean();
-  drift_log_anchor_ = score_posterior_.LogMean();
-  drift_log_sigma_ = score_posterior_.LogSigma();
+  AnchorDrift();
   drift_streak_ = calm_streak_ = healed_streak_ = 0;
   blackout_streak_ = 0;
   ambient_fallback_ = false;
   recal_collected_ = recal_elapsed_ = 0;
   staged_write_ = staged_count_ = 0;
   probation_left_ = config_.heal_windows;
-  if (consecutive_swaps_ > config_.max_consecutive_swaps) {
+  if (consecutive_swaps_ > kMaxConsecutiveSwaps) {
     // Swapping is not clearing the drift signal: stop chasing it.
-    ++degraded_entries_;
-    degraded_elapsed_ = 0;
-    TransitionTo(degraded_entries_ >= config_.max_degraded_entries
-                     ? LadderState::kFrozen
-                     : LadderState::kDegraded);
+    Degrade();
   } else {
     TransitionTo(LadderState::kHealthy);
   }
@@ -454,9 +445,7 @@ bool LinkCalibrator::ObserveDecision(double score, double posterior,
     // biased in-sample). Re-anchor the drift trigger there rather than at
     // the staged guess, or residual rebase error reads as fresh drift and
     // the ladder thrashes through back-to-back swaps.
-    drift_log_anchor_ = score_posterior_.LogMean();
-    drift_log_sigma_ = score_posterior_.LogSigma();
-    score_ewma_ = score_posterior_.Mean();
+    AnchorDrift();
     drift_streak_ = calm_streak_ = 0;
   }
 
@@ -508,9 +497,10 @@ bool LinkCalibrator::ObserveDecision(double score, double posterior,
   const bool staged_gate =
       state_ == LadderState::kRecalibrating || probation_left_ > 0;
   if (staged_gate && plausible_gate > 0.0) {
+    const double staged_threshold =
+        score_posterior_.Threshold(detector.config().threshold_sigma);
     plausible_gate =
-        std::clamp(score_posterior_.Threshold(config_.threshold_sigma),
-                   plausible_gate, 2.0 * plausible_gate);
+        std::clamp(staged_threshold, plausible_gate, 2.0 * plausible_gate);
     // Once an attempt has starved, the band stays open for the REST of the
     // attempt (ambient_fallback_): the staged gate is capped at twice the
     // stale threshold, so after a step change far past that cap the first
@@ -519,7 +509,7 @@ bool LinkCalibrator::ObserveDecision(double score, double posterior,
     // now walks the ladder to Frozen one window per attempt.
     if (state_ == LadderState::kRecalibrating &&
         (recal_collected_ == 0 || ambient_fallback_) &&
-        recal_elapsed_ >= config_.starvation_windows && ambient_ewma_ > 0.0) {
+        recal_elapsed_ >= kStarvationWindows && ambient_ewma_ > 0.0) {
       plausible_gate = std::max(plausible_gate, 1.5 * ambient_ewma_);
       ambient_fallback_ = true;
     }
@@ -544,7 +534,7 @@ bool LinkCalibrator::ObserveDecision(double score, double posterior,
       // stale prior.
       constexpr double kRecalibrationForgetting = 0.75;
       const double forgetting =
-          staged_gate ? kRecalibrationForgetting : config_.forgetting;
+          staged_gate ? kRecalibrationForgetting : kForgetting;
       score_posterior_.Observe(score, forgetting);
       // The plane lives in the scoring scratch; it is consumed here, before
       // any swap below rescores staged packets through the same scratch.
@@ -632,27 +622,28 @@ bool LinkCalibrator::ObserveDecision(double score, double posterior,
     }
   }
 
-  // Blackout escape (see CalibrationConfig::blackout_windows): the room has
-  // sat above every gate for far longer than an occupancy episode — jump to
-  // Recalibrating so the starvation fallback can re-baseline from ambient.
-  // From Degraded this cuts the retry backoff short: a step change landing
-  // during the backoff would otherwise charge false positives for the whole
-  // span.
+  // Blackout escape (see kBlackoutWindows): the room has sat above every
+  // gate for far longer than an occupancy episode — jump to Recalibrating
+  // so the starvation fallback can re-baseline from ambient. From Degraded
+  // this cuts the retry backoff short: a step change landing during the
+  // backoff would otherwise charge false positives for the whole span.
   if ((state_ == LadderState::kHealthy ||
        state_ == LadderState::kDriftSuspected ||
        state_ == LadderState::kDegraded) &&
-      config_.blackout_windows > 0 &&
-      blackout_streak_ >= config_.blackout_windows) {
+      blackout_streak_ >= kBlackoutWindows) {
     EnterRecalibrating();
   }
 
-  // Timeouts and backoffs run on every decision.
+  // Timeouts and backoffs run on every decision. A timed-out attempt never
+  // saw the room vacant long enough to recalibrate from: degrade (each
+  // retry widens the evidence gate, see above).
   if (state_ == LadderState::kRecalibrating && !swapped &&
-      recal_elapsed_ >= config_.recalibration_timeout_windows) {
-    AbortRecalibration();
+      recal_elapsed_ >= kRecalibrationTimeoutWindows) {
+    recal_collected_ = recal_elapsed_ = 0;
+    Degrade();
   }
   if (state_ == LadderState::kDegraded &&
-      degraded_elapsed_ >= config_.degraded_backoff_windows) {
+      degraded_elapsed_ >= kDegradedBackoffWindows) {
     EnterRecalibrating();
   }
 
@@ -678,27 +669,14 @@ void LinkCalibrator::Reset(const Detector& detector) {
   // Operator re-arm: same single-owner contract as ObserveDecision.
   ScopedRole owner(owner_role_);
   if (!config_.enabled) return;
-  state_ = LadderState::kHealthy;
+  ClearLadder();
   score_posterior_.Reset();
   // Re-seed the profile posterior from the detector's CURRENT profile: the
   // detector keeps whatever adaptation its swaps installed (there is no
   // shadow copy of the original), so the prior must anchor there too.
   profile_posterior_.SeedFrom(detector);
-  score_ewma_ = score_posterior_.Mean();
+  AnchorDrift();
   ambient_ewma_ = score_posterior_.Mean();
-  drift_log_anchor_ = score_posterior_.LogMean();
-  drift_log_sigma_ = score_posterior_.LogSigma();
-  drift_streak_ = calm_streak_ = 0;
-  blackout_streak_ = 0;
-  ambient_fallback_ = false;
-  recal_collected_ = recal_elapsed_ = 0;
-  degraded_elapsed_ = degraded_entries_ = 0;
-  consecutive_swaps_ = healed_streak_ = windows_since_swap_ = 0;
-  probation_left_ = 0;
-  staged_write_ = staged_count_ = 0;
-  quiet_windows_ = profile_swaps_ = agc_rebaselines_ = 0;
-  ladder_transitions_ = 0;
-  adaptive_threshold_ = 0.0;
 }
 
 }  // namespace mulink::core

@@ -61,6 +61,8 @@ namespace mulink::core {
 // carry and name them without a core dependency; the machine lives here.
 using LadderState = nic::CalibrationLadder;
 
+// The ladder's tunable knobs; its fixed clocks and budgets are the
+// LinkCalibrator constants.
 struct CalibrationConfig {
   // Master switch. Off: the LinkCalibrator is inert and the link reports no
   // profile drift (LinkHealth::profile_drift stays false).
@@ -69,15 +71,6 @@ struct CalibrationConfig {
   // Quiet-evidence gate: a clean decision with posterior at or below this
   // bound counts as a confidently vacant window.
   double quiet_posterior_max = 0.1;
-
-  // Forgetting factor per quiet window for both posteriors in steady state
-  // (effective memory ~ 1/(1 - forgetting) windows); Recalibrating uses a
-  // fixed fast factor instead (see ObserveDecision).
-  double forgetting = 0.98;
-
-  // Adaptive threshold margin, reapplied on swap:
-  // threshold = posterior mean + threshold_sigma * predictive std.
-  double threshold_sigma = 3.0;
 
   // Drift detection: a fast EWMA of quiet-window scores (seeded at the
   // posterior mean) persistently above the drift reference for
@@ -95,50 +88,6 @@ struct CalibrationConfig {
   // Quiet windows of fast-forgetting evidence collected in Recalibrating
   // before the staged profile/threshold swap is applied.
   std::size_t recalibration_quiet_windows = 8;
-  // Decisions (quiet or not) Recalibrating may spend before giving up —
-  // a room that never looks vacant cannot be recalibrated from.
-  std::size_t recalibration_timeout_windows = 240;
-  // Evidence-starvation fallback: when Recalibrating has run this many
-  // decisions with NOTHING collected, the evidence gate falls back to a
-  // band above the classification-free ambient EWMA. A large step change
-  // can move the vacant room past every threshold-derived gate, and the
-  // staged gate can only expand through windows it admits — without the
-  // fallback such a room deadlocks the ladder into Degraded/Frozen. Once
-  // open, the band stays open for the rest of the attempt: the staged gate
-  // is capped at twice the stale threshold, so past that cap the first
-  // admitted window would otherwise also be the last.
-  std::size_t starvation_windows = 16;
-  // Blackout escape: consecutive untainted windows ABOVE the plausible-
-  // vacancy gate before the ladder concludes the room has moved beyond
-  // every gate it owns and jumps to Recalibrating (whose starvation
-  // fallback can bootstrap from the ambient EWMA). It fires from Healthy
-  // and DriftSuspected — every other path to Recalibrating consumes
-  // plausibly vacant windows, so a step change past twice the stale
-  // threshold would otherwise leave the ladder idling while the filter
-  // flags the whole stream — and from Degraded, where it cuts the retry
-  // backoff short: a step change that lands during the backoff would
-  // otherwise charge false positives for the full degraded_backoff_windows
-  // span. Must comfortably exceed a typical occupancy episode — an
-  // occupant produces the same signature until they leave. 0 disables the
-  // escape. A blackout-triggered (or Degraded-retry) entry into
-  // Recalibrating starts with the starvation clock already expired: the
-  // streak itself proved that no classification-derived gate admits
-  // evidence, so the ambient band opens immediately.
-  std::size_t blackout_windows = 24;
-
-  // Swap attempts without an intervening healed period before the ladder
-  // declares the link Degraded. A Degraded link retries after
-  // degraded_backoff_windows decisions (or as soon as the blackout escape
-  // above fires), entering Recalibrating with the ambient-EWMA starvation
-  // fallback armed from the first window: after a step change the vacant
-  // room can sit far above every threshold-derived gate, and a retry that
-  // re-ran the starvation probe would starve on the very evidence it
-  // needs — the ladder would freeze on a room that is merely louder now.
-  // Once Degraded has been entered max_degraded_entries times the ladder
-  // freezes; only Reset re-arms it.
-  std::size_t max_consecutive_swaps = 3;
-  std::size_t degraded_backoff_windows = 32;
-  std::size_t max_degraded_entries = 3;
   // Quiet windows without a drift signal after a swap that count as healed
   // (resets the consecutive-swap and degraded-entry budgets). The same
   // span doubles as the post-swap PROBATION period: the swap re-anchored
@@ -151,12 +100,6 @@ struct CalibrationConfig {
   // the same span and re-anchors on the converged posterior when probation
   // ends, so residual rebase error does not read as fresh drift.
   std::size_t heal_windows = 16;
-
-  // AGC fast re-baseline: when at least agc_frames_min repaired
-  // RSSI-outlier frames land in one hop, jump straight to Recalibrating
-  // with the fast forgetting factor instead of waiting out drift
-  // confirmation (a confirmed gain step obsoletes the profile at once).
-  std::size_t agc_frames_min = 6;
 };
 
 // Exponentially forgotten Gaussian sufficient statistics (weight, mean, M2)
@@ -292,6 +235,65 @@ class LinkCalibrator {
   // feeds them to the angular-profile refresh. Cold-path cost.
   static constexpr std::size_t kStagedQuietPackets = 32;
 
+  // Forgetting factor per quiet window for both posteriors in steady state
+  // (effective memory ~ 1/(1 - kForgetting) windows); Recalibrating uses a
+  // fixed fast factor instead (see ObserveDecision).
+  static constexpr double kForgetting = 0.98;
+  // Decisions (quiet or not) Recalibrating may spend before giving up —
+  // a room that never looks vacant cannot be recalibrated from.
+  static constexpr std::size_t kRecalibrationTimeoutWindows = 240;
+  // Evidence-starvation fallback: when Recalibrating has run this many
+  // decisions with NOTHING collected, the evidence gate falls back to a
+  // band above the classification-free ambient EWMA. A large step change
+  // can move the vacant room past every threshold-derived gate, and the
+  // staged gate can only expand through windows it admits — without the
+  // fallback such a room deadlocks the ladder into Degraded/Frozen. Once
+  // open, the band stays open for the rest of the attempt: the staged gate
+  // is capped at twice the stale threshold, so past that cap the first
+  // admitted window would otherwise also be the last.
+  static constexpr std::size_t kStarvationWindows = 16;
+  // Blackout escape: consecutive untainted windows ABOVE the plausible-
+  // vacancy gate before the ladder concludes the room has moved beyond
+  // every gate it owns and jumps to Recalibrating (whose starvation
+  // fallback can bootstrap from the ambient EWMA). It fires from Healthy
+  // and DriftSuspected — every other path to Recalibrating consumes
+  // plausibly vacant windows, so a step change past twice the stale
+  // threshold would otherwise leave the ladder idling while the filter
+  // flags the whole stream — and from Degraded, where it cuts the retry
+  // backoff short: a step change that lands during the backoff would
+  // otherwise charge false positives for the full kDegradedBackoffWindows
+  // span. Must comfortably exceed a typical occupancy episode — an
+  // occupant produces the same signature until they leave. A blackout-
+  // triggered (or Degraded-retry) entry into Recalibrating starts with the
+  // starvation clock already expired: the streak itself proved that no
+  // classification-derived gate admits evidence, so the ambient band opens
+  // immediately.
+  static constexpr std::size_t kBlackoutWindows = 24;
+  // Swap attempts without an intervening healed period before the ladder
+  // declares the link Degraded. A Degraded link retries after
+  // kDegradedBackoffWindows decisions (or as soon as the blackout escape
+  // above fires), entering Recalibrating with the ambient-EWMA starvation
+  // fallback armed from the first window: after a step change the vacant
+  // room can sit far above every threshold-derived gate, and a retry that
+  // re-ran the starvation probe would starve on the very evidence it
+  // needs — the ladder would freeze on a room that is merely louder now.
+  // Once Degraded has been entered kMaxDegradedEntries times the ladder
+  // freezes; only Reset re-arms it.
+  static constexpr std::size_t kMaxConsecutiveSwaps = 3;
+  static constexpr std::size_t kDegradedBackoffWindows = 32;
+  static constexpr std::size_t kMaxDegradedEntries = 3;
+  // AGC fast re-baseline: when at least kAgcFramesMin repaired RSSI-outlier
+  // frames land in one hop, jump straight to Recalibrating with the fast
+  // forgetting factor instead of waiting out drift confirmation (a
+  // confirmed gain step obsoletes the profile at once).
+  static constexpr std::size_t kAgcFramesMin = 6;
+
+  // The blackout escape can only cut the Degraded backoff short if it
+  // fires first, and the ambient fallback only helps an attempt that has
+  // not yet timed out.
+  static_assert(kBlackoutWindows < kDegradedBackoffWindows);
+  static_assert(kStarvationWindows < kRecalibrationTimeoutWindows);
+
   LinkCalibrator() = default;
 
   // Wire the calibrator to a link at AddLink time. Allocates every buffer
@@ -358,10 +360,16 @@ class LinkCalibrator {
   // A confirmed AGC step this decision re-baselines through Recalibrating.
   bool AgcRebaselineDue(const CalibrationWindowContext& context) const;
   void TransitionTo(LadderState next);
+  // Back to Healthy with every ladder streak, clock, budget and counter at
+  // zero (Configure and Reset).
+  void ClearLadder() MULINK_REQUIRES(owner_role_);
+  // Restart the drift EWMA at the score posterior's mean and anchor the
+  // drift reference on its log statistics.
+  void AnchorDrift();
   void EnterRecalibrating() MULINK_REQUIRES(owner_role_);
-  // A recalibration attempt ended without a swap (quiet evidence never
-  // materialized): degrade, or freeze on the second degradation.
-  void AbortRecalibration();
+  // Count one more Degraded entry and restart the backoff: Degraded, or
+  // Frozen on the kMaxDegradedEntries-th entry (only Reset re-arms it).
+  void Degrade();
   // Install the staged profile, threshold and angular refresh in place.
   void ApplySwap(Detector& detector, DetectorScratch& scratch)
       MULINK_REQUIRES(owner_role_);
@@ -436,7 +444,6 @@ class LinkCalibrator {
   std::uint64_t quiet_windows_ = 0;
   std::uint64_t profile_swaps_ = 0;
   std::uint64_t agc_rebaselines_ = 0;
-  std::uint64_t ladder_transitions_ = 0;
   double adaptive_threshold_ = 0.0;
 };
 

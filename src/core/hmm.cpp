@@ -124,10 +124,10 @@ std::vector<double> PresenceHmm::PosteriorOccupied(
 
   // Forward pass in log domain: alpha[t][s].
   std::vector<std::array<double, 2>> alpha(n), beta(n);
-  alpha[0][0] = std::log(1.0 - config_.occupancy_prior) +
+  alpha[0][0] = std::log(1.0 - kOccupancyPrior) +
                 LogLikelihoodEmpty(scores[0]);
   alpha[0][1] =
-      std::log(config_.occupancy_prior) + LogLikelihoodOccupied(scores[0]);
+      std::log(kOccupancyPrior) + LogLikelihoodOccupied(scores[0]);
   for (std::size_t t = 1; t < n; ++t) {
     const double to_empty =
         LogSumExp(alpha[t - 1][0] + log_stay, alpha[t - 1][1] + log_switch);
@@ -170,10 +170,10 @@ std::vector<bool> PresenceHmm::Decode(const std::vector<double>& scores) const {
 
   std::vector<std::array<double, 2>> delta(n);
   std::vector<std::array<int, 2>> backpointer(n);
-  delta[0][0] = std::log(1.0 - config_.occupancy_prior) +
+  delta[0][0] = std::log(1.0 - kOccupancyPrior) +
                 LogLikelihoodEmpty(scores[0]);
   delta[0][1] =
-      std::log(config_.occupancy_prior) + LogLikelihoodOccupied(scores[0]);
+      std::log(kOccupancyPrior) + LogLikelihoodOccupied(scores[0]);
   for (std::size_t t = 1; t < n; ++t) {
     for (int s = 0; s < 2; ++s) {
       const double from_same = delta[t - 1][static_cast<std::size_t>(s)] +
@@ -200,10 +200,10 @@ std::vector<bool> PresenceHmm::Decode(const std::vector<double>& scores) const {
 }
 
 PresenceHmm::Filter::Filter(const PresenceHmm& hmm)
-    : hmm_(hmm), posterior_(hmm.config().occupancy_prior) {}
+    : hmm_(hmm), posterior_(kOccupancyPrior) {}
 
 void PresenceHmm::Filter::Reset() {
-  posterior_ = hmm_.config().occupancy_prior;
+  posterior_ = kOccupancyPrior;
 }
 
 double PresenceHmm::Filter::Update(double score) {

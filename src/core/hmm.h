@@ -28,12 +28,13 @@ struct HmmConfig {
   // ...with this much wider spread (people at different spots score over a
   // wide range).
   double occupied_sigma_scale = 2.5;
-  // Stationary prior probability of occupancy.
-  double occupancy_prior = 0.5;
 };
 
 class PresenceHmm {
  public:
+  // Stationary prior probability of occupancy.
+  static constexpr double kOccupancyPrior = 0.5;
+
   // Fit the empty-state emission from calibration-window scores (>= 2,
   // non-negative; emissions are Gaussian in log-score). The occupied state
   // is placed occupied_shift_sigmas above the empty mean.

@@ -126,8 +126,6 @@ LinkStatus Status(const LinkHealth& health) {
 }
 
 FrameGuard::FrameGuard(FrameGuardConfig config) : config_(config) {
-  MULINK_REQUIRE(config_.dead_antenna_packets >= 1,
-                 "FrameGuard: dead_antenna_packets must be >= 1");
   locked_antennas_ = config_.expected_antennas;
   locked_subcarriers_ = config_.expected_subcarriers;
   // With the shape configured, size the streak counters now so the first
@@ -223,7 +221,7 @@ FrameReport FrameGuard::Inspect(const wifi::CsiPacket& packet) {
           static_cast<std::size_t>(packet.sequence - last_sequence_ - 1);
       health_.missing += report.gap;
       flag(FrameFault::kSequenceGap);
-      report.resync = report.gap > config_.max_gap_packets;
+      report.resync = report.gap > kMaxGapPackets;
     }
   }
   have_sequence_ = true;
@@ -240,16 +238,16 @@ FrameReport FrameGuard::Inspect(const wifi::CsiPacket& packet) {
     AntennaStreak& streak = streaks_[m];
     if (silent) {
       streak.live = 0;
-      if (streak.dead < config_.dead_antenna_packets) ++streak.dead;
-      if (streak.dead >= config_.dead_antenna_packets &&
+      if (streak.dead < kDeadAntennaPackets) ++streak.dead;
+      if (streak.dead >= kDeadAntennaPackets &&
           (health_.dead_antenna_mask & bit) == 0) {
         health_.dead_antenna_mask |= bit;
         report.antenna_died = static_cast<int>(m);
       }
     } else {
       streak.dead = 0;
-      if (streak.live < config_.dead_antenna_packets) ++streak.live;
-      if (streak.live >= config_.dead_antenna_packets) {
+      if (streak.live < kDeadAntennaPackets) ++streak.live;
+      if (streak.live >= kDeadAntennaPackets) {
         health_.dead_antenna_mask &= ~bit;
       }
     }
@@ -260,7 +258,7 @@ FrameReport FrameGuard::Inspect(const wifi::CsiPacket& packet) {
   }
 
   // RSSI outlier (AGC jump): |rssi - EWMA mean| > kRssiOutlierSigma x the
-  // EWMA standard deviation, evaluated after rssi_warmup_packets frames.
+  // EWMA standard deviation, evaluated after kRssiWarmupPackets frames.
   // The absolute floor under the sigma gate: deviations below
   // kRssiOutlierMinDb never flag, whatever the EWMA sigma says. Fading
   // RSSI is heavy-tailed and temporally correlated — a deep-fade excursion
@@ -285,7 +283,7 @@ FrameReport FrameGuard::Inspect(const wifi::CsiPacket& packet) {
   constexpr double kRssiEwmaAlpha = 0.05;
   bool rssi_outlier = false;
   double rssi_clamp = 0.0;
-  if (rssi_seen_ >= config_.rssi_warmup_packets) {
+  if (rssi_seen_ >= kRssiWarmupPackets) {
     const double sigma = std::sqrt(std::max(rssi_var_, 1e-12));
     rssi_clamp = kRssiOutlierClampSigma * sigma;
     if (std::abs(packet.rssi_db - rssi_mean_) >

@@ -61,19 +61,6 @@ struct FrameGuardConfig {
   // Frame shape every packet must match; 0 locks onto the first frame seen.
   std::size_t expected_antennas = 0;
   std::size_t expected_subcarriers = 0;
-
-  // An antenna whose per-frame energy stays far below the strongest
-  // chain's for dead_antenna_packets consecutive frames is declared dead;
-  // the same count of live frames revives it.
-  std::size_t dead_antenna_packets = 10;
-
-  // RSSI outlier (AGC jump) detection against an EWMA of the link's RSSI
-  // starts after rssi_warmup_packets frames (see FrameGuard::Inspect).
-  std::size_t rssi_warmup_packets = 20;
-
-  // A sequence gap larger than this asks downstream consumers to flush
-  // their window ring: the buffered context predates the outage.
-  std::size_t max_gap_packets = 50;
 };
 
 // Classification of one frame.
@@ -82,7 +69,7 @@ struct FrameReport {
   std::uint32_t faults = 0;  // FrameFault bitmask
   // Frames lost between the previous accepted frame and this one.
   std::size_t gap = 0;
-  // The gap exceeded max_gap_packets: buffered windows are stale.
+  // The gap exceeded FrameGuard::kMaxGapPackets: buffered windows are stale.
   bool resync = false;
   // RX chain newly confirmed dead by this frame (-1 otherwise).
   int antenna_died = -1;
@@ -151,6 +138,17 @@ bool IsFinite(const wifi::CsiPacket& packet);
 
 class FrameGuard {
  public:
+  // An antenna whose per-frame energy stays far below the strongest
+  // chain's for kDeadAntennaPackets consecutive frames is declared dead;
+  // the same count of live frames revives it.
+  static constexpr std::size_t kDeadAntennaPackets = 10;
+  // RSSI outlier (AGC jump) detection against an EWMA of the link's RSSI
+  // starts after kRssiWarmupPackets frames (see Inspect).
+  static constexpr std::size_t kRssiWarmupPackets = 20;
+  // A sequence gap larger than this asks downstream consumers to flush
+  // their window ring: the buffered context predates the outage.
+  static constexpr std::size_t kMaxGapPackets = 50;
+
   // Consecutive silent (dead) and live frames of one RX chain.
   struct AntennaStreak {
     std::uint32_t dead = 0;

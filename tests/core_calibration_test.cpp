@@ -1,18 +1,21 @@
 // Adaptive-calibration tests: the QuietScorePosterior / ProfilePosterior
 // sufficient statistics, the recalibration ladder's state machine
 // (drift confirmation, AGC fast re-baseline, blackout escape, starvation
-// fallback, timeout/backoff/freeze, swap-spacing de-escalation), the
-// ladder as the one owner of LinkHealth::profile_drift (reset, dead-chain
-// stretches and revive, no drift flag without the ladder), and, with the
-// ladder active under long-horizon drift faults, every engine decision's
-// score bit-identical to the offline score of its raw window.
+// fallback, timeout/backoff/freeze, swap-spacing de-escalation) and its
+// Configure range checks, the ladder as the one owner of
+// LinkHealth::profile_drift (reset, dead-chain stretches and revive, no
+// drift flag without the ladder), and, with the ladder active under
+// long-horizon drift faults, every engine decision's score bit-identical
+// to the offline score of its raw window.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "core/calibration/calibration.h"
 #include "core/detector.h"
@@ -292,15 +295,11 @@ core::CalibrationConfig FastLadderConfig() {
   config.drift_ewma_alpha = 1.0;
   config.drift_confirm_windows = 2;
   config.recalibration_quiet_windows = 3;
-  config.recalibration_timeout_windows = 10;
-  config.starvation_windows = 4;
-  config.blackout_windows = 6;
-  config.max_consecutive_swaps = 2;
-  config.degraded_backoff_windows = 8;
-  config.max_degraded_entries = 2;
   config.heal_windows = 4;
   return config;
 }
+
+using Ladder = core::LinkCalibrator;
 
 TEST(RecalibrationLadder, DriftConfirmationWalksToASwapAndBack) {
   LadderHarness h(FastLadderConfig());
@@ -350,8 +349,8 @@ TEST(RecalibrationLadder, CalmWindowsWalkBackFromDriftSuspected) {
 TEST(RecalibrationLadder, AgcBurstFastRebaselines) {
   LadderHarness h(FastLadderConfig());
   core::CalibrationWindowContext agc;
-  agc.repaired_frames = 6;
-  agc.agc_frames = 6;  // >= agc_frames_min
+  agc.repaired_frames = Ladder::kAgcFramesMin;
+  agc.agc_frames = Ladder::kAgcFramesMin;
   h.Feed(h.quiet_level, 0.0, agc);
   EXPECT_EQ(h.state(), core::LadderState::kRecalibrating);
   EXPECT_EQ(h.calibrator.agc_rebaselines(), 1u);
@@ -397,11 +396,11 @@ TEST(RecalibrationLadder, BlackoutEscapeRebaselinesAfterAStepChange) {
   // A step change: every untainted window lands far above every gate the
   // ladder owns, with the filter saturated occupied.
   const double loud = 3.0 * h.threshold;
-  for (int i = 0; i < 6; ++i) {
+  for (std::size_t i = 0; i < Ladder::kBlackoutWindows; ++i) {
     ASSERT_EQ(h.state(), core::LadderState::kHealthy) << "window " << i;
     h.Loud(loud);
   }
-  // blackout_windows of that and the ladder concludes the room moved past
+  // kBlackoutWindows of that and the ladder concludes the room moved past
   // its gates; the starvation clock enters Recalibrating pre-expired, so
   // the ambient-EWMA fallback band admits the loud-but-vacant windows
   // immediately.
@@ -414,9 +413,9 @@ TEST(RecalibrationLadder, BlackoutEscapeRebaselinesAfterAStepChange) {
 }
 
 TEST(RecalibrationLadder, TimeoutDegradesThenFreezesAndResetRearms) {
-  auto config = FastLadderConfig();
-  config.blackout_windows = 0;  // isolate the timeout/backoff path
-  LadderHarness h(config);
+  // Only tainted windows run the clocks below, and tainted windows never
+  // advance the blackout streak: the timeout/backoff path runs alone.
+  LadderHarness h(FastLadderConfig());
 
   const double drifting = 0.97 * h.threshold;
   auto drive_to_recalibrating = [&] {
@@ -426,19 +425,33 @@ TEST(RecalibrationLadder, TimeoutDegradesThenFreezesAndResetRearms) {
     }
   };
 
+  auto run_tainted = [&](std::size_t windows) {
+    for (std::size_t i = 0; i < windows; ++i) h.Tainted(5.0 * h.threshold);
+  };
+
   drive_to_recalibrating();
   // Tainted windows advance the clocks but never count as evidence: the
   // collection times out and the ladder degrades.
-  for (int i = 0; i < 10; ++i) h.Tainted(5.0 * h.threshold);
+  run_tainted(Ladder::kRecalibrationTimeoutWindows - 1);
+  ASSERT_EQ(h.state(), core::LadderState::kRecalibrating);
+  run_tainted(1);
   EXPECT_EQ(h.state(), core::LadderState::kDegraded);
   EXPECT_TRUE(h.calibrator.drift_flagged());
 
-  // The backoff expires into a retry; the retry starves the same way and
-  // the second degradation freezes the ladder.
-  for (int i = 0; i < 8; ++i) h.Tainted(5.0 * h.threshold);
-  EXPECT_EQ(h.state(), core::LadderState::kRecalibrating);
-  for (int i = 0; i < 10 && h.state() != core::LadderState::kFrozen; ++i) {
-    h.Tainted(5.0 * h.threshold);
+  // Each backoff expires into a retry; the retry starts with the
+  // starvation clock expired, starves the same way, and the
+  // kMaxDegradedEntries-th degradation freezes the ladder.
+  for (std::size_t entry = 2; entry <= Ladder::kMaxDegradedEntries; ++entry) {
+    run_tainted(Ladder::kDegradedBackoffWindows - 1);
+    ASSERT_EQ(h.state(), core::LadderState::kDegraded) << entry;
+    run_tainted(1);
+    ASSERT_EQ(h.state(), core::LadderState::kRecalibrating) << entry;
+    run_tainted(Ladder::kRecalibrationTimeoutWindows -
+                Ladder::kStarvationWindows);
+    EXPECT_EQ(h.state(), entry < Ladder::kMaxDegradedEntries
+                             ? core::LadderState::kDegraded
+                             : core::LadderState::kFrozen)
+        << entry;
   }
   EXPECT_EQ(h.state(), core::LadderState::kFrozen);
 
@@ -457,20 +470,20 @@ TEST(RecalibrationLadder, TimeoutDegradesThenFreezesAndResetRearms) {
 }
 
 TEST(RecalibrationLadder, BlackoutEscapeCutsTheDegradedBackoffShort) {
-  auto config = FastLadderConfig();
-  config.blackout_windows = 4;
-  config.degraded_backoff_windows = 100;
-  LadderHarness h(config);
+  LadderHarness h(FastLadderConfig());
   const double drifting = 0.97 * h.threshold;
   while (h.state() != core::LadderState::kRecalibrating) h.Quiet(drifting);
-  for (int i = 0; i < 10; ++i) h.Tainted(5.0 * h.threshold);
+  for (std::size_t i = 0; i < Ladder::kRecalibrationTimeoutWindows; ++i) {
+    h.Tainted(5.0 * h.threshold);
+  }
   ASSERT_EQ(h.state(), core::LadderState::kDegraded);
   // A step change lands during the backoff: untainted windows above every
-  // gate escape to Recalibrating long before the 100-window backoff.
-  h.Loud(3.0 * h.threshold);
-  h.Loud(3.0 * h.threshold);
-  h.Loud(3.0 * h.threshold);
-  h.Loud(3.0 * h.threshold);
+  // gate escape to Recalibrating after kBlackoutWindows, before the
+  // kDegradedBackoffWindows backoff would have expired.
+  for (std::size_t i = 0; i < Ladder::kBlackoutWindows; ++i) {
+    ASSERT_EQ(h.state(), core::LadderState::kDegraded) << "window " << i;
+    h.Loud(3.0 * h.threshold);
+  }
   EXPECT_EQ(h.state(), core::LadderState::kRecalibrating);
 }
 
@@ -478,11 +491,10 @@ TEST(RecalibrationLadder, BlackoutEscapeCutsTheDegradedBackoffShort) {
 // escalate toward Degraded, while the same number of swaps spaced at least
 // 2 x heal_windows apart are independent re-anchors and never escalate.
 TEST(RecalibrationLadder, SwapSpacingControlsEscalation) {
-  auto config = FastLadderConfig();
-  config.max_consecutive_swaps = 1;
+  const auto config = FastLadderConfig();
   core::CalibrationWindowContext agc;
-  agc.repaired_frames = 6;
-  agc.agc_frames = 6;
+  agc.repaired_frames = Ladder::kAgcFramesMin;
+  agc.agc_frames = Ladder::kAgcFramesMin;
 
   auto swap_via_agc = [&](LadderHarness& h) {
     h.Feed(h.quiet_level, 0.0, agc);
@@ -491,13 +503,16 @@ TEST(RecalibrationLadder, SwapSpacingControlsEscalation) {
     h.Quiet(h.quiet_level);
   };
 
-  {  // Chasing: a second swap hot on the heels of the first escalates.
+  {  // Chasing: the swap after kMaxConsecutiveSwaps back-to-back ones
+    // escalates.
     LadderHarness h(config);
+    for (std::size_t swap = 1; swap <= Ladder::kMaxConsecutiveSwaps; ++swap) {
+      swap_via_agc(h);
+      ASSERT_EQ(h.calibrator.profile_swaps(), swap);
+      ASSERT_EQ(h.state(), core::LadderState::kHealthy) << swap;
+    }
     swap_via_agc(h);
-    ASSERT_EQ(h.calibrator.profile_swaps(), 1u);
-    ASSERT_EQ(h.state(), core::LadderState::kHealthy);
-    swap_via_agc(h);
-    EXPECT_EQ(h.calibrator.profile_swaps(), 2u);
+    EXPECT_EQ(h.calibrator.profile_swaps(), Ladder::kMaxConsecutiveSwaps + 1);
     EXPECT_EQ(h.state(), core::LadderState::kDegraded);
   }
   {  // Pacing: identical swaps separated by 2 x heal_windows of decisions
@@ -505,10 +520,15 @@ TEST(RecalibrationLadder, SwapSpacingControlsEscalation) {
     LadderHarness h(config);
     swap_via_agc(h);
     ASSERT_EQ(h.state(), core::LadderState::kHealthy);
-    for (int i = 0; i < 8; ++i) h.Tainted(h.quiet_level);
-    swap_via_agc(h);
-    EXPECT_EQ(h.calibrator.profile_swaps(), 2u);
-    EXPECT_EQ(h.state(), core::LadderState::kHealthy);
+    for (std::size_t swap = 2; swap <= Ladder::kMaxConsecutiveSwaps + 1;
+         ++swap) {
+      for (std::size_t i = 0; i < 2 * config.heal_windows; ++i) {
+        h.Tainted(h.quiet_level);
+      }
+      swap_via_agc(h);
+      EXPECT_EQ(h.calibrator.profile_swaps(), swap);
+      EXPECT_EQ(h.state(), core::LadderState::kHealthy) << swap;
+    }
   }
 }
 
@@ -532,6 +552,71 @@ TEST(RecalibrationLadder, FillHealthExportsTheLadder) {
   nic::LinkHealth untouched;
   untouched.profile_drift = true;
   inert.FillHealth(untouched);
+  EXPECT_TRUE(untouched.profile_drift);
+  EXPECT_EQ(untouched.calibration_state, nic::CalibrationLadder::kHealthy);
+}
+
+// Configure validates each tunable field that stays in the config, at
+// both sides of every bound; a disabled config is never validated and the
+// calibrator it leaves stays inert.
+TEST(RecalibrationLadder, ConfigureRejectsOutOfRangeFields) {
+  using Config = core::CalibrationConfig;
+  auto& f = Fixture();
+  const auto detector =
+      f.Calibrated(core::DetectionScheme::kSubcarrierWeighting);
+  const auto empty_scores = f.EmptyScores(detector);
+  auto accepts = [&](auto set) {
+    Config config = FastLadderConfig();
+    set(config);
+    core::LinkCalibrator calibrator;
+    try {
+      calibrator.Configure(detector, empty_scores, config);
+    } catch (const PreconditionError&) {
+      return false;
+    }
+    return true;
+  };
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double above_one = std::nextafter(1.0, 2.0);
+
+  // quiet_posterior_max in [0, 1].
+  EXPECT_TRUE(accepts([](Config& c) { c.quiet_posterior_max = 0.0; }));
+  EXPECT_FALSE(accepts([&](Config& c) { c.quiet_posterior_max = -tiny; }));
+  EXPECT_TRUE(accepts([](Config& c) { c.quiet_posterior_max = 1.0; }));
+  EXPECT_FALSE(accepts([&](Config& c) { c.quiet_posterior_max = above_one; }));
+  // drift_ewma_alpha in (0, 1].
+  EXPECT_FALSE(accepts([](Config& c) { c.drift_ewma_alpha = 0.0; }));
+  EXPECT_TRUE(accepts([&](Config& c) { c.drift_ewma_alpha = tiny; }));
+  EXPECT_TRUE(accepts([](Config& c) { c.drift_ewma_alpha = 1.0; }));
+  EXPECT_FALSE(accepts([&](Config& c) { c.drift_ewma_alpha = above_one; }));
+  // drift_confirm_windows and recalibration_quiet_windows >= 1.
+  EXPECT_FALSE(accepts([](Config& c) { c.drift_confirm_windows = 0; }));
+  EXPECT_TRUE(accepts([](Config& c) { c.drift_confirm_windows = 1; }));
+  EXPECT_FALSE(accepts([](Config& c) { c.recalibration_quiet_windows = 0; }));
+  EXPECT_TRUE(accepts([](Config& c) { c.recalibration_quiet_windows = 1; }));
+
+  // Every field out of range, but disabled: accepted, and inert.
+  Config disabled;
+  disabled.enabled = false;
+  disabled.quiet_posterior_max = above_one;
+  disabled.drift_ewma_alpha = 0.0;
+  disabled.drift_confirm_windows = 0;
+  disabled.recalibration_quiet_windows = 0;
+  ASSERT_TRUE(accepts([&](Config& c) { c = disabled; }));
+  LadderHarness h(disabled);
+  EXPECT_FALSE(h.calibrator.enabled());
+  for (std::size_t i = 0; i < Ladder::kBlackoutWindows; ++i) {
+    EXPECT_FALSE(h.Quiet(0.97 * h.threshold));
+    EXPECT_FALSE(h.Loud(3.0 * h.threshold));
+  }
+  EXPECT_EQ(h.state(), core::LadderState::kHealthy);
+  EXPECT_FALSE(h.calibrator.drift_flagged());
+  EXPECT_EQ(h.calibrator.quiet_windows(), 0u);
+  EXPECT_EQ(h.calibrator.profile_swaps(), 0u);
+  EXPECT_DOUBLE_EQ(h.detector.threshold(), h.threshold);
+  nic::LinkHealth untouched;
+  untouched.profile_drift = true;
+  h.calibrator.FillHealth(untouched);
   EXPECT_TRUE(untouched.profile_drift);
   EXPECT_EQ(untouched.calibration_state, nic::CalibrationLadder::kHealthy);
 }

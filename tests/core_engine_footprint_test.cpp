@@ -220,7 +220,6 @@ TEST(EngineFootprint, CalibratedAmplitudeLinksAllocateNothingAfterWarmUp) {
     config.calibration.drift_ewma_alpha = 0.5;
     config.calibration.drift_confirm_windows = 2;
     config.calibration.recalibration_quiet_windows = 3;
-    config.calibration.max_consecutive_swaps = 8;
     auto drifting = ex::MakeSimulator(link, drifting_config);
     Rng stream_rng(77);
     streams.push_back(drifting.CaptureSession(2000, std::nullopt, stream_rng));

@@ -887,7 +887,7 @@ TEST(EngineEquivalence, ProfileStackFollowsEveryProfileRewrite) {
   const double quiet_score = calibrator.score_posterior().Mean();
   for (std::size_t w = 0; w < 4 && calibrator.profile_swaps() == 0; ++w) {
     core::CalibrationWindowContext context;
-    if (w == 0) context.agc_frames = calibration.agc_frames_min;
+    if (w == 0) context.agc_frames = core::LinkCalibrator::kAgcFramesMin;
     (void)calibrator.ObserveDecision(
         quiet_score, 0.0,
         std::span<const double* const>(slabs).subspan(25 * w, 25), detector,
@@ -925,7 +925,6 @@ TEST(EngineEquivalence, BaselineIngestCacheSurvivesRecalibration) {
   config.calibration.drift_ewma_alpha = 1.0;
   config.calibration.drift_confirm_windows = 2;
   config.calibration.recalibration_quiet_windows = 3;
-  config.calibration.recalibration_timeout_windows = 10;
 
   test_support::ScoreOracle oracle(config, detector);
   core::SensingEngine engine;
@@ -1012,7 +1011,6 @@ TEST(EngineEquivalence, SlabRebuiltWindowsMatchStreamingAcrossShapes) {
     config.calibration.drift_ewma_alpha = 0.5;
     config.calibration.drift_confirm_windows = 2;
     config.calibration.recalibration_quiet_windows = 3;
-    config.calibration.max_consecutive_swaps = 8;
 
     auto drifting = ex::MakeSimulator(f.link, sim_config, spec.antennas);
     Rng stream_rng(77);

@@ -97,7 +97,7 @@ TEST(Hmm, OnlineFilterTracksOccupancy) {
   EXPECT_GT(p, 0.8);
   // Reset restores the prior.
   filter.Reset();
-  EXPECT_NEAR(filter.posterior(), hmm.config().occupancy_prior, 1e-12);
+  EXPECT_NEAR(filter.posterior(), PresenceHmm::kOccupancyPrior, 1e-12);
 }
 
 TEST(Hmm, FilterIsCausalPosteriorIsNot) {

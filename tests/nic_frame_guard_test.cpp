@@ -97,8 +97,9 @@ TEST(FrameGuard, SequenceDiscipline) {
   EXPECT_FALSE(gap.resync);
   EXPECT_EQ(guard.health().missing, 3u);
 
-  // A gap beyond max_gap_packets demands a ring flush.
-  const auto outage = guard.Inspect(MakePacket(14 + 52));
+  // A gap beyond kMaxGapPackets demands a ring flush.
+  const auto outage =
+      guard.Inspect(MakePacket(14 + FrameGuard::kMaxGapPackets + 2));
   EXPECT_TRUE(outage.resync);
 }
 
@@ -115,9 +116,8 @@ TEST(FrameGuard, QuarantinedFrameSurfacesAsGapOnNextGoodFrame) {
 }
 
 TEST(FrameGuard, DeadAntennaConfirmationAndRevival) {
-  FrameGuardConfig config;
-  config.dead_antenna_packets = 5;
-  FrameGuard guard(config);
+  constexpr std::size_t kStreak = FrameGuard::kDeadAntennaPackets;
+  FrameGuard guard;
 
   auto kill = [](wifi::CsiPacket p) {
     for (std::size_t k = 0; k < p.NumSubcarriers(); ++k) {
@@ -128,13 +128,13 @@ TEST(FrameGuard, DeadAntennaConfirmationAndRevival) {
 
   std::uint64_t seq = 0;
   (void)guard.Inspect(MakePacket(seq++));
-  // Four silent frames: streak not yet confirmed.
-  for (int i = 0; i < 4; ++i) {
+  // kStreak - 1 silent frames: streak not yet confirmed.
+  for (std::size_t i = 0; i + 1 < kStreak; ++i) {
     const auto r = guard.Inspect(kill(MakePacket(seq++)));
     EXPECT_EQ(r.verdict, FrameVerdict::kAccept) << i;
     EXPECT_EQ(r.antenna_died, -1) << i;
   }
-  // The fifth confirms: repair verdict, mask set, death reported once.
+  // The kStreak-th confirms: repair verdict, mask set, death reported once.
   const auto died = guard.Inspect(kill(MakePacket(seq++)));
   EXPECT_EQ(died.verdict, FrameVerdict::kRepair);
   EXPECT_TRUE(died.Has(FrameFault::kDeadAntenna));
@@ -144,17 +144,19 @@ TEST(FrameGuard, DeadAntennaConfirmationAndRevival) {
   EXPECT_EQ(Status(guard.health()), LinkStatus::kDegraded);
 
   // The same streak of live frames revives the chain.
-  for (int i = 0; i < 5; ++i) (void)guard.Inspect(MakePacket(seq++));
+  for (std::size_t i = 0; i + 1 < kStreak; ++i) {
+    (void)guard.Inspect(MakePacket(seq++));
+  }
+  EXPECT_EQ(guard.dead_antenna_mask(), 1u << 2);
+  (void)guard.Inspect(MakePacket(seq++));
   EXPECT_EQ(guard.dead_antenna_mask(), 0u);
 }
 
 TEST(FrameGuard, RssiOutlierAfterWarmup) {
-  FrameGuardConfig config;
-  config.rssi_warmup_packets = 10;
-  FrameGuard guard(config);
+  FrameGuard guard;
   Rng rng(5);
   std::uint64_t seq = 0;
-  for (int i = 0; i < 30; ++i) {
+  for (std::size_t i = 0; i < FrameGuard::kRssiWarmupPackets + 20; ++i) {
     const auto r =
         guard.Inspect(MakePacket(seq++, -40.0 + rng.Gaussian(0.0, 0.5)));
     ASSERT_FALSE(r.Has(FrameFault::kRssiOutlier)) << i;
