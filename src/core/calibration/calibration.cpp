@@ -112,13 +112,7 @@ void ProfilePosterior::Configure(std::size_t num_antennas,
   mean_amplitude_.assign(cells, 0.0);
   // mulink-lint: allow(alloc): Configure, setup path
   mean_variance_.assign(cells, 0.0);
-  // mulink-lint: allow(alloc): Configure, setup path
-  seed_power_.assign(cells, 0.0);
-  // mulink-lint: allow(alloc): Configure, setup path
-  seed_amplitude_.assign(cells, 0.0);
-  // mulink-lint: allow(alloc): Configure, setup path
-  seed_variance_.assign(cells, 0.0);
-  weight_ = seed_weight_ = 0.0;
+  weight_ = 0.0;
 }
 
 void ProfilePosterior::SeedFrom(const Detector& detector) {
@@ -142,12 +136,6 @@ void ProfilePosterior::SeedFrom(const Detector& detector) {
     mean_variance_[idx] = 0.0;
   }
   weight_ = 1.0;  // one window's worth of prior mass
-  seed_weight_ = weight_;
-  std::copy(mean_power_.begin(), mean_power_.end(), seed_power_.begin());
-  std::copy(mean_amplitude_.begin(), mean_amplitude_.end(),
-            seed_amplitude_.begin());
-  std::copy(mean_variance_.begin(), mean_variance_.end(),
-            seed_variance_.begin());
 }
 
 void ProfilePosterior::Observe(std::span<const double> power_plane,
@@ -184,15 +172,6 @@ void ProfilePosterior::Observe(std::span<const double> power_plane,
 
 void ProfilePosterior::Deweight(double max_weight) {
   weight_ = std::min(weight_, max_weight);
-}
-
-void ProfilePosterior::Reset() {
-  weight_ = seed_weight_;
-  std::copy(seed_power_.begin(), seed_power_.end(), mean_power_.begin());
-  std::copy(seed_amplitude_.begin(), seed_amplitude_.end(),
-            mean_amplitude_.begin());
-  std::copy(seed_variance_.begin(), seed_variance_.end(),
-            mean_variance_.begin());
 }
 
 // ---------------------------------------------------------------- ladder --

@@ -165,7 +165,8 @@ class ProfilePosterior {
   void Configure(std::size_t num_antennas, std::size_t num_subcarriers);
 
   // Take the detector's active profile as the prior (with unit weight), so
-  // the first swaps blend rather than replace.
+  // the first swaps blend rather than replace. Also the posterior's reset:
+  // whatever was observed since is discarded.
   void SeedFrom(const Detector& detector);
 
   // Fold one quiet window in, given as its window-order power plane
@@ -193,9 +194,6 @@ class ProfilePosterior {
   // history must not outweigh the windows collected while Recalibrating.
   void Deweight(double max_weight);
 
-  // Back to the last SeedFrom state.
-  void Reset();
-
  private:
   std::size_t num_antennas_ = 0;
   std::size_t num_subcarriers_ = 0;
@@ -203,11 +201,6 @@ class ProfilePosterior {
   std::vector<double> mean_power_;
   std::vector<double> mean_amplitude_;
   std::vector<double> mean_variance_;
-  // SeedFrom snapshot for Reset.
-  double seed_weight_ = 0.0;
-  std::vector<double> seed_power_;
-  std::vector<double> seed_amplitude_;
-  std::vector<double> seed_variance_;
 };
 
 // One decision's worth of context the ladder needs from the ingest path.

@@ -378,7 +378,7 @@ void ServeCore::ProcessFrame(Shard& shard, const Frame& frame)
     // contained: it is evicted with the health cooldown and counted, and
     // the shard keeps serving every other link.
     ++shard.links_failed;
-    EvictEntry(shard, idx, config_.readmit_after_frames);
+    EvictEntry(shard, idx, kReadmitAfterFrames);
     return;
   }
   if (!decision.has_value()) return;
@@ -387,8 +387,7 @@ void ServeCore::ProcessFrame(Shard& shard, const Frame& frame)
     // mulink-lint: allow(alloc): opt-in determinism artifact, off for throughput runs
     shard.log.push_back(DecisionRecord{frame.link_id, *decision});
   }
-  if (config_.evict_unhealthy &&
-      entry.frames >= config_.health_check_min_frames) {
+  if (config_.evict_unhealthy && entry.frames >= kHealthCheckMinFrames) {
     const nic::LinkHealth health = shard.engine.Health(idx);
     const std::size_t num_antennas = shard.engine.detector(idx).num_antennas();
     const bool all_dead =
@@ -399,8 +398,8 @@ void ServeCore::ProcessFrame(Shard& shard, const Frame& frame)
             ? 0.0
             : static_cast<double>(health.quarantined) /
                   static_cast<double>(health.received);
-    if (all_dead || quarantine_ratio > config_.max_quarantine_ratio) {
-      EvictEntry(shard, idx, config_.readmit_after_frames);
+    if (all_dead || quarantine_ratio > kMaxQuarantineRatio) {
+      EvictEntry(shard, idx, kReadmitAfterFrames);
     }
   }
 }

@@ -60,14 +60,12 @@ struct ServeConfig {
   // to make room (its engine slot is recycled).
   std::size_t max_resident_per_shard = 0;
   // Health-based eviction: links whose guard quarantined more than
-  // max_quarantine_ratio of their frames (after health_check_min_frames),
-  // or whose RX chains are all dead, are evicted and barred for
-  // readmit_after_frames of their OWN subsequent frames. The same bar
-  // applies, whatever evict_unhealthy says, to a link whose pipeline threw.
+  // ServeCore::kMaxQuarantineRatio of their frames (after
+  // kHealthCheckMinFrames), or whose RX chains are all dead, are evicted
+  // and barred for kReadmitAfterFrames of their OWN subsequent frames. The
+  // same bar applies, whatever evict_unhealthy says, to a link whose
+  // pipeline threw.
   bool evict_unhealthy = false;
-  double max_quarantine_ratio = 0.5;
-  std::uint64_t health_check_min_frames = 64;
-  std::uint64_t readmit_after_frames = 256;
   // Record every decision into per-shard logs (MergedDecisionLog). Off for
   // pure-throughput runs: the log is the one hot-path sink that grows.
   bool collect_decision_log = false;
@@ -111,6 +109,15 @@ struct ShardStats {
 
 class ServeCore {
  public:
+  // Health-based eviction (ServeConfig::evict_unhealthy): a link is checked
+  // once it has kHealthCheckMinFrames frames since admission, evicted when
+  // its guard quarantined more than kMaxQuarantineRatio of them, and barred
+  // for kReadmitAfterFrames of its own frames after a health or failure
+  // eviction.
+  static constexpr double kMaxQuarantineRatio = 0.5;
+  static constexpr std::uint64_t kHealthCheckMinFrames = 64;
+  static constexpr std::uint64_t kReadmitAfterFrames = 256;
+
   explicit ServeCore(ServeConfig config);
   ~ServeCore();
 

@@ -186,13 +186,10 @@ TEST(QuietScorePosterior, LogSigmaIsFlooredLikeTheHmmFit) {
 
 // ---------------------------------------------------- ProfilePosterior --
 
-TEST(ProfilePosterior, SeedFromAnchorsAtTheActiveProfile) {
-  auto& f = Fixture();
-  const auto detector =
-      f.Calibrated(core::DetectionScheme::kSubcarrierWeighting);
-  core::ProfilePosterior posterior;
-  posterior.Configure(detector.num_antennas(), detector.num_subcarriers());
-  posterior.SeedFrom(detector);
+// The seeded prior: unit weight, the detector's power plane, amplitude
+// sqrt(power) and zero variance in every cell.
+void ExpectSeededAt(const core::ProfilePosterior& posterior,
+                    const core::Detector& detector) {
   EXPECT_DOUBLE_EQ(posterior.EffectiveWindows(), 1.0);
   const auto& power = detector.profile_power();
   const std::size_t subcarriers = detector.num_subcarriers();
@@ -204,6 +201,16 @@ TEST(ProfilePosterior, SeedFromAnchorsAtTheActiveProfile) {
       EXPECT_DOUBLE_EQ(posterior.MeanVariance(m, k), 0.0);
     }
   }
+}
+
+TEST(ProfilePosterior, SeedFromAnchorsAtTheActiveProfile) {
+  auto& f = Fixture();
+  const auto detector =
+      f.Calibrated(core::DetectionScheme::kSubcarrierWeighting);
+  core::ProfilePosterior posterior;
+  posterior.Configure(detector.num_antennas(), detector.num_subcarriers());
+  posterior.SeedFrom(detector);
+  ExpectSeededAt(posterior, detector);
 }
 
 TEST(ProfilePosterior, ObserveConvergesOnWindowStatsAndResetRestores) {
@@ -230,12 +237,10 @@ TEST(ProfilePosterior, ObserveConvergesOnWindowStatsAndResetRestores) {
   // Temporal variance picks up a nonzero floor from the fading channel.
   EXPECT_GT(posterior.MeanVariance(1, 7), 0.0);
 
-  posterior.Reset();
-  EXPECT_DOUBLE_EQ(posterior.EffectiveWindows(), 1.0);
-  EXPECT_DOUBLE_EQ(
-      posterior.MeanPower(1, 7),
-      detector.profile_power()[1 * detector.num_subcarriers() + 7]);
-  EXPECT_DOUBLE_EQ(posterior.MeanVariance(1, 7), 0.0);
+  // Re-seeding is the reset (LinkCalibrator::Reset goes through it): every
+  // cell is back on the detector's profile, as after the first SeedFrom.
+  posterior.SeedFrom(detector);
+  ExpectSeededAt(posterior, detector);
 }
 
 // ------------------------------------------------------------- ladder --

@@ -72,6 +72,58 @@ TEST(EngineFootprint, SharedProfileCombinedLinkFitsItsSlabRing) {
   RecordProperty("bytes_per_link", static_cast<int>(bytes));
 }
 
+// Steady-state decisions allocate nothing, whether the observability
+// registry records or not. Each link scores on its own scratch (no
+// UseSharedScratch): one link per scheme, window 25 / hop 10 with the HMM
+// off, fed a 200-packet stream pass after pass. After one warm-up pass,
+// three more passes (20 decisions per link each) make no heap allocation.
+TEST(EngineFootprint, SteadyStateDecisionsAllocateNothingWithMetricsOnAndOff) {
+  const auto link = ex::MakeClassroomLink();
+  auto sim = ex::MakeSimulator(link);
+  Rng rng(77);
+  const auto calibration = sim.CaptureSession(400, std::nullopt, rng);
+  const auto stream = sim.CaptureSession(200, std::nullopt, rng);
+  const core::DetectionScheme schemes[] = {
+      core::DetectionScheme::kBaseline,
+      core::DetectionScheme::kSubcarrierWeighting,
+      core::DetectionScheme::kSubcarrierAndPathWeighting,
+      core::DetectionScheme::kVarianceMobile,
+  };
+  core::StreamingConfig config;
+  config.window_packets = 25;
+  config.hop_packets = 10;
+  config.use_hmm = false;
+  constexpr std::size_t kPasses = 3;
+
+  for (const bool metrics : {true, false}) {
+    core::SensingEngine engine;
+    engine.SetMetricsEnabled(metrics);
+    for (const auto scheme : schemes) {
+      core::DetectorConfig detector_config;
+      detector_config.scheme = scheme;
+      auto detector = core::Detector::Calibrate(calibration, sim.band(),
+                                                sim.array(), detector_config);
+      detector.SetThreshold(1.0);
+      engine.AddLink(std::move(detector), {}, config);
+    }
+    for (std::size_t l = 0; l < std::size(schemes); ++l) {
+      (void)engine.ProcessBatch(l, stream);  // warm-up
+    }
+    std::size_t decisions = 0;
+    const std::uint64_t before = counting_new::Allocations();
+    for (std::size_t pass = 0; pass < kPasses; ++pass) {
+      for (std::size_t l = 0; l < std::size(schemes); ++l) {
+        decisions += engine.ProcessBatch(l, stream).decisions.size();
+      }
+    }
+    const std::uint64_t allocations = counting_new::Allocations() - before;
+
+    EXPECT_EQ(decisions, kPasses * std::size(schemes) * stream.size() / 10)
+        << "metrics=" << metrics;
+    EXPECT_EQ(allocations, 0u) << "metrics=" << metrics;
+  }
+}
+
 // A per-link-calibrated link owns its detector, so every such link copies
 // one. The retained calibration set is one flat block of split rows, so the
 // copy's heap blocks are the detector's fixed set of buffers: a copy of a

@@ -1,10 +1,11 @@
 // Serving-tier tests: the SPSC ring's ordering/backpressure contract (also
 // under a concurrent drop-oldest producer), the link→shard routing, the
-// admission/eviction ladder, containment of a throwing link, and the headline
-// determinism guarantee — per-link decision logs bit-identical across
-// 1/2/4 shards. The determinism cases double as the TSan campaign for the
-// demux/worker handoff (scripts/run_tsan.sh runs this suite under
-// -DMULINK_TSAN=ON).
+// admission/eviction ladder, containment of a throwing link, a warm fleet's
+// zero-allocation steady state (counted by the replacement operator new
+// linked into this binary), and the headline determinism guarantee —
+// per-link decision logs bit-identical across 1/2/4 shards. The determinism
+// cases double as the TSan campaign for the demux/worker handoff
+// (scripts/run_tsan.sh runs this suite under -DMULINK_TSAN=ON).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 
 #include "common/rng.h"
 #include "core/detector.h"
+#include "counting_new.h"
 #include "experiments/scenario.h"
 #include "serve/roster.h"
 #include "serve/serve.h"
@@ -605,8 +607,8 @@ TEST(ServeCore, RefusesMisShapedFrameWithoutAbort) {
 // 3-antenna profile, receives frame 11 naming a 2-antenna profile (shaped
 // for it), and its unguarded engine throws a PreconditionError on the shard
 // worker. The shard evicts and counts that link (with the readmission
-// cooldown) and keeps serving: another link's decisions are exactly those
-// of a run without the failing link.
+// cooldown, longer than the rest of the run) and keeps serving: another
+// link's decisions are exactly those of a run without the failing link.
 TEST(ServeCore, ThrowingLinkIsEvictedAndTheShardKeepsServing) {
   auto& f = Fixture();
   // A 2-antenna baseline profile, calibrated on the first two chains of an
@@ -638,6 +640,7 @@ TEST(ServeCore, ThrowingLinkIsEvictedAndTheShardKeepsServing) {
                                    f.sim.array().axis_angle_rad()),
           narrow_config));
   const std::size_t frames = 40;
+  static_assert(frames < serve::ServeCore::kReadmitAfterFrames);
   const auto streams = f.Streams(2, frames);
   const wifi::CsiPacket misrouted = two_chains(streams[0][11]);
 
@@ -651,7 +654,6 @@ TEST(ServeCore, ThrowingLinkIsEvictedAndTheShardKeepsServing) {
     config.queue_capacity = 64;
     config.policy = serve::BackPressure::kBlock;
     config.collect_decision_log = true;
-    config.readmit_after_frames = 1000;  // barred for the rest of the run
     config.stream = f.Stream();
     serve::ServeCore core(config);
     const auto profile = core.RegisterProfile(f.detector, f.empty_scores);
@@ -746,7 +748,10 @@ TEST(ServeCore, StopWithFullRingUnderBlockDrainsEveryFrame) {
 // stormy links. Under TSan this is the eviction/Drain race check.
 TEST(ServeCore, HealthEvictionRacingDrainKeepsAccounting) {
   auto& f = Fixture();
-  const std::size_t frames = 120;
+  // A stormy link is evicted at its first decision after
+  // kHealthCheckMinFrames (64) frames, barred for kReadmitAfterFrames (256)
+  // and evicted again 64 frames after its readmission: about frame 384.
+  const std::size_t frames = 400;
   const auto clean = f.Streams(2, frames);
   Rng rng(78);
   std::vector<std::vector<wifi::CsiPacket>> stormy;
@@ -771,9 +776,6 @@ TEST(ServeCore, HealthEvictionRacingDrainKeepsAccounting) {
     config.policy = serve::BackPressure::kBlock;
     config.collect_decision_log = true;
     config.evict_unhealthy = true;
-    config.max_quarantine_ratio = 0.5;
-    config.health_check_min_frames = 9;
-    config.readmit_after_frames = 6;
     config.stream = f.Stream();
     config.stream.guard_enabled = true;
     serve::ServeCore core(config);
@@ -819,6 +821,68 @@ TEST(ServeCore, HealthEvictionRacingDrainKeepsAccounting) {
     EXPECT_EQ(healthy[i].decision.score, calm.log[i].decision.score);
     EXPECT_EQ(healthy[i].decision.timestamp_s,
               calm.log[i].decision.timestamp_s);
+  }
+}
+
+// A warm resident fleet decides without touching the heap: once every
+// link's window and every queue cell has reached its steady-state size, the
+// demux's frame copies, the workers' scoring and the shard bookkeeping make
+// no allocation, on 1 shard or 2. Combined scheme, hop 1, kBlock, no
+// decision log (the one sink that grows).
+TEST(ServeCore, WarmResidentFleetAllocatesNothingPerDecision) {
+  auto& f = Fixture();
+  const std::size_t links = 24;
+  const std::size_t queue_capacity = 32;  // a power of two: no rounding
+  const std::size_t measure_passes = 20;
+  const auto streams = f.Streams(links, 64);
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    serve::ServeConfig config;
+    config.num_shards = shards;
+    config.queue_capacity = queue_capacity;
+    config.policy = serve::BackPressure::kBlock;
+    config.stream = f.Stream();
+    serve::ServeCore core(config);
+    const auto profile = core.RegisterProfile(f.detector, f.empty_scores);
+
+    // Each queue cell sizes its frame's CSI on first use, so warm-up must
+    // cycle every ring: the shard with the fewest links still has to see
+    // more frames than its queue has cells.
+    std::vector<std::size_t> links_on(shards, 0);
+    for (std::uint64_t l = 0; l < links; ++l) ++links_on[core.ShardOf(l)];
+    const std::size_t fewest =
+        *std::min_element(links_on.begin(), links_on.end());
+    ASSERT_GT(fewest, 0u);
+    const std::size_t warm_passes = std::max<std::size_t>(
+        config.stream.window_packets + 2, queue_capacity / fewest + 2);
+    ASSERT_LE(warm_passes + measure_passes, streams.front().size());
+
+    core.Start();
+    for (std::size_t p = 0; p < warm_passes; ++p) {
+      for (std::size_t l = 0; l < links; ++l) {
+        core.Submit(l, profile, streams[l][p]);
+      }
+    }
+    core.Drain();
+    std::uint64_t decisions_before = 0;
+    for (const auto& s : core.Stats()) decisions_before += s.decisions;
+
+    const std::uint64_t before = counting_new::Allocations();
+    for (std::size_t p = warm_passes; p < warm_passes + measure_passes; ++p) {
+      for (std::size_t l = 0; l < links; ++l) {
+        core.Submit(l, profile, streams[l][p]);
+      }
+    }
+    core.Drain();
+    const std::uint64_t allocations = counting_new::Allocations() - before;
+    core.Stop();
+
+    std::uint64_t decisions = 0;
+    for (const auto& s : core.Stats()) decisions += s.decisions;
+    // Hop 1 with every window full: one decision per measured frame.
+    EXPECT_EQ(decisions - decisions_before, links * measure_passes)
+        << shards << " shard(s)";
+    EXPECT_EQ(allocations, 0u) << shards << " shard(s)";
   }
 }
 
@@ -899,6 +963,53 @@ TEST(ServeEviction, CapacityEvictsLruAndReadmitsFreely) {
   EXPECT_GT(stats[0].decisions, decisions_before);
 }
 
+// Residency-capped churn: 64x more distinct links than a shard's roster
+// holds, each sending one window burst (a window fill at hop 1, so one
+// decision) before the next link's burst. Every shard admits each of its
+// links once and evicts all but its resident set, never holds more than the
+// cap, loses no frame under kBlock and emits one decision per burst.
+TEST(ServeEviction, ResidencyCappedChurnKeepsPerShardAccounting) {
+  auto& f = Fixture();
+  const std::size_t cap = 4;
+  const std::size_t links = 64 * cap;
+  const std::size_t window = f.Stream().window_packets;
+  const auto pool = f.Streams(1, 64).front();
+
+  serve::ServeConfig config;
+  config.num_shards = 2;
+  config.queue_capacity = 16;
+  config.policy = serve::BackPressure::kBlock;
+  config.max_resident_per_shard = cap;
+  config.stream = f.Stream();
+  serve::ServeCore core(config);
+  const auto profile = core.RegisterProfile(f.detector, f.empty_scores);
+  core.Start();
+  std::vector<std::uint64_t> links_on(config.num_shards, 0);
+  for (std::uint64_t l = 0; l < links; ++l) {
+    ++links_on[core.ShardOf(l)];
+    for (std::size_t p = 0; p < window; ++p) {
+      ASSERT_TRUE(core.Submit(l, profile, pool[(l + p) % pool.size()]));
+    }
+  }
+  core.Stop();
+
+  const auto stats = core.Stats();
+  ASSERT_EQ(stats.size(), config.num_shards);
+  for (std::size_t s = 0; s < stats.size(); ++s) {
+    const auto& shard = stats[s];
+    ASSERT_GT(links_on[s], cap) << "shard " << s;
+    EXPECT_EQ(shard.links_admitted, links_on[s]) << "shard " << s;
+    EXPECT_EQ(shard.links_admitted,
+              shard.links_evicted + shard.resident_links)
+        << "shard " << s;
+    // At the cap, so never above it.
+    EXPECT_EQ(shard.resident_links, cap) << "shard " << s;
+    EXPECT_EQ(shard.frames_processed, shard.frames_routed) << "shard " << s;
+    EXPECT_EQ(shard.frames_routed, links_on[s] * window) << "shard " << s;
+    EXPECT_EQ(shard.decisions, links_on[s]) << "shard " << s;
+  }
+}
+
 // Ids chosen to collide in one roster probe run behave exactly like any
 // other ids. Links arrive in bursts in a shuffled order; the roster cap (20)
 // forces LRU capacity evictions after the table has grown to 64 slots, and
@@ -911,10 +1022,18 @@ struct ChurnRun {
   std::vector<serve::DecisionRecord> log;
 };
 
-// Link l's 60-frame stream, the same for every run (l = 3 and 17 storm).
+// Frames per link per burst. A stormy link's first burst reaches its health
+// check (kHealthCheckMinFrames) with no other link in between, so the roster
+// cap cannot evict it first.
+constexpr std::size_t kChurnBurst = 70;
+
+// Link l's 350-frame stream, the same for every run (l = 3 and 17 storm).
+// A stormy link is evicted near frame 64 and readmitted after its
+// kReadmitAfterFrames bar, near frame 320; the stream ends before a second
+// health check could evict it again.
 std::vector<std::vector<wifi::CsiPacket>> ChurnStreams(ServeFixture& f,
                                                        std::size_t links) {
-  const std::size_t frames = 60;
+  const std::size_t frames = 5 * kChurnBurst;
   auto stormy = f.Streams(links, frames);
   for (const std::size_t l : {3, 17}) {
     for (std::size_t i = 0; i < frames; ++i) {
@@ -939,17 +1058,15 @@ ChurnRun RunChurn(ServeFixture& f,
   config.collect_decision_log = true;
   config.max_resident_per_shard = max_resident;
   config.evict_unhealthy = true;
-  config.health_check_min_frames = 9;
-  config.readmit_after_frames = 6;
   config.stream = f.Stream();
   config.stream.guard_enabled = true;
   serve::ServeCore core(config);
   const auto profile = core.RegisterProfile(f.detector, f.empty_scores);
   core.Start();
   Rng order(31);
-  for (std::size_t start = 0; start < frames; start += 5) {
+  for (std::size_t start = 0; start < frames; start += kChurnBurst) {
     for (const std::size_t l : order.Permutation(ids.size())) {
-      for (std::size_t p = start; p < start + 5; ++p) {
+      for (std::size_t p = start; p < start + kChurnBurst; ++p) {
         core.Submit(ids[l], profile, stormy[l][p]);
       }
     }
@@ -1031,7 +1148,7 @@ TEST(ServeEviction, QuarantineStormEvictsWithOwnFrameCooldown) {
   // filling windows so decisions — where the health check runs — still
   // fire.
   Rng rng(77);
-  auto stream = f.sim.CaptureSession(120, std::nullopt, rng);
+  auto stream = f.sim.CaptureSession(400, std::nullopt, rng);
   for (std::size_t i = 0; i < stream.size(); ++i) {
     if (i % 3 != 0) {
       stream[i].csi.At(0, 0) =
@@ -1044,9 +1161,6 @@ TEST(ServeEviction, QuarantineStormEvictsWithOwnFrameCooldown) {
   config.queue_capacity = 64;
   config.policy = serve::BackPressure::kBlock;
   config.evict_unhealthy = true;
-  config.max_quarantine_ratio = 0.5;
-  config.health_check_min_frames = 9;
-  config.readmit_after_frames = 6;
   config.stream = f.Stream();
   config.stream.guard_enabled = true;
   serve::ServeCore core(config);
@@ -1056,8 +1170,9 @@ TEST(ServeEviction, QuarantineStormEvictsWithOwnFrameCooldown) {
   core.Stop();
 
   const auto stats = core.Stats();
-  // The link is evicted at the first post-threshold decision, barred for 6
-  // of its own frames, readmitted, and (still unhealthy) evicted again.
+  // The link is evicted at the first decision after kHealthCheckMinFrames
+  // frames, barred for kReadmitAfterFrames of its own frames, readmitted,
+  // and (still unhealthy) evicted again near frame 384.
   EXPECT_GE(stats[0].links_evicted, 2u);
   EXPECT_GE(stats[0].links_readmitted, 1u);
   EXPECT_EQ(stats[0].frames_processed, stream.size());
